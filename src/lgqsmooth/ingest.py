@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .simulate import MeasurementRecord
 
@@ -86,6 +85,9 @@ def demod_filter(bw_3db: float, order: int, fs: float):
         raise ValueError(f"order must be in [{_MIN_ORDER}, {_MAX_ORDER}]")
     if bw_3db <= 0 or bw_3db >= fs / 2:
         raise ValueError("bw_3db must lie below the input Nyquist rate")
+    # scipy.signal costs about a second to import; only demod needs it
+    from scipy import signal as sps
+
     return sps.butter(order, bw_3db, btype="low", fs=fs)
 
 
@@ -118,6 +120,8 @@ def demodulate(raw: RawTrace, omega: float, bw_3db: float = DEFAULT_BW_3DB,
     b, a = demod_filter(bw_3db, order, raw.fs)
     if raw.duration < 5.0 / (2.0 * math.pi * bw_3db):
         raise ValueError("trace shorter than the demodulation transient")
+
+    from scipy import signal as sps
 
     t = raw.times
     root2 = math.sqrt(2.0)

@@ -1,13 +1,15 @@
 """File formats for records, trajectories, raw traces and analysis tables.
 
 All text output uses %.17g so float64 values round-trip exactly and two
-writes of the same data are byte-identical.  Binary formats are
-little-endian float64 throughout.
+writes of the same data are byte-identical.  Text tables are formatted in
+bulk, one ``%`` over all rows of a table block, and the bytes equal those
+of formatting each value with ``format(float(x), ".17g")``.  Text tables
+are parsed with ``np.loadtxt``; malformed rows raise ``ValueError``
+naming the file.  Binary formats are little-endian float64 throughout.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 from pathlib import Path
@@ -23,12 +25,39 @@ SCHEMA_VERSION = 1
 _RECORD_MAGIC = b"LGQ1"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _open_w(path):
     return open(path, "w", newline="\n")
+
+
+def _write_table(path, header: str, blocks) -> None:
+    """Write a header line, then each block's rows with a single ``%``.
+
+    A block is a row template and its columns: equal-length 1-d arrays,
+    one per placeholder.  Values are taken as float64, so ``%.17g`` gives
+    the bytes of ``format(float(x), ".17g")`` and ``%d`` those of
+    ``int(x)``.
+    """
+    with _open_w(path) as fh:
+        fh.write(header + "\n")
+        for row, columns in blocks:
+            flat = np.column_stack(columns).astype(float, copy=False).ravel()
+            fh.write((row * len(columns[0])) % tuple(flat.tolist()))
+
+
+def _split_table(path) -> tuple[str, list[str]]:
+    """Header line and data lines of a text table."""
+    lines = Path(path).read_text().splitlines()
+    return (lines[0] if lines else ""), lines[1:]
+
+
+def _numbers(path, rows: list[str], usecols=None) -> np.ndarray:
+    """Parse comma-separated numeric rows; errors name the file."""
+    if not any(rows):
+        raise ValueError(f"{path}: no data rows")
+    try:
+        return np.loadtxt(rows, delimiter=",", usecols=usecols, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -37,15 +66,12 @@ def _open_w(path):
 
 def write_record_csv(rec: MeasurementRecord, path) -> None:
     """Columns t_s,i1,i2; efficiency and seed metadata are not stored."""
-    with _open_w(path) as fh:
-        fh.write("t_s,i1,i2\n")
-        dt = rec.dt
-        for k in range(rec.n):
-            fh.write(f"{_fmt(k * dt)},{_fmt(rec.i1[k])},{_fmt(rec.i2[k])}\n")
+    _write_table(path, "t_s,i1,i2", [
+        ("%.17g,%.17g,%.17g\n", (np.arange(rec.n) * rec.dt, rec.i1, rec.i2))])
 
 
 def read_record_csv(path) -> MeasurementRecord:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _numbers(path, _split_table(path)[1])
     if data.shape[1] != 3 or data.shape[0] < 2:
         raise ValueError(f"{path}: expected t_s,i1,i2 rows")
     t = data[:, 0]
@@ -98,51 +124,46 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     the retrofilter; the info columns carry the retrofilter's information
     vector and are nan otherwise.
     """
-    info = traj.info
-    with _open_w(path) as fh:
-        fh.write("t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2\n")
-        for k in range(traj.n_points):
-            z1, z2 = (info[k] if info is not None
-                      else (float("nan"), float("nan")))
-            fh.write(f"{_fmt(traj.times[k])},{traj.kind},"
-                     f"{_fmt(traj.mean[k, 0])},{_fmt(traj.mean[k, 1])},"
-                     f"{_fmt(traj.vw[k])},{_fmt(z1)},{_fmt(z2)}\n")
+    columns = [traj.times, traj.mean[:, 0], traj.mean[:, 1], traj.vw]
+    if traj.info is None:
+        # the all-NaN info columns, as %.17g would print them
+        row = "%.17g," + traj.kind + ",%.17g,%.17g,%.17g,nan,nan\n"
+    else:
+        row = "%.17g," + traj.kind + ",%.17g,%.17g,%.17g,%.17g,%.17g\n"
+        columns += [traj.info[:, 0], traj.info[:, 1]]
+    _write_table(path, "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2",
+                 [(row, columns)])
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    times, means, vw, info, kinds = [], [], [], [], set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "t_s" or len(header) != 7:
-            raise ValueError(f"{path}: expected trajectory header")
-        for row in reader:
-            times.append(float(row[0]))
-            kinds.add(row[1])
-            means.append((float(row[2]), float(row[3])))
-            vw.append(float(row[4]))
-            info.append((float(row[5]), float(row[6])))
+    header, rows = _split_table(path)
+    fields = header.split(",")
+    if fields[0] != "t_s" or len(fields) != 7:
+        raise ValueError(f"{path}: expected trajectory header")
+    # every row has at least seven fields once this parse succeeds
+    data = _numbers(path, rows, usecols=(0, 2, 3, 4, 5, 6))
+    kinds = {row.split(",", 2)[1] for row in rows if row}
     if len(kinds) != 1:
         raise ValueError(f"{path}: expected exactly one trajectory kind")
     kind = kinds.pop()
     if kind not in KINDS:
         raise ValueError(f"{path}: unknown trajectory kind {kind!r}")
-    info_arr = np.array(info) if kind == "Retrofiltered" else None
-    return Trajectory(np.array(times), np.array(means), np.array(vw),
-                      kind, info=info_arr)
+    info = data[:, 4:6].copy() if kind == "Retrofiltered" else None
+    try:
+        return Trajectory(data[:, 0].copy(), data[:, 1:3].copy(),
+                          data[:, 3].copy(), kind, info=info)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_means_csv(times: np.ndarray, means: np.ndarray, path) -> None:
     """Plain mean trajectories (ground truth dumps): t_s,x1,x2."""
-    with _open_w(path) as fh:
-        fh.write("t_s,x1,x2\n")
-        for k in range(times.shape[0]):
-            fh.write(f"{_fmt(times[k])},{_fmt(means[k, 0])},"
-                     f"{_fmt(means[k, 1])}\n")
+    _write_table(path, "t_s,x1,x2", [
+        ("%.17g,%.17g,%.17g\n", (times, means[:, 0], means[:, 1]))])
 
 
 def read_means_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _numbers(path, _split_table(path)[1])
     if data.shape[1] != 3:
         raise ValueError(f"{path}: expected t_s,x1,x2 rows")
     return data[:, 0], data[:, 1:]
@@ -153,15 +174,12 @@ def read_means_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def write_raw_csv(raw: RawTrace, path) -> None:
-    with _open_w(path) as fh:
-        fh.write("t_s,value\n")
-        fs = raw.fs
-        for k in range(raw.n):
-            fh.write(f"{_fmt(k / fs)},{_fmt(raw.samples[k])}\n")
+    _write_table(path, "t_s,value", [
+        ("%.17g,%.17g\n", (np.arange(raw.n) / raw.fs, raw.samples))])
 
 
 def read_raw_csv(path) -> RawTrace:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _numbers(path, _split_table(path)[1])
     if data.shape[1] != 2 or data.shape[0] < 2:
         raise ValueError(f"{path}: expected t_s,value rows")
     t = data[:, 0]
@@ -196,16 +214,11 @@ def read_raw_bin(path) -> RawTrace:
 
 def write_consistency_csv(stats: EnsembleStats, path) -> None:
     """Per-time rows t_s,kind,var_ens,theory,sev,outside."""
-    with _open_w(path) as fh:
-        fh.write("t_s,kind,var_ens,theory,sev,outside\n")
-        for kind in sorted(stats.var_ens):
-            v = stats.var_ens[kind]
-            th = stats.theory[kind]
-            bars = stats.sev[kind]
-            out = stats.outside[kind]
-            for k in range(stats.times.shape[0]):
-                fh.write(f"{_fmt(stats.times[k])},{kind},{_fmt(v[k])},"
-                         f"{_fmt(th[k])},{_fmt(bars[k])},{int(out[k])}\n")
+    _write_table(path, "t_s,kind,var_ens,theory,sev,outside", [
+        ("%.17g," + kind + ",%.17g,%.17g,%.17g,%d\n",
+         (stats.times, stats.var_ens[kind], stats.theory[kind],
+          stats.sev[kind], stats.outside[kind]))
+        for kind in sorted(stats.var_ens)])
 
 
 def write_stats_json(stats: EnsembleStats, path) -> None:
@@ -230,22 +243,15 @@ def write_stats_json(stats: EnsembleStats, path) -> None:
 
 def write_hs_csv(times: np.ndarray, rows: dict, path) -> None:
     """rows: kind -> (empirical, theory) arrays on the common time grid."""
-    with _open_w(path) as fh:
-        fh.write("t_s,kind,hs_empirical,hs_theory\n")
-        for kind in sorted(rows):
-            emp, th = rows[kind]
-            for k in range(times.shape[0]):
-                fh.write(f"{_fmt(times[k])},{kind},{_fmt(emp[k])},"
-                         f"{_fmt(th[k])}\n")
+    _write_table(path, "t_s,kind,hs_empirical,hs_theory", [
+        ("%.17g," + kind + ",%.17g,%.17g\n", (times, *rows[kind]))
+        for kind in sorted(rows)])
 
 
 def write_vacf_csv(res: VacfResult, path) -> None:
-    with _open_w(path) as fh:
-        fh.write("lag_s,kind,value\n")
-        for kind in sorted(res.values):
-            vals = res.values[kind]
-            for k in range(res.lags.shape[0]):
-                fh.write(f"{_fmt(res.lags[k])},{kind},{_fmt(vals[k])}\n")
+    _write_table(path, "lag_s,kind,value", [
+        ("%.17g," + kind + ",%.17g\n", (res.lags, res.values[kind]))
+        for kind in sorted(res.values)])
 
 
 def checksum(path) -> str:

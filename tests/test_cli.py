@@ -110,6 +110,22 @@ def test_nonfinite_record_is_exit_two(cfg_path, tmp_path, capsys):
     assert "numerical error" in err and "sample 39" in err
 
 
+def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    for cmd in ("simulate", "estimate"):
+        assert main([cmd, "--config", str(cfg_path),
+                     "--out-dir", str(out)]) == 0
+    victim = out / "estimates" / "filtered_00003.csv"
+    text = victim.read_text().splitlines()
+    text[2] = "0.0001,Filtered,1.5"
+    victim.write_text("\n".join(text) + "\n")
+    capsys.readouterr()
+    code = main(["smooth", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"lgqsmooth: error: {victim}: " in err
+
+
 def test_inject_subcommand(cfg_path, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
@@ -152,3 +168,30 @@ def test_console_entry_point():
                            "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "lgqsmooth" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    import json
+    import subprocess
+    import sys
+
+    script = """
+import json, math, sys
+import lgqsmooth.cli
+loaded = [m for m in ("scipy.signal", "scipy.integrate") if m in sys.modules]
+import numpy as np
+from lgqsmooth.ingest import demodulate
+from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
+t = np.arange(1500) * 1e-6
+rec = MeasurementRecord(1e-6, 100.0 * np.cos(2 * math.pi * 500.0 * t),
+                        np.zeros_like(t))
+raw = synthesize_raw(rec, 2 * math.pi * 2.0e5, 1.0e6, seed=21)
+out = demodulate(raw, 2 * math.pi * 2.0e5, bw_3db=30e3)
+print(json.dumps({"loaded": loaded, "n": out.n,
+                  "finite": bool(np.isfinite(out.i1).all())}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc == {"loaded": [], "n": 1500, "finite": True}

@@ -8,7 +8,7 @@ import pytest
 from lgqsmooth import recordio
 from lgqsmooth.estimate import Trajectory, run_filter, run_retrofilter
 from lgqsmooth.ingest import RawTrace
-from lgqsmooth.metrics import consistency_check, vacf
+from lgqsmooth.metrics import EnsembleStats, VacfResult, consistency_check, vacf
 from lgqsmooth.simulate import MeasurementRecord, simulate_truth_ensemble
 
 
@@ -191,3 +191,125 @@ def test_analysis_tables(small_run, tmp_path):
     recordio.write_vacf_csv(res, tmp_path / "v.csv")
     lines = (tmp_path / "v.csv").read_text().splitlines()
     assert len(lines) == 1 + res.lags.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# text format and malformed input
+# ---------------------------------------------------------------------------
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                     1.7976931348623157e308, 0.1, 3.0, -42.0, 1e22, 2.5e-7])
+# a strictly increasing grid of the finite values
+TIMES = np.array([-42.0, -0.0, 5e-324, 2.5e-7, 0.1, 3.0, 7.0, 1e22, 3e22,
+                  1e300, 1.7976931348623157e308])
+
+
+def _line(*fields) -> str:
+    """One row as the per-value writers printed it."""
+    return ",".join(f if isinstance(f, str) else format(float(f), ".17g")
+                    for f in fields) + "\n"
+
+
+def _format_case(name):
+    """(write(path), expected text) for one CSV writer."""
+    n = SPECIALS.shape[0]
+    a, b, c = SPECIALS, np.roll(SPECIALS, 3), np.roll(SPECIALS, 7)
+    times = TIMES
+    if name == "record":
+        rec = MeasurementRecord(1e-6, a, b)
+        return (lambda p: recordio.write_record_csv(rec, p),
+                "t_s,i1,i2\n" + "".join(
+                    _line(k * 1e-6, a[k], b[k]) for k in range(n)))
+    if name in ("filtered", "retrofiltered"):
+        retro = name == "retrofiltered"
+        kind = "Retrofiltered" if retro else "Filtered"
+        info = np.column_stack([b, c]) if retro else None
+        traj = Trajectory(times, np.column_stack([a, b]), c, kind, info=info)
+        z = info if retro else np.full((n, 2), np.nan)
+        return (lambda p: recordio.write_trajectory_csv(traj, p),
+                "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2\n" + "".join(
+                    _line(times[k], kind, a[k], b[k], c[k], z[k, 0], z[k, 1])
+                    for k in range(n)))
+    if name == "means":
+        means = np.column_stack([a, c])
+        return (lambda p: recordio.write_means_csv(times, means, p),
+                "t_s,x1,x2\n" + "".join(
+                    _line(times[k], a[k], c[k]) for k in range(n)))
+    if name == "raw":
+        raw = RawTrace(3.0e6, TIMES[::-1])
+        return (lambda p: recordio.write_raw_csv(raw, p),
+                "t_s,value\n" + "".join(
+                    _line(k / raw.fs, raw.samples[k]) for k in range(n)))
+    kinds = ("Filtered", "Retrofiltered")
+    cols = {"Filtered": (np.abs(a), b, c), "Retrofiltered": (np.abs(c), a, b)}
+    if name == "consistency":
+        outside = {k: cols[k][0] > 1.0 for k in kinds}
+        stats = EnsembleStats(times, {k: cols[k][0] for k in kinds},
+                              {k: cols[k][1] for k in kinds},
+                              {k: cols[k][2] for k in kinds}, outside,
+                              1.0, 3, 3.0)
+        return (lambda p: recordio.write_consistency_csv(stats, p),
+                "t_s,kind,var_ens,theory,sev,outside\n" + "".join(
+                    _line(times[k], kind, *(col[k] for col in cols[kind]),
+                          str(int(outside[kind][k])))
+                    for kind in kinds for k in range(n)))
+    if name == "hs":
+        rows = {k: cols[k][1:] for k in kinds}
+        return (lambda p: recordio.write_hs_csv(times, rows, p),
+                "t_s,kind,hs_empirical,hs_theory\n" + "".join(
+                    _line(times[k], kind, rows[kind][0][k], rows[kind][1][k])
+                    for kind in kinds for k in range(n)))
+    values = {k: np.concatenate([[1.0], cols[k][1][1:]]) for k in kinds}
+    res = VacfResult(times, values, {k: 0.0 for k in kinds}, 0.1)
+    return (lambda p: recordio.write_vacf_csv(res, p),
+            "lag_s,kind,value\n" + "".join(
+                _line(times[k], kind, values[kind][k])
+                for kind in kinds for k in range(n)))
+
+
+@pytest.mark.parametrize("name", ["record", "filtered", "retrofiltered",
+                                  "means", "raw", "consistency", "hs",
+                                  "vacf"])
+def test_text_format_matches_per_value_reference(name, tmp_path):
+    write, expected = _format_case(name)
+    path = tmp_path / f"{name}.csv"
+    write(path)
+    assert path.read_bytes() == expected.encode()
+
+
+MALFORMED = {
+    # reader, header, good rows, a row cut short
+    "trajectory": (recordio.read_trajectory_csv,
+                   "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2",
+                   ["0,Filtered,1,2,3,nan,nan", "1e-4,Filtered,1,2,3,nan,nan"],
+                   "2e-4,Filtered,1.5"),
+    "record": (recordio.read_record_csv, "t_s,i1,i2",
+               ["0,1,2", "1e-6,1,2"], "2e-6,1"),
+    "means": (recordio.read_means_csv, "t_s,x1,x2",
+              ["0,1,2", "1e-6,1,2"], "2e-6,1"),
+    "raw": (recordio.read_raw_csv, "t_s,value",
+            ["0,1", "2e-7,1"], "4e-7"),
+}
+
+
+@pytest.mark.parametrize("defect", ["short row", "non-numeric", "empty"])
+@pytest.mark.parametrize("reader", sorted(MALFORMED))
+def test_malformed_csv_error_names_file(reader, defect, tmp_path):
+    read, header, good, short = MALFORMED[reader]
+    rows = {"short row": good + [short],
+            "non-numeric": [good[0], good[1].replace("1", "x", 1)],
+            "empty": []}[defect]
+    path = tmp_path / f"{reader}.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_trajectory_time_grid_error_names_file(tmp_path):
+    path = tmp_path / "filtered_00000.csv"
+    path.write_text("t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2\n"
+                    "0,Filtered,1,2,3,nan,nan\n0,Filtered,1,2,3,nan,nan\n")
+    with pytest.raises(ValueError, match="strictly increasing") as exc:
+        recordio.read_trajectory_csv(path)
+    assert str(exc.value).startswith(f"{path}: ")
