@@ -23,6 +23,11 @@ from the uninformative final condition z(T) = 0, w(T) = 0:
     z_k = [1 - (Gamma/2 + 2 Gamma n_tot w(t_{k+1})) dt] z_{k+1} + g I_k dt
 
 so no retrofiltered quantity is ever stored as an unbounded variance.
+
+Both recursions take stacked records (leading axis = ensemble member).  A
+single record is recursed on Python floats instead of (1, 2) array slices,
+with the same IEEE operations in the same order, so its bits equal those
+of the stacked path.
 """
 
 from __future__ import annotations
@@ -157,6 +162,18 @@ def filter_means(currents: np.ndarray, ep: EffectiveParams, v: np.ndarray,
     dt = ep.dt
     f = math.exp(-ep.gamma_eff * dt / 2.0)
     g = math.sqrt(ep.meas_rate)
+    if currents.shape[0] == 1:
+        # the update below on Python floats: the same operations in the same
+        # order, so the same bits, without numpy dispatch per sample
+        x1, x2 = np.asarray(m0, dtype=float).reshape(2).tolist()
+        ix = currents[0] * dt
+        out = [x1, x2]
+        for c, i1, i2 in zip((g * v[:n]).tolist(), ix[:, 0].tolist(),
+                             ix[:, 1].tolist()):
+            x1 = f * x1 + c * (i1 - g * x1 * dt)
+            x2 = f * x2 + c * (i2 - g * x2 * dt)
+            out += (x1, x2)
+        return np.array(out).reshape(1, n + 1, 2)
     means = np.empty((currents.shape[0], n + 1, 2))
     means[:, 0] = m0
     for k in range(n):
@@ -173,6 +190,19 @@ def retro_info(currents: np.ndarray, ep: EffectiveParams,
     g = math.sqrt(ep.meas_rate)
     half_g = ep.gamma_eff / 2.0
     drift = 2.0 * ep.gamma_eff * ep.n_tot
+    if currents.shape[0] == 1:
+        decay = 1.0 - (half_g + drift * w[1:n + 1]) * dt
+        kx = g * currents[0] * dt
+        # the update below on Python floats (see filter_means); built from
+        # t_n backward with x2 before x1, so the reversed list is in order
+        out = [0.0, 0.0]
+        x1 = x2 = 0.0
+        for d, k1, k2 in zip(decay[::-1].tolist(), kx[::-1, 0].tolist(),
+                             kx[::-1, 1].tolist()):
+            x1 = d * x1 + k1
+            x2 = d * x2 + k2
+            out += (x2, x1)
+        return np.array(out[::-1]).reshape(1, n + 1, 2)
     z = np.empty((currents.shape[0], n + 1, 2))
     z[:, n] = 0.0
     for k in range(n - 1, -1, -1):

@@ -369,7 +369,8 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
 
     _, v_clean = filter_grid(ep, n_total)
     m_clean = filter_means(currents, ep, v_clean, np.zeros((n_records, 2)))
-    m_ltl = m_clean[:, n_total - n_win:]
+    # a copy, so the (N, n_total+1, 2) clean run is freed with this frame
+    m_ltl = m_clean[:, n_total - n_win:].copy()
     v_tar = v_filter_ss(ep)
 
     win = currents[:, n_total - n_win:, :]

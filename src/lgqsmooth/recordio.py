@@ -4,8 +4,9 @@ All text output uses %.17g so float64 values round-trip exactly and two
 writes of the same data are byte-identical.  Text tables are formatted in
 bulk, one ``%`` over all rows of a table block, and the bytes equal those
 of formatting each value with ``format(float(x), ".17g")``.  Text tables
-are parsed with ``np.loadtxt``; malformed rows raise ``ValueError``
-naming the file.  Binary formats are little-endian float64 throughout.
+are parsed with ``np.loadtxt``; a reader requires its writer's header
+line, and a wrong header or malformed rows raise ``ValueError`` naming
+the file.  Binary formats are little-endian float64 throughout.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def _split_table(path) -> tuple[str, list[str]]:
     return (lines[0] if lines else ""), lines[1:]
 
 
+def _rows(path, header: str) -> list[str]:
+    """Data lines of a text table whose first line must be ``header``."""
+    first, rows = _split_table(path)
+    if first != header:
+        raise ValueError(f"{path}: expected header {header!r}, found {first!r}")
+    return rows
+
+
 def _numbers(path, rows: list[str], usecols=None) -> np.ndarray:
     """Parse comma-separated numeric rows; errors name the file."""
     if not any(rows):
@@ -71,7 +80,7 @@ def write_record_csv(rec: MeasurementRecord, path) -> None:
 
 
 def read_record_csv(path) -> MeasurementRecord:
-    data = _numbers(path, _split_table(path)[1])
+    data = _numbers(path, _rows(path, "t_s,i1,i2"))
     if data.shape[1] != 3 or data.shape[0] < 2:
         raise ValueError(f"{path}: expected t_s,i1,i2 rows")
     t = data[:, 0]
@@ -163,7 +172,7 @@ def write_means_csv(times: np.ndarray, means: np.ndarray, path) -> None:
 
 
 def read_means_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = _numbers(path, _split_table(path)[1])
+    data = _numbers(path, _rows(path, "t_s,x1,x2"))
     if data.shape[1] != 3:
         raise ValueError(f"{path}: expected t_s,x1,x2 rows")
     return data[:, 0], data[:, 1:]
@@ -179,7 +188,7 @@ def write_raw_csv(raw: RawTrace, path) -> None:
 
 
 def read_raw_csv(path) -> RawTrace:
-    data = _numbers(path, _split_table(path)[1])
+    data = _numbers(path, _rows(path, "t_s,value"))
     if data.shape[1] != 2 or data.shape[0] < 2:
         raise ValueError(f"{path}: expected t_s,value rows")
     t = data[:, 0]

@@ -169,30 +169,36 @@ def _n_steps(ep: EffectiveParams, duration: float) -> int:
 # True-state generator (full heterodyne unravelling of all baths)
 # ---------------------------------------------------------------------------
 
-def _draw_true(rng: np.random.Generator, n: int,
-               ep: EffectiveParams) -> tuple[np.ndarray, np.ndarray]:
+def _draw_true(rng: np.random.Generator, n: int, ep: EffectiveParams
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial mean, state kicks (n, 2) and record noise (n, 2) of a record.
+
+    The three Wiener pairs are reduced at once, so an ensemble never holds
+    all of its (n, 6) increments.
+    """
     scale0 = math.sqrt(max(ep.sigma2_uncon - 1.0, 0.0))
     m0 = rng.normal(0.0, scale0, 2)
     dw = rng.normal(0.0, math.sqrt(ep.dt), (n, _TRUE_COLS))
-    return m0, dw
-
-
-def _evolve_true(m0: np.ndarray, dw: np.ndarray,
-                 ep: EffectiveParams) -> tuple[np.ndarray, np.ndarray]:
-    n = dw.shape[1]
-    g, dt = ep.gamma_eff, ep.dt
-    f = math.exp(-g * dt / 2.0)
     g_obs = math.sqrt(ep.meas_rate)
-    g_u1 = math.sqrt(2.0 * (1.0 - ep.eta) * g * ep.coop_eff)
-    g_u2 = math.sqrt(2.0 * g * ep.n_th_eff)
+    g_u1 = math.sqrt(2.0 * (1.0 - ep.eta) * ep.gamma_eff * ep.coop_eff)
+    g_u2 = math.sqrt(2.0 * ep.gamma_eff * ep.n_th_eff)
     # true covariance held at its stationary value 1, so kicks carry unit v
-    kicks = g_obs * dw[:, :, 0:2] + g_u1 * dw[:, :, 2:4] + g_u2 * dw[:, :, 4:6]
+    kicks = g_obs * dw[:, 0:2] + g_u1 * dw[:, 2:4] + g_u2 * dw[:, 4:6]
+    return m0, kicks, dw[:, 0:2] / ep.dt
+
+
+def _evolve_true(m0: np.ndarray, kicks: np.ndarray, noise: np.ndarray,
+                 ep: EffectiveParams) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked true means and currents; ``noise`` becomes the currents."""
+    n = kicks.shape[1]
+    f = math.exp(-ep.gamma_eff * ep.dt / 2.0)
+    g_obs = math.sqrt(ep.meas_rate)
     means = np.empty((m0.shape[0], n + 1, 2))
     means[:, 0] = m0
     for k in range(n):
         means[:, k + 1] = f * means[:, k] + kicks[:, k]
-    currents = g_obs * means[:, :n] + dw[:, :, 0:2] / dt
-    return means, currents
+    noise += g_obs * means[:, :n]
+    return means, noise
 
 
 def simulate_true_and_record(ep: EffectiveParams, duration: float,
@@ -208,8 +214,8 @@ def simulate_true_and_record(ep: EffectiveParams, duration: float,
     _check_step(ep)
     n = _n_steps(ep, duration)
     rng = np.random.default_rng(seed)
-    m0, dw = _draw_true(rng, n, ep)
-    means, currents = _evolve_true(m0[None], dw[None], ep)
+    m0, kicks, noise = _draw_true(rng, n, ep)
+    means, currents = _evolve_true(m0[None], kicks[None], noise[None], ep)
     record = MeasurementRecord(ep.dt, currents[0, :, 0], currents[0, :, 1],
                                ep.eta, seed)
     times = np.arange(n + 1) * ep.dt
@@ -228,11 +234,12 @@ def simulate_truth_ensemble(ep: EffectiveParams, duration: float,
     n = _n_steps(ep, duration)
     seeds = derive_record_seeds(base_seed, n_records)
     m0 = np.empty((n_records, 2))
-    dw = np.empty((n_records, n, _TRUE_COLS))
+    kicks = np.empty((n_records, n, 2))
+    noise = np.empty((n_records, n, 2))
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(int(s))
-        m0[i], dw[i] = _draw_true(rng, n, ep)
-    means, currents = _evolve_true(m0, dw, ep)
+        m0[i], kicks[i], noise[i] = _draw_true(rng, n, ep)
+    means, currents = _evolve_true(m0, kicks, noise, ep)
     times = np.arange(n + 1) * ep.dt
     return TruthEnsemble(times, means, currents, seeds, ep.dt, ep.eta)
 

@@ -160,12 +160,26 @@ def test_demod_subcommand(tmp_path):
     assert len(list((tmp_path / "records").glob("record_*.csv"))) == 3
 
 
+def _child_env() -> dict:
+    """Environment in which a child interpreter imports this lgqsmooth."""
+    import os
+    from pathlib import Path
+
+    import lgqsmooth
+
+    path = [str(Path(lgqsmooth.__file__).parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def test_console_entry_point():
     import subprocess
     import sys
 
     proc = subprocess.run([sys.executable, "-m", "lgqsmooth.cli",
-                           "--version"], capture_output=True, text=True)
+                           "--version"], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0
     assert "lgqsmooth" in proc.stdout
 
@@ -191,7 +205,7 @@ print(json.dumps({"loaded": loaded, "n": out.n,
                   "finite": bool(np.isfinite(out.i1).all())}))
 """
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc == {"loaded": [], "n": 1500, "finite": True}

@@ -17,6 +17,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lgqsmooth import (
     EffectiveParams,
@@ -344,3 +347,58 @@ def test_retro_variance_view_matches_precision(ref_ep):
     t = traj.times[:-1]
     v = v_retro(t, rec.duration, ref_ep)
     assert np.allclose(v, 1.0 / traj.vw[:-1], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# single-record recursion against the stacked kernels
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@st.composite
+def _stacked_currents(draw):
+    n_rec = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 40))
+    value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    currents = draw(hnp.arrays(float, (n_rec, n, 2), elements=value))
+    m0 = draw(hnp.arrays(float, (n_rec, 2), elements=value))
+    return currents, m0
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stacked_currents())
+def test_single_record_matches_stacked_rows_property(ref_ep, data):
+    # a one-record call recurses on Python floats; its bits must equal the
+    # corresponding row of the stacked loop
+    currents, m0 = data
+    n = currents.shape[1]
+    _, v = filter_grid(ref_ep, n)
+    _, w = retro_grid(ref_ep, n)
+    m_all = filter_means(currents, ref_ep, v, m0)
+    z_all = retro_info(currents, ref_ep, w)
+    for i in range(currents.shape[0]):
+        m_one = filter_means(currents[i:i + 1], ref_ep, v, m0[i:i + 1])
+        z_one = retro_info(currents[i:i + 1], ref_ep, w)
+        assert _same_bits(m_one, m_all[i:i + 1])
+        assert _same_bits(z_one, z_all[i:i + 1])
+    if n == 0:
+        assert _same_bits(m_all[:, 0], m0)
+        assert not np.any(z_all)
+
+
+def test_per_record_runs_match_stacked_rows(ref_ep):
+    ens = simulate_truth_ensemble(ref_ep, ref_ep.record_duration, 8,
+                                  base_seed=750)
+    assert ens.currents.shape == (8, 750, 2)
+    _, v = filter_grid(ref_ep, 750)
+    _, w = retro_grid(ref_ep, 750)
+    m0 = np.zeros((8, 2))
+    m_all = filter_means(ens.currents, ref_ep, v, m0)
+    z_all = retro_info(ens.currents, ref_ep, w)
+    for i in range(8):
+        rec = ens.record(i)
+        assert _same_bits(run_filter(rec, ref_ep).mean, m_all[i])
+        assert _same_bits(run_retrofilter(rec, ref_ep).info, z_all[i])

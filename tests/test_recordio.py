@@ -306,6 +306,25 @@ def test_malformed_csv_error_names_file(reader, defect, tmp_path):
     assert str(exc.value).startswith(f"{path}: ")
 
 
+def test_reader_rejects_another_writers_table(tmp_path, rng):
+    # a truth dump has a record's shape (three uniform numeric columns) but
+    # not its header
+    truth = tmp_path / "truth_00000.csv"
+    recordio.write_means_csv(np.arange(751) * 1e-6,
+                             rng.normal(size=(751, 2)), truth)
+    with pytest.raises(ValueError, match="expected header 't_s,i1,i2'") as exc:
+        recordio.read_record_csv(truth)
+    assert str(exc.value).startswith(f"{truth}: ")
+
+    record = tmp_path / "record_00000.csv"
+    recordio.write_record_csv(MeasurementRecord(1e-6, np.zeros(4), np.ones(4)),
+                              record)
+    for read, header in ((recordio.read_means_csv, "t_s,x1,x2"),
+                         (recordio.read_raw_csv, "t_s,value")):
+        with pytest.raises(ValueError, match=f"expected header '{header}'"):
+            read(record)
+
+
 def test_trajectory_time_grid_error_names_file(tmp_path):
     path = tmp_path / "filtered_00000.csv"
     path.write_text("t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2\n"
