@@ -144,7 +144,11 @@ class Trajectory:
 def _check_record(rec: MeasurementRecord, ep: EffectiveParams, module: str) -> None:
     if rec.eta_effective is not None and abs(rec.eta_effective - ep.eta) > 1e-9:
         raise ValueError(
-            f"record efficiency {rec.eta_effective} does not match params eta {ep.eta}")
+            f"{module}: record efficiency {rec.eta_effective} does not match "
+            f"params eta {ep.eta}")
+    if abs(rec.dt - ep.dt) > 1e-9 * ep.dt:
+        raise ValueError(
+            f"{module}: record dt {rec.dt} does not match params dt {ep.dt}")
     finite = np.isfinite(rec.currents).all(axis=-1)
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])

@@ -43,8 +43,8 @@ class RawTrace:
     shot_level: float | None = None
 
     def __post_init__(self) -> None:
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"fs must be finite and positive, got {self.fs}")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.shape[0] == 0:
             raise ValueError("samples must be a non-empty 1-d array")

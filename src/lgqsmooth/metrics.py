@@ -21,14 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimate import Trajectory
-from .model import (
-    EffectiveParams,
-    GaussianState,
-    retro_precision,
-    retro_precision_ss,
-    v_filter,
-    v_filter_ss,
-)
+from .model import EffectiveParams, retro_precision, v_filter
 from .smooth import TargetSpec, combine_arrays, z_values
 
 DEFAULT_VACF_THRESHOLD = 1.0 / math.e
@@ -39,26 +32,6 @@ ESTIMATOR_KINDS = ("Filtered", "Smoothed", "Classical")
 # ---------------------------------------------------------------------------
 # Hilbert-Schmidt distance
 # ---------------------------------------------------------------------------
-
-def gaussian_hs_sq(a: GaussianState, b: GaussianState) -> float:
-    """Squared Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2].
-
-    Purity P = 1/sqrt(det V); overlap O = 2 exp(-r^T (Va+Vb)^-1 r / 2)
-    / sqrt(det(Va+Vb)) with r the mean difference.
-    """
-    va, vb = a.cov, b.cov
-    det_a, det_b = np.linalg.det(va), np.linalg.det(vb)
-    if det_a <= 0 or det_b <= 0:
-        raise ValueError("covariance matrices must be positive definite")
-    s = va + vb
-    det_s = np.linalg.det(s)
-    if det_s <= 1e-300:
-        raise ValueError("singular covariance sum")
-    r = a.mean - b.mean
-    overlap = 2.0 * math.exp(-0.5 * float(r @ np.linalg.solve(s, r))) / math.sqrt(det_s)
-    # squared norm; tiny negatives are rounding artifacts
-    return max(0.0, 1.0 / math.sqrt(det_a) + 1.0 / math.sqrt(det_b) - 2.0 * overlap)
-
 
 def hs_sq_isotropic(v_a, m_a, v_b, m_b) -> np.ndarray:
     """Vectorized distance for isotropic states; means have a trailing 2-axis."""
@@ -83,29 +56,20 @@ def hs_avg_theory(v_tar: float, v_est: float) -> float:
     return 1.0 / v_tar - 1.0 / v_est
 
 
-def hs_avg_theory_classical(ep: EffectiveParams, tgt: TargetSpec) -> float:
-    """Steady-state HS average between target states and classical-smoothed ones.
+def hs_avg_theory_classical(v_tar: float, v_f, w, v_s, v_cs):
+    """HS average between target states and classical-smoothed ones, per sample.
 
     1/v_cS + 1/v_tar - 4 / [(v_S + v_cS) + z^2 (v_F + v_R)]: the classical
-    mean carries the extra spread z^2 (v_F + v_R) about the target.
+    mean carries the extra spread z^2 (v_F + v_R) about the target.  z
+    vanishes like w at uninformative samples, so z^2 v_R -> 0 there.
     """
-    if tgt.v_tar <= 0:
+    if not v_tar > 0:
         raise ValueError("needs a quantum target (v_tar > 0)")
-    v_f = v_filter_ss(ep)
-    w = retro_precision_ss(ep)
-    if w == 0:
-        raise ValueError("undefined without measurement (retro precision 0)")
-    v_s = _v_smoothed_scalar(v_f, w, tgt.v_tar)
-    v_cs = v_f / (1.0 + w * v_f)
-    z = float(z_values(v_f, w, tgt.v_tar))
-    denom = (v_s + v_cs) + z * z * (v_f + 1.0 / w)
-    return 1.0 / v_cs + 1.0 / tgt.v_tar - 4.0 / denom
-
-
-def _v_smoothed_scalar(v_f: float, w: float, v_tar: float) -> float:
-    v_s, _ = combine_arrays(np.array([v_f]), np.zeros((1, 2)),
-                            np.array([w]), np.zeros((1, 2)), v_tar)
-    return float(v_s[0])
+    w = np.asarray(w, dtype=float)
+    z = z_values(v_f, w, v_tar)
+    w_safe = np.where(w > 0, w, 1.0)
+    gap = np.where(w > 0, z * z * (v_f + 1.0 / w_safe), 0.0)
+    return 1.0 / v_cs + 1.0 / v_tar - 4.0 / ((v_s + v_cs) + gap)
 
 
 def std_delta_theory(ep: EffectiveParams, estimator_kind: str,

@@ -1,4 +1,4 @@
-"""Parameters, system matrices, and closed-form covariance solutions.
+"""Parameters and closed-form covariance solutions.
 
 Everything downstream (simulation, estimation, smoothing, metrics) consumes
 the types and closed forms defined here.  Conventions used throughout the
@@ -138,20 +138,6 @@ class EffectiveParams:
 
 
 @dataclass(frozen=True)
-class SystemMatrices:
-    """Drift, measurement, diffusion, and cross-correlation matrices.
-
-    ``a = -(gamma/2) I``, ``d = 2 gamma n_tot I``,
-    ``cmat = sqrt(2 eta gamma coop) I``, ``gamma_x = 0``.
-    """
-
-    a: np.ndarray
-    cmat: np.ndarray
-    d: np.ndarray
-    gamma_x: np.ndarray
-
-
-@dataclass(frozen=True)
 class GaussianState:
     """Mean quadrature vector plus symmetric 2x2 covariance.
 
@@ -211,16 +197,6 @@ def effective_params(p: PhysicalParams) -> EffectiveParams:
     ratio = p.gamma / p.gamma_fb
     return EffectiveParams(p.gamma_fb, p.n_th * ratio, p.coop * ratio, p.eta,
                            p.record_duration, p.dt)
-
-
-def system_matrices(ep: EffectiveParams) -> SystemMatrices:
-    """Drift/measurement/diffusion matrices of the monitored oscillator."""
-    eye = np.eye(2)
-    a = -(ep.gamma_eff / 2.0) * eye
-    d = 2.0 * ep.gamma_eff * ep.n_tot * eye
-    cmat = math.sqrt(ep.meas_rate) * eye
-    gamma_x = np.zeros((2, 2))
-    return SystemMatrices(a=a, cmat=cmat, d=d, gamma_x=gamma_x)
 
 
 def unconditional_state(ep: EffectiveParams) -> GaussianState:
@@ -385,11 +361,6 @@ def v_true(t, ep: EffectiveParams, v0: float | None = None):
     return float(out) if scalar else out
 
 
-def v_true_ss(ep: EffectiveParams) -> float:
-    """Steady-state true-state covariance; exactly 1 (displaced ground state)."""
-    return 1.0
-
-
 def filter_riccati_rhs(v, ep: EffectiveParams):
     """dv/dt of the filtered covariance; fixed point at v_filter_ss."""
     g = ep.gamma_eff
@@ -404,13 +375,6 @@ def retro_riccati_rhs(v, ep: EffectiveParams):
     """
     g = ep.gamma_eff
     return g * v + 2.0 * g * ep.n_tot - 2.0 * g * ep.eta_coop * v * v
-
-
-def true_riccati_rhs(v, ep: EffectiveParams):
-    """dv/dt of the true-state covariance; fixed point at exactly 1."""
-    g = ep.gamma_eff
-    mu = ep.coop_eff + ep.n_th_eff
-    return -g * v + 2.0 * g * ep.n_tot - 2.0 * g * mu * v * v
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from .config import RunConfig
 from .estimate import (
     STATE_KINDS,
     Trajectory,
+    _check_record,
+    effect_means,
     filter_grid,
     filter_means,
     retro_grid,
@@ -41,6 +43,7 @@ from .ingest import inject_noise
 from .metrics import (
     consistency_check,
     hs_avg_theory,
+    hs_avg_theory_classical,
     hs_sq_isotropic,
     std_delta_theory,
     vacf,
@@ -56,16 +59,13 @@ from .model import (
     v_filter,
     v_filter_ss,
 )
-from .estimate import effect_means
 from .simulate import (
     MeasurementRecord,
     derive_record_seeds,
     simulate_truth_ensemble,
     synthesize_raw,
 )
-from .smooth import TargetSpec, combine_arrays, smooth_general, z_values
-
-_TRAJ_PREFIX = {"Filtered": "filtered", "Retrofiltered": "retro"}
+from .smooth import TargetSpec, combine_arrays, smooth_general
 
 
 def log(msg: str) -> None:
@@ -146,13 +146,20 @@ def stage_simulate(cfg: RunConfig, base_dir: Path) -> None:
 # estimate
 # ---------------------------------------------------------------------------
 
-def _estimate_chunk(args):
-    ep, currents = args
+def _estimate_stack(ep: EffectiveParams, currents: np.ndarray):
+    """Filter and retrofilter stacked records (N, n, 2) from the
+    unconditional state: times, v_f, w, m_f, z."""
     n = currents.shape[1]
-    _, v = filter_grid(ep, n)
+    times, v_f = filter_grid(ep, n)
     _, w = retro_grid(ep, n)
-    means = filter_means(currents, ep, v, np.zeros((currents.shape[0], 2)))
+    m_f = filter_means(currents, ep, v_f, np.zeros((currents.shape[0], 2)))
     z = retro_info(currents, ep, w)
+    return times, v_f, w, m_f, z
+
+
+def _estimate_chunk(args):
+    # module level, so the process pool can pickle it
+    _, _, _, means, z = _estimate_stack(*args)
     return means, z
 
 
@@ -164,6 +171,8 @@ def _chunks(n: int, jobs: int) -> list[slice]:
 def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
     ep = effective(cfg)
     records = load_records(base_dir / "records")
+    for i, rec in enumerate(records):
+        _check_record(rec, ep, f"estimate: record_{i:05d}")
     est_dir = base_dir / "estimates"
     est_dir.mkdir(parents=True, exist_ok=True)
     if jobs <= 1 or len(records) < 2 * jobs:
@@ -174,11 +183,9 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
             recordio.write_trajectory_csv(r, _indexed(est_dir, "retro", i,
                                                       "csv"))
     else:
-        dt = records[0].dt
         n = records[0].n
-        for rec in records:
-            if rec.dt != dt or rec.n != n:
-                raise ValueError("estimate: records must share one grid")
+        if any(rec.n != n for rec in records):
+            raise ValueError("estimate: records must share one grid")
         currents = np.stack([rec.currents for rec in records])
         parts = _chunks(len(records), jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -226,14 +233,6 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _classical_hs_theory_curve(v_f, w, v_s, v_cs):
-    # z vanishes like w at uninformative samples, so z^2 / w -> 0 there
-    z = z_values(v_f, w, 1.0)
-    w_safe = np.where(w > 0, w, 1.0)
-    gap = np.where(w > 0, z * z * (v_f + 1.0 / w_safe), 0.0)
-    return 1.0 / v_cs + 1.0 - 4.0 / ((v_s + v_cs) + gap)
-
-
 def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective(cfg)
     est_dir = base_dir / "estimates"
@@ -276,7 +275,7 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
             if kind == "ClassicalSmoothed":
                 v_s, _ = combine_arrays(v_f, np.zeros((n + 1, 2)), w,
                                         np.zeros((n + 1, 2)), 1.0)
-                theory = _classical_hs_theory_curve(v_f, w, v_s, vw)
+                theory = hs_avg_theory_classical(1.0, v_f, w, v_s, vw)
             else:
                 theory = 1.0 - 1.0 / vw
             hs_rows[kind] = (emp_mean, theory)
@@ -383,10 +382,7 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
         rng = np.random.default_rng(int(seeds[i]))
         injected[i] = (win[i] + rng.normal(0.0, sig, win[i].shape)) * scale
 
-    times, v_f = filter_grid(ep_new, n_win)
-    m_f = filter_means(injected, ep_new, v_f, np.zeros((n_records, 2)))
-    _, w = retro_grid(ep_new, n_win)
-    z = retro_info(injected, ep_new, w)
+    times, v_f, w, m_f, z = _estimate_stack(ep_new, injected)
     v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
     v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
     return InjectionStudy(ep_clean=ep, ep_new=ep_new, v_tar=v_tar,
@@ -491,11 +487,7 @@ def _crit_injection(study: InjectionStudy) -> CriterionResult:
 def _main_arrays(ep: EffectiveParams, n_records: int, base_seed: int):
     ens = simulate_truth_ensemble(ep, ep.record_duration, n_records,
                                   base_seed)
-    n = ens.currents.shape[1]
-    times, v_f = filter_grid(ep, n)
-    _, w = retro_grid(ep, n)
-    m_f = filter_means(ens.currents, ep, v_f, np.zeros((n_records, 2)))
-    z = retro_info(ens.currents, ep, w)
+    times, v_f, w, m_f, z = _estimate_stack(ep, ens.currents)
     v_st, m_st = combine_arrays(v_f, m_f, w, z, 1.0)
     v_sl, m_sl = combine_arrays(v_f, m_f, w, z, TargetSpec.ltl(ep).v_tar)
     v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)

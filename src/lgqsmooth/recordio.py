@@ -116,10 +116,13 @@ def read_record_bin(path) -> MeasurementRecord:
         body = np.frombuffer(fh.read(), dtype="<f8")
     if body.shape[0] != 2 * n:
         raise ValueError(f"{path}: truncated body")
-    return MeasurementRecord(
-        dt=dt, i1=body[0::2].copy(), i2=body[1::2].copy(),
-        eta_effective=None if np.isnan(eta) else eta,
-        seed=None if seed < 0 else seed)
+    try:
+        return MeasurementRecord(
+            dt=dt, i1=body[0::2].copy(), i2=body[1::2].copy(),
+            eta_effective=None if np.isnan(eta) else eta,
+            seed=None if seed < 0 else seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +217,10 @@ def read_raw_bin(path) -> RawTrace:
         body = np.frombuffer(fh.read(), dtype="<f8")
     if body.shape[0] != n:
         raise ValueError(f"{path}: truncated body")
-    return RawTrace(fs=fs, samples=body.copy())
+    try:
+        return RawTrace(fs=fs, samples=body.copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

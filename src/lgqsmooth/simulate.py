@@ -50,8 +50,8 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         i1 = np.asarray(self.i1, dtype=float)
         i2 = np.asarray(self.i2, dtype=float)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if i1.ndim != 1 or i1.shape != i2.shape:
             raise ValueError("i1 and i2 must be 1-d arrays of equal length")
         object.__setattr__(self, "i1", i1)
@@ -305,12 +305,6 @@ def simulate_surrogate_ensemble(ep: EffectiveParams, duration: float,
     hidden, currents = _evolve_surrogate(x0, dw, ep)
     times = np.arange(n + 1) * ep.dt
     return SurrogateEnsemble(times, hidden, currents, seeds, ep.dt, ep.eta)
-
-
-def ensemble(generator, n_records: int, base_seed: int) -> list:
-    """Apply a seed-taking generator under counter-derived per-record seeds."""
-    seeds = derive_record_seeds(base_seed, n_records)
-    return [generator(int(s)) for s in seeds]
 
 
 # ---------------------------------------------------------------------------

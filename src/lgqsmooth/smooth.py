@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import Trajectory
-from .model import (
-    EffectiveParams,
-    GaussianState,
-    retro_precision_ss,
-    v_filter_ss,
-)
+from .model import EffectiveParams, v_filter_ss
 
 TARGET_KINDS = ("LTLFiltered", "TrueState", "Classical")
 
@@ -124,20 +119,6 @@ def smooth_general(filt: Trajectory, retro: Trajectory,
                       converged=filt.converged)
 
 
-def smooth_classical(filt: Trajectory, retro: Trajectory) -> Trajectory:
-    """Classical fixed-interval smoother: target terms all zero.
-
-    v_cS = (1/v_F + 1/v_R)^-1 can undercut the ground-state variance, so
-    the output is permanently flagged non-physical.
-    """
-    return smooth_general(filt, retro, TargetSpec.classical())
-
-
-def check_physicality(s: GaussianState) -> bool:
-    """True iff the covariance respects the uncertainty bound (min eig >= 1)."""
-    return bool(np.linalg.eigvalsh(s.cov)[0] >= 1.0 - 1e-9)
-
-
 def z_values(v_f: np.ndarray, w: np.ndarray, v_tar: float) -> np.ndarray:
     """Gain relating the classical and general smoothed means per sample:
 
@@ -154,37 +135,3 @@ def z_values(v_f: np.ndarray, w: np.ndarray, v_tar: float) -> np.ndarray:
     p_s = 1.0 / (info_f + w / denom)
     v_cs_w = w * v_f / (1.0 + w * v_f)
     return v_cs_w - w * p_s / denom
-
-
-def z_factor(ep: EffectiveParams, tgt: TargetSpec) -> float:
-    """Steady-state value of the classical-vs-general mean gain."""
-    return float(z_values(v_filter_ss(ep), retro_precision_ss(ep), tgt.v_tar))
-
-
-# ---------------------------------------------------------------------------
-# Matrix form (general covariances; the scalar path above is the validated
-# one, this is a best-effort companion for non-isotropic states)
-# ---------------------------------------------------------------------------
-
-def smooth_matrix_point(v_f: np.ndarray, m_f: np.ndarray, w: np.ndarray,
-                        z: np.ndarray, v_tar: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """One-sample matrix combination.
-
-    v_f, w, v_tar: (2, 2) with v_f - v_tar positive definite; w is the
-    retrofiltered precision matrix and z = w m_R its information vector.
-    """
-    v_f = np.asarray(v_f, dtype=float)
-    w = np.asarray(w, dtype=float)
-    v_tar = np.asarray(v_tar, dtype=float)
-    d = v_f - v_tar
-    eye = np.eye(2)
-    info_f = np.linalg.inv(d)
-    # (W^-1 + V_tar)^-1 = W (I + V_tar W)^-1, finite for singular W
-    info_r = w @ np.linalg.inv(eye + v_tar @ w)
-    p_s = np.linalg.inv(info_f + info_r)
-    v_s = p_s + v_tar
-    # (V_R + V_tar)^-1 m_R = (I + W V_tar)^-1 z
-    m_s = p_s @ (info_f @ np.asarray(m_f, dtype=float)
-                 + np.linalg.inv(eye + w @ v_tar) @ np.asarray(z, dtype=float))
-    return v_s, m_s

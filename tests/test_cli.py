@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lgqsmooth import recordio
+from lgqsmooth import pipeline, recordio
 from lgqsmooth.cli import main
 from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
 
@@ -91,7 +91,7 @@ def test_usage_error_is_exit_one(cfg_path):
     assert exc.value.code == 1
 
 
-def test_nonfinite_record_is_exit_two(cfg_path, tmp_path, capsys):
+def _estimate_with_nan_sample(cfg_path, tmp_path, capsys, jobs: str):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
@@ -104,26 +104,53 @@ def test_nonfinite_record_is_exit_two(cfg_path, tmp_path, capsys):
     for stale in (out / "records").glob("record_*.bin"):
         stale.unlink()
     code = main(["estimate", "--config", str(cfg_path),
-                 "--out-dir", str(out)])
+                 "--out-dir", str(out), "--jobs", jobs])
     assert code == 2
     err = capsys.readouterr().err
     assert "numerical error" in err and "sample 39" in err
+    assert "record_00002" in err
+    assert not (out / "estimates" / "filtered_00000.csv").exists()
 
 
-def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
+def test_nonfinite_record_is_exit_two(cfg_path, tmp_path, capsys):
+    _estimate_with_nan_sample(cfg_path, tmp_path, capsys, "1")
+
+
+def test_nonfinite_record_in_worker_pool_is_exit_two(cfg_path, tmp_path,
+                                                     capsys):
+    # 4 records on 2 workers take the process-pool path
+    _estimate_with_nan_sample(cfg_path, tmp_path, capsys, "2")
+
+
+def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):
     out = tmp_path / "run"
-    for cmd in ("simulate", "estimate"):
-        assert main([cmd, "--config", str(cfg_path),
-                     "--out-dir", str(out)]) == 0
-    victim = out / "estimates" / "filtered_00003.csv"
-    text = victim.read_text().splitlines()
-    text[2] = "0.0001,Filtered,1.5"
-    victim.write_text("\n".join(text) + "\n")
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(out)]) == 0
+    other = tmp_path / "dt2.ini"
+    other.write_text(CONFIG.replace("dt_us = 1", "dt_us = 2"))
     capsys.readouterr()
-    code = main(["smooth", "--config", str(cfg_path), "--out-dir", str(out)])
+    code = main(["estimate", "--config", str(other), "--out-dir", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"lgqsmooth: error: {victim}: " in err
+    assert "estimate: record_00000: record dt 1e-06 does not match" in err
+    assert not (out / "estimates").exists()
+
+
+@pytest.mark.parametrize("passed, code, line, total", [
+    ((True, True, True), 0, "criterion  2 PASS  check 2: detail",
+     "3/3 criteria passed"),
+    ((True, False, True), 3, "criterion  2 FAIL  check 2: detail",
+     "2/3 criteria passed"),
+])
+def test_report_exit_code(cfg_path, tmp_path, capsys, monkeypatch, passed,
+                          code, line, total):
+    results = [pipeline.CriterionResult(i + 1, f"check {i + 1}", ok, "detail")
+               for i, ok in enumerate(passed)]
+    monkeypatch.setattr(pipeline, "acceptance_report", lambda cfg: results)
+    assert main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "rep")]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and out[1] == line and out[-1] == total
 
 
 def test_inject_subcommand(cfg_path, tmp_path, capsys):

@@ -94,9 +94,10 @@ def test_filter_rejects_eta_mismatch(ref_ep):
     bad = EffectiveParams(gamma_eff=ref_ep.gamma_eff, n_th_eff=ref_ep.n_th_eff,
                           coop_eff=ref_ep.coop_eff, eta=0.2,
                           record_duration=ref_ep.record_duration, dt=ref_ep.dt)
-    with pytest.raises(ValueError, match="efficiency"):
+    with pytest.raises(ValueError, match="run_filter: record efficiency"):
         run_filter(rec, bad)
-    with pytest.raises(ValueError, match="efficiency"):
+    with pytest.raises(ValueError,
+                       match="run_retrofilter: record efficiency"):
         run_retrofilter(rec, bad)
 
 

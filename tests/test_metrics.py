@@ -11,7 +11,6 @@ from lgqsmooth import (
     GaussianState,
     TargetSpec,
     consistency_check,
-    gaussian_hs_sq,
     hs_avg_theory,
     hs_avg_theory_classical,
     isotropic_state,
@@ -38,6 +37,8 @@ from lgqsmooth.metrics import (
 from lgqsmooth.model import retro_precision_ss
 from lgqsmooth.smooth import combine_arrays, z_values
 from lgqsmooth.simulate import simulate_true_and_record
+
+from _oracles import gaussian_hs_sq
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +124,16 @@ def test_hs_empirical_matches_theory(ref_ep, main_truth):
     zk = float(z_values(v[k], w[k], 1.0))
     denom = (float(v_s[k]) + float(v_cs[k])) + zk ** 2 * (v[k] + 1.0 / w[k])
     th_c = 1.0 / float(v_cs[k]) + 1.0 - 4.0 / denom
+    curve = hs_avg_theory_classical(1.0, v, w, v_s, v_cs)
+    assert curve[k] == pytest.approx(th_c, rel=1e-12)
+    # the final sample has w = 0: z vanishes there, so no spread is added
+    assert curve[-1] == pytest.approx(
+        1.0 / v_cs[-1] + 1.0 - 4.0 / (v_s[-1] + v_cs[-1]), rel=1e-12)
     d_c = hs_sq_isotropic(1.0, tr, float(v_cs[k]), m_cs[:, k])
     assert abs(d_c.mean() - th_c) < 3.5 * d_c.std(ddof=1) / math.sqrt(n_rec)
     # classical pays a strict penalty over the quantum smoother
     assert th_c > th_s
-    assert hs_avg_theory_classical(ref_ep, TargetSpec.true_state()) > \
-        hs_avg_theory(1.0, float(v_s[k]))
+    assert np.all(curve[:-1] > 1.0 - 1.0 / v_s[:-1])
 
 
 def test_hs_classical_steady_matches_pertime(ref_ep):
@@ -142,10 +147,10 @@ def test_hs_classical_steady_matches_pertime(ref_ep):
     z = float(z_values(vfss, wss, 1.0))
     denom = (v_s + v_cs) + z ** 2 * (vfss + 1.0 / wss)
     manual = 1.0 / v_cs + 1.0 - 4.0 / denom
-    assert hs_avg_theory_classical(ref_ep, TargetSpec.true_state()) == \
+    assert hs_avg_theory_classical(1.0, vfss, wss, v_s, v_cs) == \
         pytest.approx(manual, rel=1e-12)
     with pytest.raises(ValueError):
-        hs_avg_theory_classical(ref_ep, TargetSpec.classical())
+        hs_avg_theory_classical(0.0, vfss, wss, v_s, v_cs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Parameter mapping, system matrices, and closed-form covariances."""
+"""Parameter mapping and closed-form covariances."""
 
 from __future__ import annotations
 
@@ -26,15 +26,12 @@ from lgqsmooth.model import (
     retro_precision_ss,
     ss_approximations,
     shup_violation_predicted,
-    system_matrices,
-    true_riccati_rhs,
     unconditional_state,
     v_filter,
     v_filter_ss,
     v_retro,
     v_retro_ss,
     v_true,
-    v_true_ss,
 )
 
 # Frozen reference values for the strong-monitoring parameter set
@@ -106,24 +103,8 @@ def test_physical_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# Matrices and the unconditional state
+# The unconditional state
 # ---------------------------------------------------------------------------
-
-def test_system_matrices_reference(ref_ep):
-    m = system_matrices(ref_ep)
-    eye = np.eye(2)
-    assert np.allclose(m.a, -267.04 * eye, rtol=1e-3)
-    assert np.allclose(m.d, 4.052e4 * eye, rtol=1e-3)
-    assert np.allclose(m.cmat, 41.66 * eye, rtol=1e-3)
-    assert np.all(m.gamma_x == 0.0)
-    # diffusion symmetric positive semidefinite
-    assert np.all(np.linalg.eigvalsh(m.d) >= 0.0)
-
-
-def test_system_matrices_unmonitored():
-    ep = EffectiveParams(gamma_eff=2.0, n_th_eff=3.0, coop_eff=0.0, eta=0.5)
-    assert np.all(system_matrices(ep).cmat == 0.0)
-
 
 def test_unconditional_state(ref_ep):
     st_ = unconditional_state(ref_ep)
@@ -294,10 +275,13 @@ def test_retro_precision_clamp(ref_ep):
 # ---------------------------------------------------------------------------
 
 def test_v_true_ss_exact(ref_ep):
-    assert v_true_ss(ref_ep) == 1.0
+    # far beyond the clamp the closed form returns its steady state, 1
+    assert v_true(1.0, ref_ep) == pytest.approx(1.0, abs=1e-12)
     # Riccati right-hand side cancels identically at v = 1
-    scale = 2.0 * ref_ep.gamma_eff * ref_ep.n_tot
-    assert abs(true_riccati_rhs(1.0, ref_ep)) <= 1e-9 * scale
+    g = ref_ep.gamma_eff
+    mu = ref_ep.coop_eff + ref_ep.n_th_eff
+    rhs = -g * 1.0 + 2.0 * g * ref_ep.n_tot - 2.0 * g * mu * 1.0 * 1.0
+    assert abs(rhs) <= 1e-9 * 2.0 * g * ref_ep.n_tot
 
 
 def test_v_true_transient_matches_ode(ref_ep):

@@ -1,6 +1,8 @@
 """File format round trips."""
 
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -70,6 +72,12 @@ def test_record_bin_rejects_corruption(rec, tmp_path):
     bad.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated body"):
         recordio.read_record_bin(bad)
+    # the dt field follows the 4-byte magic
+    for dt in (0.0, float("nan")):
+        bad.write_bytes(blob[:4] + struct.pack("<d", dt) + blob[12:])
+        msg = f"^{re.escape(str(bad))}: dt must be finite"
+        with pytest.raises(ValueError, match=msg):
+            recordio.read_record_bin(bad)
 
 
 def test_record_csv_rejects_nonuniform(tmp_path):
@@ -162,9 +170,16 @@ def test_raw_round_trips(tmp_path, rng):
         np.testing.assert_array_equal(back.samples, raw.samples)
     assert back_b.fs == raw.fs
     assert back_c.fs == pytest.approx(raw.fs, rel=1e-12)
-    pb.write_bytes(pb.read_bytes()[:40])
+    blob = pb.read_bytes()
+    pb.write_bytes(blob[:40])
     with pytest.raises(ValueError, match="truncated"):
         recordio.read_raw_bin(pb)
+    # the fs field opens the header
+    for fs in (0.0, float("nan")):
+        pb.write_bytes(struct.pack("<d", fs) + blob[8:])
+        msg = f"^{re.escape(str(pb))}: fs must be finite"
+        with pytest.raises(ValueError, match=msg):
+            recordio.read_raw_bin(pb)
 
 
 def test_analysis_tables(small_run, tmp_path):

@@ -16,7 +16,6 @@ from lgqsmooth import (
 from lgqsmooth.simulate import (
     _evolve_true,
     derive_record_seeds,
-    ensemble,
     stability_rate,
 )
 
@@ -100,13 +99,6 @@ def test_derive_record_seeds():
     assert not np.array_equal(derive_record_seeds(43, 1000), s1)
     with pytest.raises(ValueError):
         derive_record_seeds(1, -1)
-
-
-def test_ensemble_helper(ref_ep):
-    recs = ensemble(lambda s: simulate_true_and_record(ref_ep, 20e-6, s),
-                    3, base_seed=5)
-    seeds = derive_record_seeds(5, 3)
-    assert [b.record.seed for b in recs] == [int(s) for s in seeds]
 
 
 def test_stability_guard(ref_ep):

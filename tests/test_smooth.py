@@ -8,14 +8,10 @@ import pytest
 from lgqsmooth import (
     EffectiveParams,
     TargetSpec,
-    check_physicality,
-    isotropic_state,
     run_filter,
     run_retrofilter,
-    smooth_classical,
     smooth_general,
     v_filter_ss,
-    z_factor,
 )
 from lgqsmooth.estimate import (
     Trajectory,
@@ -26,7 +22,7 @@ from lgqsmooth.estimate import (
     retro_info,
 )
 from lgqsmooth.model import retro_precision_ss, ss_approximations
-from lgqsmooth.smooth import combine_arrays, smooth_matrix_point, z_values
+from lgqsmooth.smooth import combine_arrays, z_values
 from lgqsmooth.simulate import simulate_true_and_record
 
 from conftest import random_effective_params
@@ -113,7 +109,7 @@ def test_frozen_covariances(ref_ep, ref_smoothed):
     filt, retro = ref_smoothed
     ltl = smooth_general(filt, retro, TargetSpec.ltl(ref_ep))
     true = smooth_general(filt, retro, TargetSpec.true_state())
-    cl = smooth_classical(filt, retro)
+    cl = smooth_general(filt, retro, TargetSpec.classical())
     assert ltl.vw[0] == pytest.approx(VS0_LTL, rel=1e-9)
     assert true.vw[0] == pytest.approx(VS0_TRUE, rel=1e-9)
     # steady-state values need distance from both record ends; a 750 us
@@ -122,7 +118,7 @@ def test_frozen_covariances(ref_ep, ref_smoothed):
     f2 = run_filter(bun.record, ref_ep)
     r2 = run_retrofilter(bun.record, ref_ep)
     true = smooth_general(f2, r2, TargetSpec.true_state())
-    cl = smooth_classical(f2, r2)
+    cl = smooth_general(f2, r2, TargetSpec.classical())
     k = 1250
     assert true.vw[k] == pytest.approx(VSSS_TRUE, rel=1e-6)
     assert cl.vw[k] == pytest.approx(VCS_SS, rel=1e-6)
@@ -183,7 +179,7 @@ def test_quantum_smoothed_always_physical():
         v_s, _ = combine_arrays(np.array([vfss * (1 + 1e-6)]),
                                 np.zeros((1, 2)), np.array([wss]),
                                 np.zeros((1, 2)), 1.0)
-        assert check_physicality(isotropic_state([0, 0], float(v_s[0])))
+        assert v_s[0] >= 1.0 - 1e-9
 
 
 def test_classical_smoother_can_violate_uncertainty():
@@ -198,30 +194,24 @@ def test_classical_smoother_can_violate_uncertainty():
     v_qs, _ = combine_arrays(np.array([vfss]), np.zeros((1, 2)),
                              np.array([wss]), np.zeros((1, 2)), 1.0)
     assert v_cs[0] < 1.0 < v_qs[0]
-    assert not check_physicality(isotropic_state([0, 0], float(v_cs[0])))
-    assert check_physicality(isotropic_state([0, 0], float(v_qs[0])))
-
-
-def test_check_physicality_matrix():
-    s = isotropic_state([0, 0], 1.0)
-    assert check_physicality(s)
-    from lgqsmooth.model import GaussianState
-    squeezed = GaussianState(np.zeros(2), np.diag([0.5, 2.0]), physical=False)
-    assert not check_physicality(squeezed)
+    assert v_cs[0] < 1.0 - 1e-9
+    assert v_qs[0] >= 1.0 - 1e-9
 
 
 def test_z_factor_values(ref_ep):
-    assert z_factor(ref_ep, TargetSpec.true_state()) == pytest.approx(
-        Z_SS_TRUE, rel=1e-9)
-    assert z_factor(ref_ep, TargetSpec.classical()) == pytest.approx(0.0, abs=1e-14)
+    # the classical-vs-general mean gain at the steady state
+    vfss = v_filter_ss(ref_ep)
+    wss = retro_precision_ss(ref_ep)
+    z_true = float(z_values(vfss, wss, 1.0))
+    assert z_true == pytest.approx(Z_SS_TRUE, rel=1e-9)
+    assert float(z_values(vfss, wss, 0.0)) == pytest.approx(0.0, abs=1e-14)
     # spec-level hand arithmetic: v_cS/v_R - (v_S - 1)/(v_R + 1)
-    assert z_factor(ref_ep, TargetSpec.true_state()) == pytest.approx(
-        0.1034, rel=1e-3)
+    assert z_true == pytest.approx(0.1034, rel=1e-3)
 
 
 def test_per_record_mean_identity(ref_ep, ref_smoothed):
     filt, retro = ref_smoothed
-    cl = smooth_classical(filt, retro)
+    cl = smooth_general(filt, retro, TargetSpec.classical())
     for tgt in (TargetSpec.ltl(ref_ep), TargetSpec.true_state()):
         out = smooth_general(filt, retro, tgt)
         z = z_values(filt.vw, retro.vw, tgt.v_tar)
@@ -230,26 +220,6 @@ def test_per_record_mean_identity(ref_ep, ref_smoothed):
         sel = retro.vw > 0
         scale = np.abs(lhs[sel]).max()
         assert np.allclose(lhs[sel], rhs[sel], rtol=1e-10, atol=1e-10 * scale)
-
-
-def test_matrix_point_matches_scalar(ref_ep):
-    v_f, w, v_tar = 4.2, 0.31, 1.0
-    m_f = np.array([1.3, -0.4])
-    m_r = np.array([-0.2, 2.2])
-    z = w * m_r
-    v_s, m_s = combine_arrays(np.array([v_f]), m_f[None], np.array([w]),
-                              z[None], v_tar)
-    vm, mm = smooth_matrix_point(v_f * np.eye(2), m_f, w * np.eye(2), z,
-                                 v_tar * np.eye(2))
-    assert np.allclose(vm, v_s[0] * np.eye(2), rtol=1e-12)
-    assert np.allclose(mm, m_s[0], rtol=1e-12)
-    # non-commuting inputs still give a symmetric covariance
-    vf_m = np.array([[5.0, 0.7], [0.7, 3.5]])
-    w_m = np.array([[0.4, -0.1], [-0.1, 0.2]])
-    vt_m = np.diag([1.0, 0.8])
-    vs_m, _ = smooth_matrix_point(vf_m, m_f, w_m, z, vt_m)
-    assert np.allclose(vs_m, vs_m.T, atol=1e-12)
-    assert np.all(np.linalg.eigvalsh(vs_m - vt_m) > 0)
 
 
 # ---------------------------------------------------------------------------
