@@ -122,6 +122,22 @@ def test_nonfinite_record_in_worker_pool_is_exit_two(cfg_path, tmp_path,
     _estimate_with_nan_sample(cfg_path, tmp_path, capsys, "2")
 
 
+def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    for cmd in ("simulate", "estimate"):
+        assert main([cmd, "--config", str(cfg_path),
+                     "--out-dir", str(out)]) == 0
+    victim = out / "estimates" / "filtered_00003.csv"
+    text = victim.read_text().splitlines()
+    text[2] = "0.0001,Filtered,1.5"
+    victim.write_text("\n".join(text) + "\n")
+    capsys.readouterr()
+    code = main(["smooth", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"lgqsmooth: error: {victim}: " in err
+
+
 def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
