@@ -42,7 +42,6 @@ import numpy as np
 from .model import (
     EffectiveParams,
     GaussianState,
-    isotropic_state,
     retro_precision,
     retro_precision_ss,
     unconditional_state,
@@ -62,28 +61,6 @@ W_MIN_FRACTION = 1e-12
 
 class NumericalError(ValueError):
     """Numerical failure; the message names the module and sample index."""
-
-
-@dataclass(frozen=True)
-class EffectState:
-    """Retrofiltered effect in information form: precision w, info z = w mean."""
-
-    w: float
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=float)
-        if z.shape != (2,):
-            raise ValueError("z must be a 2-vector")
-        if self.w < 0:
-            raise ValueError("precision must be nonnegative")
-        object.__setattr__(self, "z", z)
-
-    @property
-    def mean(self) -> np.ndarray:
-        if self.w == 0:
-            raise ValueError("mean undefined for an uninformative effect (w = 0)")
-        return self.z / self.w
 
 
 @dataclass(frozen=True)
@@ -125,20 +102,6 @@ class Trajectory:
             if info.shape != mean.shape:
                 raise ValueError("info shape inconsistent")
             object.__setattr__(self, "info", info)
-
-    @property
-    def n_points(self) -> int:
-        return self.times.shape[0]
-
-    def state_at(self, i: int) -> GaussianState:
-        if self.kind == "Retrofiltered":
-            raise ValueError("retrofiltered trajectories hold effects, not states")
-        return isotropic_state(self.mean[i], float(self.vw[i]), self.physical)
-
-    def effect_at(self, i: int) -> EffectState:
-        if self.kind != "Retrofiltered":
-            raise ValueError("only retrofiltered trajectories hold effects")
-        return EffectState(float(self.vw[i]), self.info[i])
 
 
 def _check_record(rec: MeasurementRecord, ep: EffectiveParams, module: str) -> None:

@@ -3,7 +3,9 @@
 Hilbert-Schmidt distances between Gaussian states (empirical and closed
 form), theory curves for the estimator error spread, the ensemble
 self-consistency check with its standard-error-of-variance bars, and the
-velocity autocorrelation of trajectory means.
+velocity autocorrelation of trajectory means.  The two ensemble statistics
+take one stack per trajectory kind: means of shape (N, n+1, 2) for N
+records on a shared grid of n+1 samples.
 
 The standard error of an ensemble variance uses an effective record count
 that discounts temporal correlation between consecutive records of length
@@ -16,11 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .estimate import Trajectory
 from .model import EffectiveParams, retro_precision, v_filter
 from .smooth import TargetSpec, combine_arrays, z_values
 
@@ -119,8 +119,8 @@ def effective_record_count(ep: EffectiveParams, n_records: int,
     return n_records / (1.0 + 2.0 * total)
 
 
-def sev(ep: EffectiveParams, n_records: int, value: float,
-        record_duration: float) -> float:
+def sev(ep: EffectiveParams, n_records: int, value: float | np.ndarray,
+        record_duration: float) -> float | np.ndarray:
     """Standard error of an ensemble variance whose true value is `value`."""
     n_eff = effective_record_count(ep, n_records, record_duration)
     return math.sqrt(4.0 / (2.0 * n_eff)) * value
@@ -159,52 +159,37 @@ class EnsembleStats:
                 raise ValueError(f"negative ensemble variance for {kind}")
 
 
-def consistency_check(trajs: Sequence[Trajectory],
+def consistency_check(stacks: dict, times: np.ndarray,
                       ep: EffectiveParams) -> EnsembleStats:
     """Compare ensemble variances of the means with their theory values.
 
+    ``stacks`` maps each kind to ``(means, vw)``: means (N, n+1, 2) on
+    ``times`` and the shared covariance (precision for "Retrofiltered").
     State kinds satisfy Var_ens[m_C(t)] = sigma2_uncon - v_C(t); the
     retrofiltered effect satisfies Var_ens[m_R(t)] = sigma2_uncon + v_R(t)
     (samples without a defined effect mean are skipped).  Variances are
     pooled over the two mean components with the unbiased estimator.
     """
-    groups: dict[str, list[Trajectory]] = {}
-    for tr in trajs:
-        groups.setdefault(tr.kind, []).append(tr)
-    if not groups:
+    if not stacks:
         raise ValueError("empty ensemble")
-    times = None
     sig2 = ep.sigma2_uncon
+    duration = float(times[-1] - times[0])
     var_ens: dict = {}
     theory: dict = {}
     sev_d: dict = {}
     outside: dict = {}
     n_records = 0
-    duration = 0.0
-    for kind, group in groups.items():
-        if len(group) < 2:
+    for kind, (means, vw) in stacks.items():
+        if means.shape[0] < 2:
             raise ValueError(f"need at least two records per kind ({kind})")
-        t0 = group[0].times
-        for tr in group[1:]:
-            if not np.array_equal(tr.times, t0):
-                raise ValueError(f"misaligned time grids within kind {kind}")
-            if not np.array_equal(tr.vw, group[0].vw):
-                raise ValueError(f"inconsistent covariances within kind {kind}")
-        if times is None:
-            times = t0
-            duration = float(t0[-1] - t0[0])
-        means = np.stack([tr.mean for tr in group])
         v = means.var(axis=0, ddof=1).mean(axis=-1)
         if kind == "Retrofiltered":
-            w = group[0].vw
-            th = np.where(w > 0, sig2 + 1.0 / np.where(w > 0, w, 1.0), np.nan)
-            v = np.where(w > 0, v, np.nan)
+            th = np.where(vw > 0, sig2 + 1.0 / np.where(vw > 0, vw, 1.0), np.nan)
+            v = np.where(vw > 0, v, np.nan)
         else:
-            th = sig2 - group[0].vw
-        n_records = max(n_records, len(group))
-        factor = math.sqrt(4.0 / (2.0 * effective_record_count(
-            ep, len(group), duration)))
-        bars = factor * np.abs(th)
+            th = sig2 - vw
+        n_records = max(n_records, means.shape[0])
+        bars = sev(ep, means.shape[0], np.abs(th), duration)
         var_ens[kind] = v
         theory[kind] = th
         sev_d[kind] = bars
@@ -248,28 +233,23 @@ def _acf_biased(x: np.ndarray, max_lag: int) -> np.ndarray:
     return acov.mean(axis=(0, 2)) / n
 
 
-def vacf(trajs: Sequence[Trajectory], max_lag: int | None = None,
+def vacf(means: dict, dt: float, max_lag: int | None = None,
          threshold: float = DEFAULT_VACF_THRESHOLD) -> VacfResult:
-    """Autocorrelation of finite-difference mean velocities per kind."""
-    groups: dict[str, list[Trajectory]] = {}
-    for tr in trajs:
-        groups.setdefault(tr.kind, []).append(tr)
-    if not groups:
+    """Autocorrelation of finite-difference mean velocities per kind;
+    ``means`` maps each kind to its (N, n+1, 2) stack, sampled every dt."""
+    if not means:
         raise ValueError("empty ensemble")
-    first = next(iter(groups.values()))[0]
-    dt = float(first.times[1] - first.times[0])
-    n_v = first.times.shape[0] - 1
+    n_v = next(iter(means.values())).shape[1] - 1
     if max_lag is None:
         max_lag = n_v - 1
     if max_lag >= n_v:
         raise ValueError("trajectory too short for requested max lag")
     values: dict = {}
     decorr: dict = {}
-    for kind, group in groups.items():
-        means = np.stack([tr.mean for tr in group])
-        if not np.all(np.isfinite(means)):
+    for kind, stack in means.items():
+        if not np.all(np.isfinite(stack)):
             raise ValueError(f"non-finite means in kind {kind}")
-        vel = np.diff(means, axis=1) / dt
+        vel = np.diff(stack, axis=1) / dt
         acov = _acf_biased(vel, max_lag)
         if acov[0] <= 0:
             raise ValueError(f"zero velocity power in kind {kind}")

@@ -116,11 +116,61 @@ def load_records(directory: Path) -> list[MeasurementRecord]:
     return [recordio.read_record_csv(p) for p in paths]
 
 
-def load_trajectories(directory: Path, stem: str) -> list[Trajectory]:
+def _indexed_paths(directory: Path, stem: str) -> list[Path]:
     paths = sorted(Path(directory).glob(f"{stem}_*.csv"))
     if not paths:
         raise FileNotFoundError(f"no {stem} trajectories under {directory}")
-    return [recordio.read_trajectory_csv(p) for p in paths]
+    return paths
+
+
+def load_trajectories(directory: Path, stem: str) -> list[Trajectory]:
+    return [recordio.read_trajectory_csv(p)
+            for p in _indexed_paths(directory, stem)]
+
+
+def _load_stacks(base_dir: Path, targets):
+    """Read a run's trajectories for analyze, stacked once per directory.
+
+    Returns the time grid, kind -> (means (N, n+1, 2), vw) for estimates/
+    and each smoothed/<target>/, and the truth means (None without truth/).
+    Kind and vw must match the directory's first file, and the time grid
+    and record count the run's; a ValueError names the file at fault."""
+    dirs = [(base_dir / "estimates", "filtered"),
+            (base_dir / "estimates", "retro")]
+    dirs += [(base_dir / "smoothed" / kind, "smoothed") for kind in targets
+             if (base_dir / "smoothed" / kind).is_dir()]
+    if (base_dir / "truth").is_dir():
+        dirs.append((base_dir / "truth", "truth"))
+    stacks, truth = {}, None
+    for directory, stem in dirs:
+        paths = _indexed_paths(directory, stem)
+        if stem == "truth":
+            rows = [(*recordio.read_means_csv(p), None, None) for p in paths]
+        else:
+            rows = [(tr.times, tr.mean, tr.kind, tr.vw) for tr in
+                    map(recordio.read_trajectory_csv, paths)]
+        if not stacks:  # the first directory sets the grid and count
+            origin, times, n_records = paths[0], rows[0][0], len(paths)
+        if len(paths) != n_records:
+            raise ValueError(f"{directory}: {len(paths)} {stem} files for "
+                             f"{n_records} records")
+        _, _, kind, vw = rows[0]
+        for path, (t, _, k, v) in zip(paths, rows):
+            if not np.array_equal(t, times):
+                raise ValueError(f"{path}: time grid differs from {origin}")
+            if k != kind:
+                raise ValueError(f"{path}: kind {k}, {paths[0].name} has {kind}")
+            if not np.array_equal(v, vw):
+                raise ValueError(f"{path}: covariance differs from {paths[0]}")
+        means = np.stack([m for _, m, _, _ in rows])
+        if stem == "truth":
+            truth = means
+        elif kind in stacks:
+            raise ValueError(f"{directory}: kind {kind} is also in another "
+                             "directory")
+        else:
+            stacks[kind] = (means, vw)
+    return times, stacks, truth
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +178,11 @@ def load_trajectories(directory: Path, stem: str) -> list[Trajectory]:
 # ---------------------------------------------------------------------------
 
 def stage_simulate(cfg: RunConfig, base_dir: Path) -> None:
+    for sub in ("records", "truth", "estimates", "smoothed", "analysis"):
+        for path in sorted((base_dir / sub).rglob("*")):
+            if path.is_file():
+                raise ValueError(f"simulate: {path} exists; simulate needs "
+                                 "a run directory without stage outputs")
     ep = effective(cfg)
     ens = simulate_truth_ensemble(ep, ep.record_duration, cfg.n_records,
                                   cfg.base_seed)
@@ -171,21 +226,17 @@ def _chunks(n: int, jobs: int) -> list[slice]:
 def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
     ep = effective(cfg)
     records = load_records(base_dir / "records")
+    n = records[0].n
     for i, rec in enumerate(records):
-        _check_record(rec, ep, f"estimate: record_{i:05d}")
+        name = f"estimate: record_{i:05d}"
+        _check_record(rec, ep, name)
+        if rec.n != n:
+            raise ValueError(f"{name}: {rec.n} samples, record_00000 has {n}")
     est_dir = base_dir / "estimates"
     est_dir.mkdir(parents=True, exist_ok=True)
     if jobs <= 1 or len(records) < 2 * jobs:
-        trajs = [(run_filter(r, ep), run_retrofilter(r, ep)) for r in records]
-        for i, (f, r) in enumerate(trajs):
-            recordio.write_trajectory_csv(f, _indexed(est_dir, "filtered", i,
-                                                      "csv"))
-            recordio.write_trajectory_csv(r, _indexed(est_dir, "retro", i,
-                                                      "csv"))
+        pairs = [(run_filter(r, ep), run_retrofilter(r, ep)) for r in records]
     else:
-        n = records[0].n
-        if any(rec.n != n for rec in records):
-            raise ValueError("estimate: records must share one grid")
         currents = np.stack([rec.currents for rec in records])
         parts = _chunks(len(records), jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -193,17 +244,14 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
                 _estimate_chunk, [(ep, currents[sl]) for sl in parts]))
         times, v = filter_grid(ep, n)
         _, w = retro_grid(ep, n)
-        i = 0
-        for (means, zs) in results:
-            for j in range(means.shape[0]):
-                f = Trajectory(times, means[j], v, "Filtered")
-                r = Trajectory(times, effect_means(w, zs[j], ep), w,
-                               "Retrofiltered", info=zs[j])
-                recordio.write_trajectory_csv(f, _indexed(est_dir, "filtered",
-                                                          i, "csv"))
-                recordio.write_trajectory_csv(r, _indexed(est_dir, "retro",
-                                                          i, "csv"))
-                i += 1
+        pairs = [(Trajectory(times, means[j], v, "Filtered"),
+                  Trajectory(times, effect_means(w, zs[j], ep), w,
+                             "Retrofiltered", info=zs[j]))
+                 for means, zs in results for j in range(means.shape[0])]
+    for i, (f, r) in enumerate(pairs):
+        recordio.write_trajectory_csv(f, _indexed(est_dir, "filtered", i,
+                                                  "csv"))
+        recordio.write_trajectory_csv(r, _indexed(est_dir, "retro", i, "csv"))
     log(f"estimate: wrote {len(records)} filtered/retro pairs")
 
 
@@ -235,40 +283,24 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
 
 def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective(cfg)
-    est_dir = base_dir / "estimates"
-    trajs: list[Trajectory] = []
-    trajs += load_trajectories(est_dir, "filtered")
-    trajs += load_trajectories(est_dir, "retro")
-    for kind in cfg.targets:
-        out_dir = base_dir / "smoothed" / kind
-        if out_dir.is_dir():
-            trajs += load_trajectories(out_dir, "smoothed")
-    stats = consistency_check(trajs, ep)
+    times, stacks, truth = _load_stacks(base_dir, cfg.targets)
+    stats = consistency_check(stacks, times, ep)
 
     analysis = base_dir / "analysis"
     analysis.mkdir(parents=True, exist_ok=True)
 
     # empirical HS distance to the simulated true state where truth exists
-    truth_dir = base_dir / "truth"
     hs_rows: dict = {}
     hs_mean: dict = {}
-    if truth_dir.is_dir():
-        truth_paths = sorted(truth_dir.glob("truth_*.csv"))
-        truth = np.stack([recordio.read_means_csv(p)[1] for p in truth_paths])
-        by_kind: dict[str, list[Trajectory]] = {}
-        for tr in trajs:
-            if tr.kind in STATE_KINDS:
-                by_kind.setdefault(tr.kind, []).append(tr)
+    if truth is not None:
         n = truth.shape[1] - 1
         _, v_f = filter_grid(ep, n)
         _, w = retro_grid(ep, n)
-        for kind, group in by_kind.items():
-            if len(group) != truth.shape[0] or kind == "SmoothedLTL":
+        for kind, (means, vw) in stacks.items():
+            if kind not in STATE_KINDS or kind == "SmoothedLTL":
                 # the LTL-targeted state is not a truth-consistent
                 # estimator, so the closed-form average does not apply
                 continue
-            means = np.stack([tr.mean for tr in group])
-            vw = group[0].vw
             emp = hs_sq_isotropic(1.0, truth.transpose(1, 0, 2),
                                   vw[:, None], means.transpose(1, 0, 2))
             emp_mean = emp.mean(axis=1)
@@ -290,10 +322,9 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     recordio.write_consistency_csv(stats, analysis / "consistency.csv")
     recordio.write_stats_json(stats, analysis / "stats.json")
 
-    state_trajs = [tr for tr in trajs if tr.kind in STATE_KINDS]
-    if state_trajs:
-        res = vacf(state_trajs)
-        recordio.write_vacf_csv(res, analysis / "vacf.csv")
+    res = vacf({kind: means for kind, (means, _) in stacks.items()
+                if kind in STATE_KINDS}, times[1] - times[0])
+    recordio.write_vacf_csv(res, analysis / "vacf.csv")
     log(f"analyze: wrote {analysis}")
 
 
@@ -496,16 +527,12 @@ def _main_arrays(ep: EffectiveParams, n_records: int, base_seed: int):
 
 def _crit_consistency(ep, arrays) -> CriterionResult:
     ens, times, v_f, w, z, m_f, st, sl, cs = arrays
-    n_records = ens.n_records
-    trajs: list[Trajectory] = []
-    for i in range(n_records):
-        trajs.append(Trajectory(times, m_f[i], v_f, "Filtered"))
-        trajs.append(Trajectory(times, effect_means(w, z[i], ep), w,
-                                "Retrofiltered", info=z[i]))
-        trajs.append(Trajectory(times, st[1][i], st[0], "SmoothedTrue"))
-        trajs.append(Trajectory(times, sl[1][i], sl[0], "SmoothedLTL"))
-        trajs.append(Trajectory(times, cs[1][i], cs[0], "ClassicalSmoothed"))
-    stats = consistency_check(trajs, ep)
+    stats = consistency_check({
+        "Filtered": (m_f, v_f),
+        "Retrofiltered": (effect_means(w, z, ep), w),
+        "SmoothedTrue": (st[1], st[0]),
+        "SmoothedLTL": (sl[1], sl[0]),
+        "ClassicalSmoothed": (cs[1], cs[0])}, times, ep)
     n = times.shape[0] - 1
     probes = np.unique(np.round(np.linspace(0, n - 1, 20)).astype(int))
     bad = sum(int(stats.outside[kind][probes].sum())
@@ -612,15 +639,9 @@ def _crit_physicality(n_sets: int = 1000,
 
 
 def _crit_vacf(study: InjectionStudy) -> CriterionResult:
-    trajs: list[Trajectory] = []
-    for i in range(study.m_f.shape[0]):
-        trajs.append(Trajectory(study.times, study.m_f[i], study.v_f,
-                                "Filtered"))
-        trajs.append(Trajectory(study.times, study.m_s[i], study.v_s,
-                                "SmoothedLTL"))
-        trajs.append(Trajectory(study.times, study.m_cs[i], study.v_cs,
-                                "ClassicalSmoothed"))
-    res = vacf(trajs)
+    res = vacf({"Filtered": study.m_f, "SmoothedLTL": study.m_s,
+                "ClassicalSmoothed": study.m_cs},
+               study.times[1] - study.times[0])
     d = res.decorrelation_time
     ratio = d["ClassicalSmoothed"] / max(d["Filtered"], d["SmoothedLTL"])
     ok = ratio >= 10.0

@@ -104,9 +104,6 @@ class TruthEnsemble:
                                  self.currents[i, :, 1], self.eta,
                                  int(self.seeds[i]))
 
-    def bundle(self, i: int) -> TruthBundle:
-        return TruthBundle(self.times, self.means[i], self.record(i))
-
 
 @dataclass(frozen=True)
 class SurrogateEnsemble:

@@ -122,6 +122,51 @@ def test_nonfinite_record_in_worker_pool_is_exit_two(cfg_path, tmp_path,
     _estimate_with_nan_sample(cfg_path, tmp_path, capsys, "2")
 
 
+def _estimate_with_short_record(cfg_path, tmp_path, capsys, jobs: str):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(out)]) == 0
+    victim = out / "records" / "record_00002.csv"
+    text = victim.read_text().splitlines()
+    victim.write_text("\n".join(text[:-10]) + "\n")
+    for stale in (out / "records").glob("record_*.bin"):
+        stale.unlink()
+    capsys.readouterr()
+    code = main(["estimate", "--config", str(cfg_path),
+                 "--out-dir", str(out), "--jobs", jobs])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "estimate: record_00002: 240 samples, record_00000 has 250" in err
+    assert not (out / "estimates" / "filtered_00000.csv").exists()
+
+
+def test_short_record_is_exit_one(cfg_path, tmp_path, capsys):
+    _estimate_with_short_record(cfg_path, tmp_path, capsys, "1")
+
+
+def test_short_record_in_worker_pool_is_exit_one(cfg_path, tmp_path,
+                                                 capsys):
+    _estimate_with_short_record(cfg_path, tmp_path, capsys, "2")
+
+
+def test_simulate_refuses_earlier_run(cfg_path, tmp_path, capsys):
+    # a 12-record run, then a 4-record simulate into the same directory
+    out = tmp_path / "run"
+    big = tmp_path / "big.ini"
+    big.write_text(CONFIG.replace("n_records = 4", "n_records = 12"))
+    run_all(big, out)
+    kept = sorted(out.rglob("*_00011.*"))
+    before = [p.read_bytes() for p in kept]
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    stale = out / "records" / "record_00000.bin"
+    assert f"lgqsmooth: error: simulate: {stale} exists" in \
+        capsys.readouterr().err
+    assert len(kept) == 8
+    assert [p.read_bytes() for p in kept] == before
+
+
 def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
     out = tmp_path / "run"
     for cmd in ("simulate", "estimate"):
@@ -136,6 +181,36 @@ def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"lgqsmooth: error: {victim}: " in err
+
+
+@pytest.mark.parametrize("defect", ["smoothed file cut by one row",
+                                    "truth file deleted",
+                                    "smoothed file of another kind",
+                                    "smoothed directory of another kind"])
+def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
+    out = tmp_path / "run"
+    run_all(cfg_path, out)
+    smoothed = out / "smoothed" / "TrueState"
+    if defect == "smoothed file cut by one row":
+        # the first file of its directory, so only the run's grid can tell
+        victim = smoothed / "smoothed_00000.csv"
+        text = victim.read_text().splitlines()
+        victim.write_text("\n".join(text[:-1]) + "\n")
+    elif defect == "truth file deleted":
+        (out / "truth" / "truth_00001.csv").unlink()
+        victim = out / "truth"
+    else:
+        paths = sorted(smoothed.glob("smoothed_*.csv"))
+        if defect == "smoothed file of another kind":
+            paths = paths[2:3]
+        for path in paths:
+            text = path.read_text()
+            path.write_text(text.replace(",SmoothedTrue,", ",SmoothedLTL,"))
+        victim = paths[0] if len(paths) == 1 else smoothed
+    capsys.readouterr()
+    code = main(["analyze", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    assert f"lgqsmooth: error: {victim}: " in capsys.readouterr().err
 
 
 def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):

@@ -35,7 +35,6 @@ from lgqsmooth import (
     v_filter_ss,
 )
 from lgqsmooth.estimate import (
-    EffectState,
     effect_means,
     filter_grid,
     filter_means,
@@ -67,26 +66,6 @@ def test_trajectory_validation():
         Trajectory(t, m, v, "Filtered", info=m)
     with pytest.raises(ValueError, match="info"):
         Trajectory(t, m, v, "Retrofiltered")
-    traj = Trajectory(t, m, v, "Filtered")
-    st = traj.state_at(2)
-    assert st.v == 1.0
-    with pytest.raises(ValueError):
-        traj.effect_at(2)
-    eff_traj = Trajectory(t, m, v, "Retrofiltered", info=m)
-    eff = eff_traj.effect_at(1)
-    assert eff.w == 1.0
-    with pytest.raises(ValueError):
-        eff_traj.state_at(1)
-
-
-def test_effect_state():
-    with pytest.raises(ValueError):
-        EffectState(-1.0, np.zeros(2))
-    e = EffectState(0.0, np.zeros(2))
-    with pytest.raises(ValueError, match="uninformative"):
-        e.mean
-    e2 = EffectState(2.0, np.array([4.0, -2.0]))
-    assert np.allclose(e2.mean, [2.0, -1.0])
 
 
 def test_filter_rejects_eta_mismatch(ref_ep):
@@ -152,7 +131,7 @@ def test_filter_starts_unconditional(ref_ep):
     assert np.all(traj.mean[0] == 0.0)
     assert traj.vw[0] == pytest.approx(ref_ep.sigma2_uncon, rel=1e-14)
     assert traj.kind == "Filtered"
-    assert traj.n_points == 51
+    assert traj.times.shape[0] == 51
 
 
 def test_retrofilter_final_condition(ref_ep):
@@ -166,8 +145,7 @@ def test_retrofilter_final_condition(ref_ep):
     assert np.all(np.diff(traj.vw) <= 1e-15)
     # interior points carry a defined mean
     assert np.all(np.isfinite(traj.mean[:-1]))
-    eff = traj.effect_at(10)
-    assert np.allclose(eff.mean, traj.mean[10])
+    assert np.allclose(traj.info[10] / traj.vw[10], traj.mean[10])
 
 
 def test_effect_mean_floor(ref_ep):
@@ -303,7 +281,7 @@ def test_ltl_filter_converged(ref_ep):
     assert traj.kind == "LTL"
     assert traj.converged
     assert traj.times[0] == 0.0
-    assert traj.n_points == recs[-1].n + 1
+    assert traj.times.shape[0] == recs[-1].n + 1
     vss = v_filter_ss(ref_ep)
     assert np.all(np.abs(traj.vw - vss) < 1e-9 * vss)
 

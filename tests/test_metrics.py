@@ -23,7 +23,6 @@ from lgqsmooth import (
     vacf,
 )
 from lgqsmooth.estimate import (
-    Trajectory,
     filter_grid,
     filter_means,
     retro_grid,
@@ -271,17 +270,19 @@ def small_traj_ensemble(ref_ep):
     from lgqsmooth.simulate import simulate_truth_ensemble
 
     ens = simulate_truth_ensemble(ref_ep, 300e-6, 300, base_seed=909)
-    trajs = []
+    rows = []
     for i in range(ens.n_records):
         rec = ens.record(i)
         f = run_filter(rec, ref_ep)
         r = run_retrofilter(rec, ref_ep)
-        trajs += [f, r, smooth_general(f, r, TargetSpec.true_state())]
-    return trajs
+        rows.append((f, r, smooth_general(f, r, TargetSpec.true_state())))
+    stacks = {tr.kind: (np.stack([row[j].mean for row in rows]), tr.vw)
+              for j, tr in enumerate(rows[0])}
+    return stacks, rows[0][0].times
 
 
 def test_consistency_check_passes(ref_ep, small_traj_ensemble):
-    stats = consistency_check(small_traj_ensemble, ref_ep)
+    stats = consistency_check(*small_traj_ensemble, ref_ep)
     assert set(stats.var_ens) == {"Filtered", "Retrofiltered", "SmoothedTrue"}
     assert stats.n_records == 300
     assert stats.n_eff < stats.n_records
@@ -300,7 +301,8 @@ def test_consistency_check_flags_degenerate(ref_ep):
     # below the theory value, so late samples must be flagged
     bun = simulate_true_and_record(ref_ep, 750e-6, seed=5)
     f = run_filter(bun.record, ref_ep)
-    stats = consistency_check([f] * 100, ref_ep)
+    stats = consistency_check({"Filtered": (np.stack([f.mean] * 100), f.vw)},
+                              f.times, ref_ep)
     assert np.all(stats.var_ens["Filtered"] < 1e-20)
     assert stats.outside["Filtered"][100:].all()
 
@@ -309,31 +311,21 @@ def test_consistency_check_errors(ref_ep):
     bun = simulate_true_and_record(ref_ep, 100e-6, seed=5)
     f = run_filter(bun.record, ref_ep)
     with pytest.raises(ValueError, match="at least two"):
-        consistency_check([f], ref_ep)
+        consistency_check({"Filtered": (f.mean[None], f.vw)}, f.times, ref_ep)
     with pytest.raises(ValueError, match="empty"):
-        consistency_check([], ref_ep)
-    other = run_filter(simulate_true_and_record(ref_ep, 80e-6, seed=6).record,
-                       ref_ep)
-    with pytest.raises(ValueError, match="misaligned"):
-        consistency_check([f, other], ref_ep)
+        consistency_check({}, f.times, ref_ep)
 
 
 # ---------------------------------------------------------------------------
 # velocity autocorrelation
 # ---------------------------------------------------------------------------
 
-def make_traj(means, dt, kind="Filtered"):
-    n = means.shape[0]
-    times = np.arange(n) * dt
-    return Trajectory(times, means, np.ones(n), kind)
-
-
 def test_vacf_white_velocity():
     rng = np.random.default_rng(7)
     dt = 1e-6
-    trajs = [make_traj(np.cumsum(rng.normal(size=(401, 2)), axis=0), dt)
-             for _ in range(100)]
-    res = vacf(trajs, max_lag=50)
+    walks = np.stack([np.cumsum(rng.normal(size=(401, 2)), axis=0)
+                      for _ in range(100)])
+    res = vacf({"Filtered": walks}, dt, max_lag=50)
     val = res.values["Filtered"]
     assert val[0] == 1.0
     assert np.all(np.abs(val[1:]) < 0.1)
@@ -346,7 +338,7 @@ def test_vacf_constant_velocity_never_decorrelates():
     # with max_lag well below n it never crosses the threshold
     dt = 1e-6
     ramp = np.linspace(0, 1, 301)[:, None] * np.ones(2)
-    res = vacf([make_traj(ramp, dt)], max_lag=100)
+    res = vacf({"Filtered": ramp[None]}, dt, max_lag=100)
     assert res.decorrelation_time["Filtered"] == math.inf
     expect = 1.0 - np.arange(101) / 300.0
     assert np.allclose(res.values["Filtered"], expect, atol=1e-9)
@@ -355,20 +347,19 @@ def test_vacf_constant_velocity_never_decorrelates():
 def test_vacf_group_and_errors(ref_ep):
     rng = np.random.default_rng(8)
     dt = 1e-6
-    slow = [make_traj(np.cumsum(rng.normal(size=(201, 2)), axis=0), dt,
-                      "Filtered") for _ in range(20)]
-    fast = [make_traj(rng.normal(size=(201, 2)), dt, "ClassicalSmoothed")
-            for _ in range(20)]
-    res = vacf(slow + fast, max_lag=30)
+    slow = np.stack([np.cumsum(rng.normal(size=(201, 2)), axis=0)
+                     for _ in range(20)])
+    fast = np.stack([rng.normal(size=(201, 2)) for _ in range(20)])
+    res = vacf({"Filtered": slow, "ClassicalSmoothed": fast}, dt, max_lag=30)
     assert set(res.values) == {"Filtered", "ClassicalSmoothed"}
     with pytest.raises(ValueError, match="too short"):
-        vacf(slow, max_lag=200)
-    nan_means = np.zeros((201, 2))
-    nan_means[5, 0] = np.nan
+        vacf({"Filtered": slow}, dt, max_lag=200)
+    nan_means = np.zeros((1, 201, 2))
+    nan_means[0, 5, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        vacf([make_traj(nan_means, dt)], max_lag=10)
+        vacf({"Filtered": nan_means}, dt, max_lag=10)
     with pytest.raises(ValueError, match="empty"):
-        vacf([], max_lag=10)
+        vacf({}, dt, max_lag=10)
 
 
 def test_vacf_distinguishes_smooth_from_rough(ref_ep):
@@ -386,9 +377,8 @@ def test_vacf_distinguishes_smooth_from_rough(ref_ep):
         vel[:, k + 1] = rho * vel[:, k] + kick[:, k]
     # integrate an OU velocity so the means are smooth on the tau scale
     x = np.cumsum(vel, axis=1) * dt
-    smooth_trajs = [make_traj(x[i], dt, "SmoothedTrue") for i in range(n_rec)]
-    rough_trajs = [make_traj(rng.normal(size=(n + 1, 2)).cumsum(axis=0), dt,
-                             "Filtered") for i in range(n_rec)]
-    res = vacf(smooth_trajs + rough_trajs, max_lag=400)
+    rough = np.stack([rng.normal(size=(n + 1, 2)).cumsum(axis=0)
+                      for i in range(n_rec)])
+    res = vacf({"SmoothedTrue": x, "Filtered": rough}, dt, max_lag=400)
     assert res.decorrelation_time["SmoothedTrue"] > \
         10 * res.decorrelation_time["Filtered"]

@@ -184,7 +184,10 @@ def test_raw_round_trips(tmp_path, rng):
 
 def test_analysis_tables(small_run, tmp_path):
     ep, filt, retro = small_run
-    stats = consistency_check(filt + retro, ep)
+    stacks = {group[0].kind: (np.stack([tr.mean for tr in group]),
+                              group[0].vw) for group in (filt, retro)}
+    times = filt[0].times
+    stats = consistency_check(stacks, times, ep)
     recordio.write_consistency_csv(stats, tmp_path / "c.csv")
     lines = (tmp_path / "c.csv").read_text().splitlines()
     assert lines[0] == "t_s,kind,var_ens,theory,sev,outside"
@@ -202,7 +205,7 @@ def test_analysis_tables(small_run, tmp_path):
     lines = (tmp_path / "h.csv").read_text().splitlines()
     assert len(lines) == 1 + stats.times.shape[0]
 
-    res = vacf(filt)
+    res = vacf({"Filtered": stacks["Filtered"][0]}, times[1] - times[0])
     recordio.write_vacf_csv(res, tmp_path / "v.csv")
     lines = (tmp_path / "v.csv").read_text().splitlines()
     assert len(lines) == 1 + res.lags.shape[0]

@@ -75,8 +75,6 @@ def test_truth_ensemble_slices_bit_identical(ref_ep):
         rec = ens.record(i)
         assert np.array_equal(rec.i1, solo.record.i1)
         assert rec.seed == int(ens.seeds[i])
-    bun = ens.bundle(2)
-    assert np.array_equal(bun.true_mean, ens.means[2])
 
 
 def test_surrogate_ensemble_slices_bit_identical(ref_ep):
