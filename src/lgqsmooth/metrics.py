@@ -5,7 +5,9 @@ form), theory curves for the estimator error spread, the ensemble
 self-consistency check with its standard-error-of-variance bars, and the
 velocity autocorrelation of trajectory means.  The two ensemble statistics
 take one stack per trajectory kind: means of shape (N, n+1, 2) for N
-records on a shared grid of n+1 samples.
+records on a shared grid of n+1 samples.  The autocorrelation transforms
+its records in blocks of 256, so its FFT work space stays under 30 MB at
+1000 samples however many records a kind holds.
 
 The standard error of an ensemble variance uses an effective record count
 that discounts temporal correlation between consecutive records of length
@@ -25,6 +27,9 @@ from .model import EffectiveParams, retro_precision, v_filter
 from .smooth import TargetSpec, combine_arrays, z_values
 
 DEFAULT_VACF_THRESHOLD = 1.0 / math.e
+
+# records per FFT block of the velocity autocorrelation
+_ACF_BLOCK = 256
 
 ESTIMATOR_KINDS = ("Filtered", "Smoothed", "Classical")
 
@@ -223,13 +228,23 @@ class VacfResult:
                 raise ValueError(f"unnormalized autocorrelation for {kind}")
 
 
-def _acf_biased(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation over the last-but-one axis, averaged over the
-    leading and trailing axes: x has shape (N, n, 2)."""
-    n = x.shape[1]
+def _acf_biased(means: np.ndarray, dt: float, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation of the finite-difference velocities of
+    ``means`` (N, n+1, 2) over time, averaged over records and components.
+
+    Velocities and spectra are formed _ACF_BLOCK records at a time, so the
+    FFT work space is bounded by the block, not the ensemble; each record's
+    autocovariance lands in one (N, max_lag+1, 2) array that is averaged
+    once.  Up to _ACF_BLOCK records this is a single unblocked transform."""
+    n = means.shape[1] - 1
     size = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, size, axis=1)
-    acov = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :max_lag + 1]
+    acov = np.empty((means.shape[0], max_lag + 1, 2))
+    for lo in range(0, means.shape[0], _ACF_BLOCK):
+        hi = lo + _ACF_BLOCK
+        vel = np.diff(means[lo:hi], axis=1) / dt
+        f = np.fft.rfft(vel, size, axis=1)
+        acov[lo:hi] = np.fft.irfft(f * np.conj(f), size,
+                                   axis=1)[:, :max_lag + 1]
     return acov.mean(axis=(0, 2)) / n
 
 
@@ -249,8 +264,7 @@ def vacf(means: dict, dt: float, max_lag: int | None = None,
     for kind, stack in means.items():
         if not np.all(np.isfinite(stack)):
             raise ValueError(f"non-finite means in kind {kind}")
-        vel = np.diff(stack, axis=1) / dt
-        acov = _acf_biased(vel, max_lag)
+        acov = _acf_biased(stack, dt, max_lag)
         if acov[0] <= 0:
             raise ValueError(f"zero velocity power in kind {kind}")
         norm = acov / acov[0]

@@ -64,12 +64,26 @@ from .simulate import (
     derive_record_seeds,
     simulate_truth_ensemble,
     synthesize_raw,
+    truth_stream,
 )
-from .smooth import TargetSpec, combine_arrays, smooth_general
+from .smooth import _TRAJ_KIND, TargetSpec, combine_arrays, smooth_general
 
 
 def log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (10^6 bytes).
+
+    ``ru_maxrss`` counts KiB on Linux and bytes on macOS; NaN where the
+    ``resource`` module does not exist."""
+    try:
+        import resource
+    except ImportError:
+        return math.nan
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
 def effective(cfg: RunConfig) -> EffectiveParams:
@@ -133,16 +147,18 @@ def _load_stacks(base_dir: Path, targets):
 
     Returns the time grid, kind -> (means (N, n+1, 2), vw) for estimates/
     and each smoothed/<target>/, and the truth means (None without truth/).
-    Kind and vw must match the directory's first file, and the time grid
-    and record count the run's; a ValueError names the file at fault."""
-    dirs = [(base_dir / "estimates", "filtered"),
-            (base_dir / "estimates", "retro")]
-    dirs += [(base_dir / "smoothed" / kind, "smoothed") for kind in targets
-             if (base_dir / "smoothed" / kind).is_dir()]
+    Kind must be the directory's own (Filtered, Retrofiltered or the
+    target's smoothed kind), vw the directory's first file's, and the time
+    grid and record count the run's; a ValueError names the file at fault,
+    or the directory when all of its files have another kind."""
+    dirs = [(base_dir / "estimates", "filtered", "Filtered"),
+            (base_dir / "estimates", "retro", "Retrofiltered")]
+    dirs += [(base_dir / "smoothed" / t, "smoothed", _TRAJ_KIND[t])
+             for t in targets if (base_dir / "smoothed" / t).is_dir()]
     if (base_dir / "truth").is_dir():
-        dirs.append((base_dir / "truth", "truth"))
+        dirs.append((base_dir / "truth", "truth", None))
     stacks, truth = {}, None
-    for directory, stem in dirs:
+    for directory, stem, kind in dirs:
         paths = _indexed_paths(directory, stem)
         if stem == "truth":
             rows = [(*recordio.read_means_csv(p), None, None) for p in paths]
@@ -154,20 +170,20 @@ def _load_stacks(base_dir: Path, targets):
         if len(paths) != n_records:
             raise ValueError(f"{directory}: {len(paths)} {stem} files for "
                              f"{n_records} records")
-        _, _, kind, vw = rows[0]
+        if all(k != kind for _, _, k, _ in rows):
+            raise ValueError(f"{directory}: kind {rows[0][2]}, expected "
+                             f"{kind}")
+        vw = rows[0][3]
         for path, (t, _, k, v) in zip(paths, rows):
             if not np.array_equal(t, times):
                 raise ValueError(f"{path}: time grid differs from {origin}")
             if k != kind:
-                raise ValueError(f"{path}: kind {k}, {paths[0].name} has {kind}")
+                raise ValueError(f"{path}: kind {k}, expected {kind}")
             if not np.array_equal(v, vw):
                 raise ValueError(f"{path}: covariance differs from {paths[0]}")
         means = np.stack([m for _, m, _, _ in rows])
         if stem == "truth":
             truth = means
-        elif kind in stacks:
-            raise ValueError(f"{directory}: kind {kind} is also in another "
-                             "directory")
         else:
             stacks[kind] = (means, vw)
     return times, stacks, truth
@@ -262,10 +278,18 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
 def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective(cfg)
     est_dir = base_dir / "estimates"
-    filtered = load_trajectories(est_dir, "filtered")
-    retro = load_trajectories(est_dir, "retro")
-    if len(filtered) != len(retro):
+    f_paths = _indexed_paths(est_dir, "filtered")
+    r_paths = _indexed_paths(est_dir, "retro")
+    if len(f_paths) != len(r_paths):
         raise ValueError("smooth: filtered/retro counts differ")
+    filtered = [recordio.read_trajectory_csv(p) for p in f_paths]
+    retro = [recordio.read_trajectory_csv(p) for p in r_paths]
+    for fp, rp, f, r in zip(f_paths, r_paths, filtered, retro):
+        for path, tr, kind in ((fp, f, "Filtered"), (rp, r, "Retrofiltered")):
+            if tr.kind != kind:
+                raise ValueError(f"{path}: kind {tr.kind}, expected {kind}")
+        if not np.array_equal(f.times, r.times):
+            raise ValueError(f"{fp}: time grid differs from {rp}")
     for kind in cfg.targets:
         tgt = target_spec(kind, ep)
         out_dir = base_dir / "smoothed" / kind
@@ -390,30 +414,42 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
                         base_seed: int, inject_seed: int,
                         window: float = 1e-3,
                         warmup_records: int = 3) -> InjectionStudy:
+    """Filter a clean ensemble through a warm-up into its long-time limit,
+    then re-estimate the last ``window`` of its records at ``eta_new``.
+
+    The clean ensemble is streamed in record-length warm-up blocks, with
+    the window as the last block; the clean filter runs block by block
+    from the previous block's last mean, so only the window is kept."""
     ep_new = dataclasses.replace(ep, eta=eta_new)
     total = warmup_records * ep.record_duration + window
     n_total = int(round(total / ep.dt))
     n_win = int(round(window / ep.dt))
-    ens = simulate_truth_ensemble(ep, total, n_records, base_seed)
-    currents = ens.currents
+    n_rec = int(round(ep.record_duration / ep.dt))
+    n_warm = n_total - n_win
+    steps = [min(n_rec, n_warm - lo) for lo in range(0, n_warm, n_rec)]
+    rngs = [np.random.default_rng(int(s))
+            for s in derive_record_seeds(base_seed, n_records)]
 
     _, v_clean = filter_grid(ep, n_total)
-    m_clean = filter_means(currents, ep, v_clean, np.zeros((n_records, 2)))
-    # a copy, so the (N, n_total+1, 2) clean run is freed with this frame
-    m_ltl = m_clean[:, n_total - n_win:].copy()
+    m_ltl, lo = np.zeros((n_records, 1, 2)), 0
+    for _, truth, win in truth_stream(ep, rngs, steps + [n_win]):
+        m_ltl = filter_means(win, ep, v_clean[lo:], m_ltl[:, -1])
+        lo += win.shape[1]
+    del truth  # only the window's currents and clean means are used
     v_tar = v_filter_ss(ep)
 
-    win = currents[:, n_total - n_win:, :]
     sigma2 = ep.eta / eta_new - 1.0
     scale = 1.0 / math.sqrt(1.0 + sigma2)
     sig = math.sqrt(sigma2 / ep.dt)
     seeds = derive_record_seeds(inject_seed, n_records)
-    injected = np.empty_like(win)
+    # in place: the clean window is not needed once its noise is added
     for i in range(n_records):
         rng = np.random.default_rng(int(seeds[i]))
-        injected[i] = (win[i] + rng.normal(0.0, sig, win[i].shape)) * scale
+        win[i] += rng.normal(0.0, sig, win[i].shape)
+        win[i] *= scale
 
-    times, v_f, w, m_f, z = _estimate_stack(ep_new, injected)
+    times, v_f, w, m_f, z = _estimate_stack(ep_new, win)
+    del win
     v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
     v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
     return InjectionStudy(ep_clean=ep, ep_new=ep_new, v_tar=v_tar,
@@ -731,24 +767,35 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
                                 cfg.base_seed + 1_000_003,
                                 cfg.base_seed + 2_000_003)
     results.append(_crit_injection(study))
+    # criterion 9 also reads the study; computed now, so the study is
+    # freed before the main ensemble exists, and listed in its place below
+    crit_vacf = _crit_vacf(study)
+    del study
+    _log_peak_rss("injection study")
 
     log("report: running the main ensemble consistency checks")
     arrays = _main_arrays(ep, cfg.n_records, cfg.base_seed)
     results.append(_crit_consistency(ep, arrays))
     results.append(_crit_mse(ep, arrays))
     del arrays
+    _log_peak_rss("main ensemble")
 
     log("report: cross-checking closed forms and physicality bounds")
     results.append(_crit_riccati())
     results.append(_crit_physicality())
-    results.append(_crit_vacf(study))
-    del study
-
+    results.append(crit_vacf)
     omega = cfg.params.omega if cfg.params.omega > 0 else 2.0 * math.pi * 1.04e6
     results.append(_crit_demod(omega))
+    _log_peak_rss("cross-checks")
+
     log("report: checking run reproducibility")
     results.append(_crit_reproducible(cfg))
+    _log_peak_rss("reproducibility")
     return results
+
+
+def _log_peak_rss(phase: str) -> None:
+    log(f"report: {phase} done, peak RSS {peak_rss_mb():.1f} MB")
 
 
 def format_report(results: list[CriterionResult]) -> str:

@@ -16,12 +16,21 @@ Per-record randomness is a fixed draw sequence from a dedicated
 Wiener increments.  The stacked ensemble helpers replay exactly that
 sequence for each member, so an ensemble slice is bit-identical to the
 record generated alone from the same seed.
+
+True states are generated by one stream, :func:`truth_stream`, which
+yields the stacked ensemble as consecutive time blocks.  It carries each
+record's generator and last true mean from one block to the next; drawing
+``(b, k)`` increments block after block consumes a generator exactly as one
+``(n, k)`` draw, and the mean recursion is sequential in time, so the
+blocks concatenate to the bits of a single-block run.  A long ensemble
+whose early samples are only a warm-up then never has to be held whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -166,22 +175,25 @@ def _n_steps(ep: EffectiveParams, duration: float) -> int:
 # True-state generator (full heterodyne unravelling of all baths)
 # ---------------------------------------------------------------------------
 
-def _draw_true(rng: np.random.Generator, n: int, ep: EffectiveParams
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial mean, state kicks (n, 2) and record noise (n, 2) of a record.
+def _draw_initial(rng: np.random.Generator, ep: EffectiveParams) -> np.ndarray:
+    """A record's initial mean, its generator's first draw."""
+    return rng.normal(0.0, math.sqrt(max(ep.sigma2_uncon - 1.0, 0.0)), 2)
+
+
+def _draw_kicks(rng: np.random.Generator, n: int, ep: EffectiveParams
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """State kicks (n, 2) and record noise (n, 2) of the next n samples.
 
     The three Wiener pairs are reduced at once, so an ensemble never holds
     all of its (n, 6) increments.
     """
-    scale0 = math.sqrt(max(ep.sigma2_uncon - 1.0, 0.0))
-    m0 = rng.normal(0.0, scale0, 2)
     dw = rng.normal(0.0, math.sqrt(ep.dt), (n, _TRUE_COLS))
     g_obs = math.sqrt(ep.meas_rate)
     g_u1 = math.sqrt(2.0 * (1.0 - ep.eta) * ep.gamma_eff * ep.coop_eff)
     g_u2 = math.sqrt(2.0 * ep.gamma_eff * ep.n_th_eff)
     # true covariance held at its stationary value 1, so kicks carry unit v
     kicks = g_obs * dw[:, 0:2] + g_u1 * dw[:, 2:4] + g_u2 * dw[:, 4:6]
-    return m0, kicks, dw[:, 0:2] / ep.dt
+    return kicks, dw[:, 0:2] / ep.dt
 
 
 def _evolve_true(m0: np.ndarray, kicks: np.ndarray, noise: np.ndarray,
@@ -198,6 +210,33 @@ def _evolve_true(m0: np.ndarray, kicks: np.ndarray, noise: np.ndarray,
     return means, noise
 
 
+def truth_stream(ep: EffectiveParams, rngs: Sequence[np.random.Generator],
+                 steps: Iterable[int]
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Stacked true means and records, one time block at a time.
+
+    One record per generator in ``rngs``.  For each block length b in
+    ``steps`` it yields ``(times, means, currents)``: the block's b+1 grid
+    times, means (N, b+1, 2) starting from the previous block's last mean,
+    and currents (N, b, 2).  The generators and that last mean are the only
+    state carried between blocks, and the concatenated blocks (each
+    block's first mean dropped after the first) are bit-identical to one
+    block over all the samples.
+    """
+    _check_step(ep)
+    mean = np.array([_draw_initial(rng, ep) for rng in rngs]).reshape(-1, 2)
+    lo = 0
+    for b in steps:
+        kicks = np.empty((len(rngs), b, 2))
+        noise = np.empty((len(rngs), b, 2))
+        for i, rng in enumerate(rngs):
+            kicks[i], noise[i] = _draw_kicks(rng, b, ep)
+        means, currents = _evolve_true(mean, kicks, noise, ep)
+        yield np.arange(lo, lo + b + 1) * ep.dt, means, currents
+        mean = means[:, b].copy()
+        lo += b
+
+
 def simulate_true_and_record(ep: EffectiveParams, duration: float,
                              seed: int | None = None) -> TruthBundle:
     """Simulate the true state under monitoring of all baths plus its record.
@@ -208,14 +247,11 @@ def simulate_true_and_record(ep: EffectiveParams, duration: float,
     initial mean is drawn from the stationary distribution
     N(0, (2 n_tot - 1) I) so the unconditional marginal is exact.
     """
-    _check_step(ep)
     n = _n_steps(ep, duration)
-    rng = np.random.default_rng(seed)
-    m0, kicks, noise = _draw_true(rng, n, ep)
-    means, currents = _evolve_true(m0[None], kicks[None], noise[None], ep)
+    times, means, currents = next(truth_stream(
+        ep, [np.random.default_rng(seed)], [n]))
     record = MeasurementRecord(ep.dt, currents[0, :, 0], currents[0, :, 1],
                                ep.eta, seed)
-    times = np.arange(n + 1) * ep.dt
     return TruthBundle(times, means[0], record)
 
 
@@ -223,21 +259,15 @@ def simulate_truth_ensemble(ep: EffectiveParams, duration: float,
                             n_records: int, base_seed: int) -> TruthEnsemble:
     """Stacked ensemble of independent truth bundles.
 
-    Each member replays the exact draw sequence of
-    :func:`simulate_true_and_record` under its counter-derived seed, so
-    slices are bit-identical to individually generated records.
+    The one-block case of :func:`truth_stream`.  Each member replays the
+    exact draw sequence of :func:`simulate_true_and_record` under its
+    counter-derived seed, so slices are bit-identical to individually
+    generated records.
     """
-    _check_step(ep)
     n = _n_steps(ep, duration)
     seeds = derive_record_seeds(base_seed, n_records)
-    m0 = np.empty((n_records, 2))
-    kicks = np.empty((n_records, n, 2))
-    noise = np.empty((n_records, n, 2))
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(int(s))
-        m0[i], kicks[i], noise[i] = _draw_true(rng, n, ep)
-    means, currents = _evolve_true(m0, kicks, noise, ep)
-    times = np.arange(n + 1) * ep.dt
+    times, means, currents = next(truth_stream(
+        ep, [np.random.default_rng(int(s)) for s in seeds], [n]))
     return TruthEnsemble(times, means, currents, seeds, ep.dt, ep.eta)
 
 

@@ -5,17 +5,23 @@ adaptive-step ODE integration of the underlying Riccati flows.  Time is
 scaled by gamma before integration so the solver sees O(1) coefficients
 regardless of the absolute rates.  The general-covariance Hilbert-Schmidt
 distance, itself checked against a Wigner-grid integral, is the reference
-for the package's isotropic one.
+for the package's isotropic one.  The injection study and the velocity
+autocorrelation are also kept in their whole-array forms, which the
+time-streamed study and the record-blocked autocorrelation must reproduce.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from lgqsmooth.model import EffectiveParams, GaussianState
+from lgqsmooth.estimate import filter_grid, filter_means, retro_grid, retro_info
+from lgqsmooth.model import EffectiveParams, GaussianState, v_filter_ss
+from lgqsmooth.simulate import derive_record_seeds, simulate_truth_ensemble
+from lgqsmooth.smooth import combine_arrays
 
 
 def gaussian_hs_sq(a: GaussianState, b: GaussianState) -> float:
@@ -108,3 +114,50 @@ def retro_variance_ode_from_big(ep: EffectiveParams, taus: np.ndarray,
                     method="Radau", rtol=1e-10, atol=1e-12 * v_big)
     assert sol.success, sol.message
     return sol.y[0]
+
+
+def injection_study_whole(ep: EffectiveParams, eta_new: float,
+                          n_records: int, base_seed: int, inject_seed: int,
+                          window: float = 1e-3,
+                          warmup_records: int = 3) -> dict:
+    """The injection study on whole arrays: one ensemble over warm-up and
+    window, the clean filter over all of it, then the window sliced out.
+
+    Returns the arrays of ``pipeline.InjectionStudy`` by field name."""
+    ep_new = dataclasses.replace(ep, eta=eta_new)
+    total = warmup_records * ep.record_duration + window
+    n_total = int(round(total / ep.dt))
+    n_win = int(round(window / ep.dt))
+    currents = simulate_truth_ensemble(ep, total, n_records,
+                                       base_seed).currents
+    _, v_clean = filter_grid(ep, n_total)
+    m_clean = filter_means(currents, ep, v_clean, np.zeros((n_records, 2)))
+    win = currents[:, n_total - n_win:, :]
+    sigma2 = ep.eta / eta_new - 1.0
+    scale = 1.0 / math.sqrt(1.0 + sigma2)
+    sig = math.sqrt(sigma2 / ep.dt)
+    injected = np.empty_like(win)
+    for i, s in enumerate(derive_record_seeds(inject_seed, n_records)):
+        rng = np.random.default_rng(int(s))
+        injected[i] = (win[i] + rng.normal(0.0, sig, win[i].shape)) * scale
+    times, v_f = filter_grid(ep_new, n_win)
+    _, w = retro_grid(ep_new, n_win)
+    m_f = filter_means(injected, ep_new, v_f, np.zeros((n_records, 2)))
+    z = retro_info(injected, ep_new, w)
+    v_tar = v_filter_ss(ep)
+    v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
+    v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
+    return dict(times=times, m_ltl=m_clean[:, n_total - n_win:], v_f=v_f,
+                m_f=m_f, w=w, v_s=v_s, m_s=m_s, v_cs=v_cs, m_cs=m_cs)
+
+
+def acf_biased_whole(means: np.ndarray, dt: float,
+                     max_lag: int) -> np.ndarray:
+    """Velocity autocovariance of (N, n+1, 2) means, all records in one
+    transform, averaged over records and components."""
+    x = np.diff(means, axis=1) / dt
+    n = x.shape[1]
+    size = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, size, axis=1)
+    acov = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :max_lag + 1]
+    return acov.mean(axis=(0, 2)) / n

@@ -81,6 +81,11 @@ def report(ref_params):
     return {r.index: r for r in pipeline.acceptance_report(cfg)}
 
 
+def test_report_lists_criteria_in_order(report):
+    # criterion 9 is computed right after 4 but must keep its place
+    assert [r.index for r in report.values()] == list(range(1, 12))
+
+
 @pytest.mark.parametrize("index", range(1, 12))
 def test_report_criterion(report, index):
     r = report[index]

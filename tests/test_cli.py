@@ -183,9 +183,32 @@ def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
     assert f"lgqsmooth: error: {victim}: " in err
 
 
+@pytest.mark.parametrize("defect", ["filtered file cut by one row",
+                                    "retro file of another kind"])
+def test_smooth_input_error_names_path(cfg_path, tmp_path, capsys, defect):
+    out = tmp_path / "run"
+    for cmd in ("simulate", "estimate"):
+        assert main([cmd, "--config", str(cfg_path),
+                     "--out-dir", str(out)]) == 0
+    if defect == "filtered file cut by one row":
+        victim = out / "estimates" / "filtered_00002.csv"
+        text = victim.read_text().splitlines()
+        victim.write_text("\n".join(text[:-1]) + "\n")
+    else:
+        victim = out / "estimates" / "retro_00001.csv"
+        victim.write_text(victim.read_text().replace(",Retrofiltered,",
+                                                     ",Filtered,"))
+    capsys.readouterr()
+    code = main(["smooth", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    assert f"lgqsmooth: error: {victim}: " in capsys.readouterr().err
+    assert not (out / "smoothed").exists()
+
+
 @pytest.mark.parametrize("defect", ["smoothed file cut by one row",
                                     "truth file deleted",
                                     "smoothed file of another kind",
+                                    "first smoothed file of another kind",
                                     "smoothed directory of another kind"])
 def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
     out = tmp_path / "run"
@@ -203,6 +226,9 @@ def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
         paths = sorted(smoothed.glob("smoothed_*.csv"))
         if defect == "smoothed file of another kind":
             paths = paths[2:3]
+        elif defect == "first smoothed file of another kind":
+            # the file the others used to be compared with
+            paths = paths[:1]
         for path in paths:
             text = path.read_text()
             path.write_text(text.replace(",SmoothedTrue,", ",SmoothedLTL,"))

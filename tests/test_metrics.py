@@ -30,6 +30,7 @@ from lgqsmooth.estimate import (
 )
 from lgqsmooth.metrics import (
     EnsembleStats,
+    _acf_biased,
     effective_record_count,
     hs_sq_isotropic,
 )
@@ -37,7 +38,7 @@ from lgqsmooth.model import retro_precision_ss
 from lgqsmooth.smooth import combine_arrays, z_values
 from lgqsmooth.simulate import simulate_true_and_record
 
-from _oracles import gaussian_hs_sq
+from _oracles import acf_biased_whole, gaussian_hs_sq
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,22 @@ def test_consistency_check_errors(ref_ep):
 # ---------------------------------------------------------------------------
 # velocity autocorrelation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_records", [8, 100, 256, 257, 1000])
+def test_acf_blocked_matches_whole_transform(n_records):
+    # up to one 256-record block the transform is the whole-array one, so
+    # the bits match; past it pocketfft may round a row differently by its
+    # place in the batch, within the declared 1e-12 of the zero lag
+    rng = np.random.default_rng(n_records)
+    dt = 1e-6
+    means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
+    got = _acf_biased(means, dt, 999)
+    expected = acf_biased_whole(means, dt, 999)
+    if n_records <= 256:
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    else:
+        assert np.max(np.abs(got - expected)) <= 1e-12 * expected[0]
+
 
 def test_vacf_white_velocity():
     rng = np.random.default_rng(7)

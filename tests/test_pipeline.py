@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from lgqsmooth.config import RunConfig
 from lgqsmooth.ingest import RawTrace
 from lgqsmooth.model import PhysicalParams, v_filter_ss
 from lgqsmooth.simulate import MeasurementRecord, simulate_truth_ensemble, synthesize_raw
+
+from _oracles import injection_study_whole
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,3 +162,48 @@ def test_injection_study_structure(ref_ep):
     assert (study.v_s <= study.v_f + 1e-12).all()
     assert (study.v_s >= study.v_tar - 1e-12).all()
     assert np.isfinite(study.m_s).all() and np.isfinite(study.m_cs).all()
+
+
+@pytest.mark.parametrize("window, warmup_records, record_us", [
+    (1e-3, 3, 750.0), (3e-4, 1, 750.0),
+    (2.5e-4, 2, 400.4)])  # warm-up blocks of 400, 400 and 1 samples
+def test_injection_study_matches_whole_array_oracle(ref_ep, window,
+                                                    warmup_records,
+                                                    record_us):
+    # streamed in record-length blocks, the study keeps the bits of one
+    # ensemble over warm-up and window with the window sliced out after
+    ep = dataclasses.replace(ref_ep, record_duration=record_us * 1e-6)
+    study = pipeline.run_injection_study(ep, 0.10, 40, 777, 888,
+                                         window=window,
+                                         warmup_records=warmup_records)
+    whole = injection_study_whole(ep, 0.10, 40, 777, 888, window=window,
+                                  warmup_records=warmup_records)
+    for name, expected in whole.items():
+        got = getattr(study, name)
+        assert got.shape == expected.shape, name
+        assert np.array_equal(got.view(np.uint64),
+                              np.ascontiguousarray(expected).view(np.uint64)), \
+            name
+
+
+def test_peak_rss_matches_kernel_high_water_mark():
+    status = Path("/proc/self/status")
+    if not status.is_file():
+        pytest.skip("needs /proc/self/status")
+    peak = pipeline.peak_rss_mb()
+    hwm = next(int(line.split()[1]) for line in status.read_text().splitlines()
+               if line.startswith("VmHWM:"))
+    assert peak > 0
+    # both count KiB of one process; VmHWM is read after, so it can only grow
+    assert peak <= hwm * 1024 / 1e6 + 1e-9
+    assert pipeline.peak_rss_mb() >= peak
+
+
+def test_report_phase_logs_peak_rss(capsys):
+    pipeline._log_peak_rss("main ensemble")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = captured.err.strip()
+    assert line.startswith("report: main ensemble done, peak RSS ")
+    assert line.endswith(" MB")
+    assert float(line.split()[-2]) > 0

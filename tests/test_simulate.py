@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgqsmooth import (
     EffectiveParams,
@@ -17,6 +19,7 @@ from lgqsmooth.simulate import (
     _evolve_true,
     derive_record_seeds,
     stability_rate,
+    truth_stream,
 )
 
 from conftest import REF
@@ -75,6 +78,32 @@ def test_truth_ensemble_slices_bit_identical(ref_ep):
         rec = ens.record(i)
         assert np.array_equal(rec.i1, solo.record.i1)
         assert rec.seed == int(ens.seeds[i])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_records=st.sampled_from([1, 2, 5]),
+       steps=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       base_seed=st.integers(0, 2 ** 31))
+def test_truth_stream_blocks_concatenate_to_ensemble(ref_ep, n_records,
+                                                     steps, base_seed):
+    n = sum(steps)
+    ens = simulate_truth_ensemble(ref_ep, n * ref_ep.dt, n_records,
+                                  base_seed)
+    rngs = [np.random.default_rng(int(s)) for s in ens.seeds]
+    blocks = list(truth_stream(ref_ep, rngs, steps))
+    assert [c.shape[1] for _, _, c in blocks] == steps
+    # each block restarts from the previous block's last mean
+    times = np.concatenate([blocks[0][0][:1]] + [t[1:] for t, _, _ in blocks])
+    means = np.concatenate([blocks[0][1][:, :1]]
+                           + [m[:, 1:] for _, m, _ in blocks], axis=1)
+    currents = np.concatenate([c for _, _, c in blocks], axis=1)
+    assert np.array_equal(_bits(times), _bits(ens.times))
+    assert np.array_equal(_bits(means), _bits(ens.means))
+    assert np.array_equal(_bits(currents), _bits(ens.currents))
 
 
 def test_surrogate_ensemble_slices_bit_identical(ref_ep):
