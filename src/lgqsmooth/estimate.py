@@ -197,10 +197,9 @@ def retro_grid(ep: EffectiveParams, n: int) -> tuple[np.ndarray, np.ndarray]:
 def effect_means(w: np.ndarray, z: np.ndarray, ep: EffectiveParams) -> np.ndarray:
     """z/w with NaN where the precision is below the meaningful floor."""
     floor = W_MIN_FRACTION * retro_precision_ss(ep)
-    defined = w > floor
+    # divided in place where defined, so a stack makes no masked copies
     out = np.full(z.shape, np.nan)
-    if np.any(defined):
-        out[..., defined, :] = z[..., defined, :] / w[defined][..., None]
+    np.divide(z, w[:, None], out=out, where=(w > floor)[:, None])
     return out
 
 

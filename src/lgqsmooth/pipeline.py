@@ -73,8 +73,9 @@ def log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def peak_rss_mb() -> float:
-    """Peak resident set size of this process so far, in MB (10^6 bytes).
+def peak_rss_mb(children: bool = False) -> float:
+    """Peak resident set size so far, in MB (10^6 bytes): of this process,
+    or with ``children`` of its largest child process already joined.
 
     ``ru_maxrss`` counts KiB on Linux and bytes on macOS; NaN where the
     ``resource`` module does not exist."""
@@ -82,7 +83,8 @@ def peak_rss_mb() -> float:
         import resource
     except ImportError:
         return math.nan
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    peak = resource.getrusage(who).ru_maxrss
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
@@ -142,15 +144,16 @@ def load_trajectories(directory: Path, stem: str) -> list[Trajectory]:
             for p in _indexed_paths(directory, stem)]
 
 
-def _load_stacks(base_dir: Path, targets):
+def _load_stacks(base_dir: Path, targets, ep: EffectiveParams):
     """Read a run's trajectories for analyze, stacked once per directory.
 
     Returns the time grid, kind -> (means (N, n+1, 2), vw) for estimates/
     and each smoothed/<target>/, and the truth means (None without truth/).
     Kind must be the directory's own (Filtered, Retrofiltered or the
-    target's smoothed kind), vw the directory's first file's, and the time
-    grid and record count the run's; a ValueError names the file at fault,
-    or the directory when all of its files have another kind."""
+    target's smoothed kind), the time grid and record count the run's, and
+    vw exactly the closed form that estimate and smooth write at ``ep``; a
+    ValueError names the file at fault, or the directory when all of its
+    files have another kind."""
     dirs = [(base_dir / "estimates", "filtered", "Filtered"),
             (base_dir / "estimates", "retro", "Retrofiltered")]
     dirs += [(base_dir / "smoothed" / t, "smoothed", _TRAJ_KIND[t])
@@ -167,20 +170,26 @@ def _load_stacks(base_dir: Path, targets):
                     map(recordio.read_trajectory_csv, paths)]
         if not stacks:  # the first directory sets the grid and count
             origin, times, n_records = paths[0], rows[0][0], len(paths)
+            closed = dict(zip(
+                ("Filtered", "Retrofiltered", "SmoothedTrue", "SmoothedLTL",
+                 "ClassicalSmoothed"),
+                _smoothing_grids(ep, times.shape[0] - 1)))
         if len(paths) != n_records:
             raise ValueError(f"{directory}: {len(paths)} {stem} files for "
                              f"{n_records} records")
         if all(k != kind for _, _, k, _ in rows):
             raise ValueError(f"{directory}: kind {rows[0][2]}, expected "
                              f"{kind}")
-        vw = rows[0][3]
+        vw = closed.get(kind)
+        name = "precision" if kind == "Retrofiltered" else "covariance"
         for path, (t, _, k, v) in zip(paths, rows):
             if not np.array_equal(t, times):
                 raise ValueError(f"{path}: time grid differs from {origin}")
             if k != kind:
                 raise ValueError(f"{path}: kind {k}, expected {kind}")
-            if not np.array_equal(v, vw):
-                raise ValueError(f"{path}: covariance differs from {paths[0]}")
+            if vw is not None and not np.array_equal(v, vw):
+                raise ValueError(f"{path}: {name} differs from its closed "
+                                 f"form at the configured parameters")
         means = np.stack([m for _, m, _, _ in rows])
         if stem == "truth":
             truth = means
@@ -307,7 +316,7 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
 
 def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective(cfg)
-    times, stacks, truth = _load_stacks(base_dir, cfg.targets)
+    times, stacks, truth = _load_stacks(base_dir, cfg.targets, ep)
     stats = consistency_check(stacks, times, ep)
 
     analysis = base_dir / "analysis"
@@ -318,8 +327,7 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     hs_mean: dict = {}
     if truth is not None:
         n = truth.shape[1] - 1
-        _, v_f = filter_grid(ep, n)
-        _, w = retro_grid(ep, n)
+        v_f, w = stacks["Filtered"][1], stacks["Retrofiltered"][1]
         for kind, (means, vw) in stacks.items():
             if kind not in STATE_KINDS or kind == "SmoothedLTL":
                 # the LTL-targeted state is not a truth-consistent
@@ -554,15 +562,18 @@ def _crit_injection(study: InjectionStudy) -> CriterionResult:
 def _main_arrays(ep: EffectiveParams, n_records: int, base_seed: int):
     ens = simulate_truth_ensemble(ep, ep.record_duration, n_records,
                                   base_seed)
+    truth = ens.means
     times, v_f, w, m_f, z = _estimate_stack(ep, ens.currents)
+    del ens  # frees the currents; only the truth means are read again
     v_st, m_st = combine_arrays(v_f, m_f, w, z, 1.0)
     v_sl, m_sl = combine_arrays(v_f, m_f, w, z, TargetSpec.ltl(ep).v_tar)
     v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
-    return ens, times, v_f, w, z, m_f, (v_st, m_st), (v_sl, m_sl), (v_cs, m_cs)
+    return (truth, times, v_f, w, z, m_f, (v_st, m_st), (v_sl, m_sl),
+            (v_cs, m_cs))
 
 
 def _crit_consistency(ep, arrays) -> CriterionResult:
-    ens, times, v_f, w, z, m_f, st, sl, cs = arrays
+    _, times, v_f, w, z, m_f, st, sl, cs = arrays
     stats = consistency_check({
         "Filtered": (m_f, v_f),
         "Retrofiltered": (effect_means(w, z, ep), w),
@@ -581,10 +592,10 @@ def _crit_consistency(ep, arrays) -> CriterionResult:
 
 
 def _crit_mse(ep, arrays) -> CriterionResult:
-    ens, times, v_f, w, z, m_f, st, sl, cs = arrays
+    truth, times, v_f, w, z, m_f, st, sl, cs = arrays
     n = times.shape[0] - 1
     lo = int(round(0.7 * n))
-    truth = ens.means[:, lo:, :]
+    truth = truth[:, lo:, :]
     rat_s = (np.mean((st[1][:, lo:, :] - truth) ** 2)
              / np.mean(st[0][lo:] - 1.0))
     rat_f = (np.mean((m_f[:, lo:, :] - truth) ** 2)
@@ -754,39 +765,43 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
 
     Statistical checks reuse two shared ensembles: the main truth ensemble
     at the configured parameters and the reduced-efficiency injection
-    study.  Seeds derive from the configured base seed, so the report is
-    reproducible.
+    study.  Criteria 7, 8 and 10 read neither, so one side process runs
+    them meanwhile; it starts before the ensembles exist and is joined
+    before criterion 11 starts its own pool.  Seeds derive from the
+    configured base seed, so the report is reproducible.
     """
     ep = effective(cfg)
-    results = [_crit_filter_ss(ep), _crit_t0_ratios(ep),
-               _crit_true_target(ep)]
-
-    eta_new = cfg.eta_new if cfg.eta_new is not None else 0.10
-    log("report: running the reduced-efficiency injection study")
-    study = run_injection_study(ep, eta_new, cfg.n_records,
-                                cfg.base_seed + 1_000_003,
-                                cfg.base_seed + 2_000_003)
-    results.append(_crit_injection(study))
-    # criterion 9 also reads the study; computed now, so the study is
-    # freed before the main ensemble exists, and listed in its place below
-    crit_vacf = _crit_vacf(study)
-    del study
-    _log_peak_rss("injection study")
-
-    log("report: running the main ensemble consistency checks")
-    arrays = _main_arrays(ep, cfg.n_records, cfg.base_seed)
-    results.append(_crit_consistency(ep, arrays))
-    results.append(_crit_mse(ep, arrays))
-    del arrays
-    _log_peak_rss("main ensemble")
-
-    log("report: cross-checking closed forms and physicality bounds")
-    results.append(_crit_riccati())
-    results.append(_crit_physicality())
-    results.append(crit_vacf)
     omega = cfg.params.omega if cfg.params.omega > 0 else 2.0 * math.pi * 1.04e6
-    results.append(_crit_demod(omega))
-    _log_peak_rss("cross-checks")
+    log("report: cross-checking closed forms, physicality bounds and "
+        "demodulation in a side process")
+    with ProcessPoolExecutor(max_workers=1) as side:
+        cross = [side.submit(_crit_riccati), side.submit(_crit_physicality),
+                 side.submit(_crit_demod, omega)]
+        results = [_crit_filter_ss(ep), _crit_t0_ratios(ep),
+                   _crit_true_target(ep)]
+
+        eta_new = cfg.eta_new if cfg.eta_new is not None else 0.10
+        log("report: running the reduced-efficiency injection study")
+        study = run_injection_study(ep, eta_new, cfg.n_records,
+                                    cfg.base_seed + 1_000_003,
+                                    cfg.base_seed + 2_000_003)
+        results.append(_crit_injection(study))
+        # criterion 9 also reads the study; computed now, so the study is
+        # freed before the main ensemble exists, and listed in its place
+        crit_vacf = _crit_vacf(study)
+        del study
+        _log_peak_rss("injection study")
+
+        log("report: running the main ensemble consistency checks")
+        arrays = _main_arrays(ep, cfg.n_records, cfg.base_seed)
+        results.append(_crit_consistency(ep, arrays))
+        results.append(_crit_mse(ep, arrays))
+        del arrays
+        _log_peak_rss("main ensemble")
+
+        riccati, physicality, demod = (f.result() for f in cross)
+    _log_peak_rss("cross-checks", side=True)
+    results += [riccati, physicality, crit_vacf, demod]
 
     log("report: checking run reproducibility")
     results.append(_crit_reproducible(cfg))
@@ -794,8 +809,12 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     return results
 
 
-def _log_peak_rss(phase: str) -> None:
-    log(f"report: {phase} done, peak RSS {peak_rss_mb():.1f} MB")
+def _log_peak_rss(phase: str, side: bool = False) -> None:
+    # side: also the peak of the joined side process, read from the
+    # largest child this process has waited for
+    extra = f", side process {peak_rss_mb(children=True):.1f} MB" if side \
+        else ""
+    log(f"report: {phase} done, peak RSS {peak_rss_mb():.1f} MB{extra}")
 
 
 def format_report(results: list[CriterionResult]) -> str:

@@ -209,7 +209,8 @@ def test_smooth_input_error_names_path(cfg_path, tmp_path, capsys, defect):
                                     "truth file deleted",
                                     "smoothed file of another kind",
                                     "first smoothed file of another kind",
-                                    "smoothed directory of another kind"])
+                                    "smoothed directory of another kind",
+                                    "first smoothed file's vw scaled by 1.5"])
 def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
     out = tmp_path / "run"
     run_all(cfg_path, out)
@@ -219,6 +220,16 @@ def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
         victim = smoothed / "smoothed_00000.csv"
         text = victim.read_text().splitlines()
         victim.write_text("\n".join(text[:-1]) + "\n")
+    elif defect == "first smoothed file's vw scaled by 1.5":
+        # the file the others used to be compared with; the closed form
+        # names it
+        victim = smoothed / "smoothed_00000.csv"
+        lines = victim.read_text().splitlines()
+        for i in range(1, len(lines)):
+            parts = lines[i].split(",")
+            parts[4] = repr(1.5 * float(parts[4]))
+            lines[i] = ",".join(parts)
+        victim.write_text("\n".join(lines) + "\n")
     elif defect == "truth file deleted":
         (out / "truth" / "truth_00001.csv").unlink()
         victim = out / "truth"
@@ -353,3 +364,43 @@ print(json.dumps({"loaded": loaded, "n": out.n,
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc == {"loaded": [], "n": 1500, "finite": True}
+
+
+def test_report_leaves_scipy_to_the_side_process(tmp_path):
+    import json
+    import subprocess
+    import sys
+
+    # criteria 7, 8 and 10 are the report's only scipy users; they run in
+    # the side process, so the report's own process never imports scipy
+    script = f"""
+import json, sys
+from lgqsmooth import pipeline
+from lgqsmooth.config import parse_config_text
+cfg = parse_config_text({CONFIG!r})
+results = pipeline.acceptance_report(cfg)
+print(json.dumps({{
+    "loaded": [m for m in ("scipy.signal", "scipy.integrate")
+               if m in sys.modules],
+    "indices": [r.index for r in results]}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True,
+                          env={**_child_env(), "TMPDIR": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc == {"loaded": [], "indices": list(range(1, 12))}
+    assert "side process" in proc.stderr
+
+
+def test_side_criterion_error_is_exit_one(cfg_path, tmp_path, capsys):
+    # a 2 MHz carrier cannot be sampled at criterion 10's 5 MHz, so the
+    # side process raises, and the report fails as an input error
+    cfg_path.write_text(CONFIG.replace("omega_hz = 1.04e6", "omega_hz = 2e6"))
+    code = main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "rep")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lgqsmooth: error: fs must exceed four times the carrier " \
+        "frequency" in captured.err

@@ -231,6 +231,27 @@ def test_innovations_white(ref_ep, main_truth, filtered_ensemble):
         assert abs(num / denom) < 0.004, f"lag {lag}"
 
 
+def test_innovations_orthogonal_to_filter_mean(ref_ep, main_truth,
+                                               filtered_ensemble):
+    """Each innovation is uncorrelated with the mean it corrects.
+
+    Given the past, e_k has mean 0 and variance dt (1 + g^2 (v_k - 1) dt)
+    per component, so sum_k e_k . m_k over the ensemble is a martingale and
+    its z score is about standard normal.  The exact filter reads -2.5 at
+    this seed (-0.6 to -2.5 over three seeds; the Euler gain step may leave
+    a small negative bias).  A gain scaled by 0.8 or 1.2 reads +13.7 or -14.2,
+    while the lag bounds of test_innovations_white and the innovation
+    variance still pass."""
+    _, v, means = filtered_ensemble
+    dt = ref_ep.dt
+    g = math.sqrt(ref_ep.meas_rate)
+    m = means[:, :-1]
+    e = (main_truth.currents - g * m) * dt
+    var = dt * (1.0 + g * g * (v[:-1] - 1.0) * dt)
+    z = float((e * m).sum() / math.sqrt((var[:, None] * m * m).sum()))
+    assert abs(z) < 5.0, f"innovation-mean z score {z:.2f}"
+
+
 def test_innovations_helper(ref_ep):
     rec = make_record(ref_ep, seed=9, n=200)
     e = innovations(rec, ref_ep)

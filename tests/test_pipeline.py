@@ -207,3 +207,14 @@ def test_report_phase_logs_peak_rss(capsys):
     assert line.startswith("report: main ensemble done, peak RSS ")
     assert line.endswith(" MB")
     assert float(line.split()[-2]) > 0
+
+
+def test_cross_check_phase_logs_side_process_peak_rss(capsys):
+    pipeline._log_peak_rss("cross-checks", side=True)
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("report: cross-checks done, peak RSS ")
+    own, side = line.split(", side process ")
+    assert float(own.split()[-2]) > 0
+    assert side.endswith(" MB")
+    assert float(side.split()[0]) == pytest.approx(
+        pipeline.peak_rss_mb(children=True), abs=0.05)
