@@ -45,9 +45,7 @@ from .simulate import (
     MeasurementRecord,
     TruthBundle,
     TruthEnsemble,
-    SurrogateEnsemble,
     simulate_surrogate_ensemble,
-    simulate_surrogate_record,
     simulate_true_and_record,
     simulate_truth_ensemble,
     synthesize_raw,
@@ -63,7 +61,6 @@ __all__ = [
     "NumericalError",
     "PhysicalParams",
     "RawTrace",
-    "SurrogateEnsemble",
     "TargetSpec",
     "Trajectory",
     "TruthBundle",
@@ -86,7 +83,6 @@ __all__ = [
     "segment",
     "sev",
     "simulate_surrogate_ensemble",
-    "simulate_surrogate_record",
     "simulate_true_and_record",
     "simulate_truth_ensemble",
     "smooth_general",

@@ -61,12 +61,19 @@ from .model import (
 )
 from .simulate import (
     MeasurementRecord,
+    _n_steps,
     derive_record_seeds,
     simulate_truth_ensemble,
     synthesize_raw,
     truth_stream,
 )
-from .smooth import _TRAJ_KIND, TargetSpec, combine_arrays, smooth_general
+from .smooth import (
+    _TRAJ_KIND,
+    TARGET_KINDS,
+    TargetSpec,
+    combine_arrays,
+    smooth_general,
+)
 
 
 def log(msg: str) -> None:
@@ -102,6 +109,21 @@ def target_spec(kind: str, ep: EffectiveParams) -> TargetSpec:
     raise ValueError(f"unknown target kind {kind!r}")
 
 
+def run_grid(ep: EffectiveParams) -> tuple[np.ndarray, dict]:
+    """A run's trajectory time grid, from the configured record length and
+    sample period, and kind -> closed-form vw on it: the covariance of each
+    state kind and the precision of Retrofiltered."""
+    n = _n_steps(ep, ep.record_duration)
+    times, v_f = filter_grid(ep, n)
+    _, w = retro_grid(ep, n)
+    zeros = np.zeros((n + 1, 2))
+    closed = {"Filtered": v_f, "Retrofiltered": w}
+    for target in TARGET_KINDS:
+        closed[_TRAJ_KIND[target]], _ = combine_arrays(
+            v_f, zeros, w, zeros, target_spec(target, ep).v_tar)
+    return times, closed
+
+
 # ---------------------------------------------------------------------------
 # file layout helpers
 # ---------------------------------------------------------------------------
@@ -135,67 +157,72 @@ def load_records(directory: Path) -> list[MeasurementRecord]:
 def _indexed_paths(directory: Path, stem: str) -> list[Path]:
     paths = sorted(Path(directory).glob(f"{stem}_*.csv"))
     if not paths:
-        raise FileNotFoundError(f"no {stem} trajectories under {directory}")
+        raise FileNotFoundError(f"{directory}: no {stem} files")
     return paths
 
 
-def load_trajectories(directory: Path, stem: str) -> list[Trajectory]:
-    return [recordio.read_trajectory_csv(p)
-            for p in _indexed_paths(directory, stem)]
+def _load_stacks(base_dir: Path, n_records: int, grid, targets=(),
+                 truth: bool = False):
+    """Read a run's trajectories and check them against its configuration.
 
+    Reads estimates/, smoothed/<target>/ for each of ``targets``, and,
+    with ``truth``, truth/ where it exists, each into one stack.  Each directory must hold ``n_records`` files; each file the
+    time grid of ``grid`` (from :func:`run_grid`), its directory's kind
+    (Filtered, Retrofiltered or the target's smoothed kind) and exactly
+    that kind's closed-form vw.  A ValueError names the file at fault, or
+    the directory when its file count is wrong or all of its files have
+    another kind.
 
-def _load_stacks(base_dir: Path, targets, ep: EffectiveParams):
-    """Read a run's trajectories for analyze, stacked once per directory.
-
-    Returns the time grid, kind -> (means (N, n+1, 2), vw) for estimates/
-    and each smoothed/<target>/, and the truth means (None without truth/).
-    Kind must be the directory's own (Filtered, Retrofiltered or the
-    target's smoothed kind), the time grid and record count the run's, and
-    vw exactly the closed form that estimate and smooth write at ``ep``; a
-    ValueError names the file at fault, or the directory when all of its
-    files have another kind."""
+    Returns kind -> (means (N, n+1, 2), vw), the retrofilter's information
+    vectors (N, n+1, 2), and the truth means (None unless read)."""
+    times, closed = grid
     dirs = [(base_dir / "estimates", "filtered", "Filtered"),
             (base_dir / "estimates", "retro", "Retrofiltered")]
     dirs += [(base_dir / "smoothed" / t, "smoothed", _TRAJ_KIND[t])
-             for t in targets if (base_dir / "smoothed" / t).is_dir()]
-    if (base_dir / "truth").is_dir():
+             for t in targets]
+    if truth and (base_dir / "truth").is_dir():
         dirs.append((base_dir / "truth", "truth", None))
-    stacks, truth = {}, None
+    stacks, info, truth_means = {}, None, None
     for directory, stem, kind in dirs:
         paths = _indexed_paths(directory, stem)
-        if stem == "truth":
-            rows = [(*recordio.read_means_csv(p), None, None) for p in paths]
-        else:
-            rows = [(tr.times, tr.mean, tr.kind, tr.vw) for tr in
-                    map(recordio.read_trajectory_csv, paths)]
-        if not stacks:  # the first directory sets the grid and count
-            origin, times, n_records = paths[0], rows[0][0], len(paths)
-            closed = dict(zip(
-                ("Filtered", "Retrofiltered", "SmoothedTrue", "SmoothedLTL",
-                 "ClassicalSmoothed"),
-                _smoothing_grids(ep, times.shape[0] - 1)))
         if len(paths) != n_records:
             raise ValueError(f"{directory}: {len(paths)} {stem} files for "
                              f"{n_records} records")
-        if all(k != kind for _, _, k, _ in rows):
-            raise ValueError(f"{directory}: kind {rows[0][2]}, expected "
-                             f"{kind}")
+        means = np.empty((n_records, times.shape[0], 2))
+        if kind == "Retrofiltered":
+            info = np.empty_like(means)
         vw = closed.get(kind)
         name = "precision" if kind == "Retrofiltered" else "covariance"
-        for path, (t, _, k, v) in zip(paths, rows):
+        other = []  # files of another kind, named once all are read
+        for i, path in enumerate(paths):
+            if kind is None:
+                t, m = recordio.read_means_csv(path)
+                k = v = z = None
+            else:
+                tr = recordio.read_trajectory_csv(path)
+                t, m, k, v, z = tr.times, tr.mean, tr.kind, tr.vw, tr.info
             if not np.array_equal(t, times):
-                raise ValueError(f"{path}: time grid differs from {origin}")
+                raise ValueError(f"{path}: time grid of {t.shape[0]} points "
+                                 f"differs from the config's "
+                                 f"{times.shape[0]}-point grid")
             if k != kind:
-                raise ValueError(f"{path}: kind {k}, expected {kind}")
+                other.append((path, k))
+                continue
             if vw is not None and not np.array_equal(v, vw):
                 raise ValueError(f"{path}: {name} differs from its closed "
                                  f"form at the configured parameters")
-        means = np.stack([m for _, m, _, _ in rows])
-        if stem == "truth":
-            truth = means
+            means[i] = m
+            if z is not None:
+                info[i] = z
+        if other:
+            path, k = (directory, other[0][1]) if len(other) == n_records \
+                else other[0]
+            raise ValueError(f"{path}: kind {k}, expected {kind}")
+        if kind is None:
+            truth_means = means
         else:
             stacks[kind] = (means, vw)
-    return times, stacks, truth
+    return stacks, info, truth_means
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +277,19 @@ def _chunks(n: int, jobs: int) -> list[slice]:
 
 def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
     ep = effective(cfg)
-    records = load_records(base_dir / "records")
-    n = records[0].n
+    times, closed = run_grid(ep)
+    n = times.shape[0] - 1
+    rec_dir = base_dir / "records"
+    records = load_records(rec_dir)
+    if len(records) != cfg.n_records:
+        raise ValueError(f"{rec_dir}: {len(records)} record files for "
+                         f"{cfg.n_records} records")
     for i, rec in enumerate(records):
         name = f"estimate: record_{i:05d}"
         _check_record(rec, ep, name)
         if rec.n != n:
-            raise ValueError(f"{name}: {rec.n} samples, record_00000 has {n}")
+            raise ValueError(f"{name}: {rec.n} samples, the config's "
+                             f"records have {n}")
     est_dir = base_dir / "estimates"
     est_dir.mkdir(parents=True, exist_ok=True)
     if jobs <= 1 or len(records) < 2 * jobs:
@@ -267,8 +300,7 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
                 _estimate_chunk, [(ep, currents[sl]) for sl in parts]))
-        times, v = filter_grid(ep, n)
-        _, w = retro_grid(ep, n)
+        v, w = closed["Filtered"], closed["Retrofiltered"]
         pairs = [(Trajectory(times, means[j], v, "Filtered"),
                   Trajectory(times, effect_means(w, zs[j], ep), w,
                              "Retrofiltered", info=zs[j]))
@@ -286,28 +318,21 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
 
 def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective(cfg)
-    est_dir = base_dir / "estimates"
-    f_paths = _indexed_paths(est_dir, "filtered")
-    r_paths = _indexed_paths(est_dir, "retro")
-    if len(f_paths) != len(r_paths):
-        raise ValueError("smooth: filtered/retro counts differ")
-    filtered = [recordio.read_trajectory_csv(p) for p in f_paths]
-    retro = [recordio.read_trajectory_csv(p) for p in r_paths]
-    for fp, rp, f, r in zip(f_paths, r_paths, filtered, retro):
-        for path, tr, kind in ((fp, f, "Filtered"), (rp, r, "Retrofiltered")):
-            if tr.kind != kind:
-                raise ValueError(f"{path}: kind {tr.kind}, expected {kind}")
-        if not np.array_equal(f.times, r.times):
-            raise ValueError(f"{fp}: time grid differs from {rp}")
+    times, _ = grid = run_grid(ep)
+    stacks, info, _ = _load_stacks(base_dir, cfg.n_records, grid)
+    (m_f, v_f), (m_r, w) = stacks["Filtered"], stacks["Retrofiltered"]
+    pairs = [(Trajectory(times, m_f[i], v_f, "Filtered"),
+              Trajectory(times, m_r[i], w, "Retrofiltered", info=info[i]))
+             for i in range(cfg.n_records)]
     for kind in cfg.targets:
         tgt = target_spec(kind, ep)
         out_dir = base_dir / "smoothed" / kind
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, (f, r) in enumerate(zip(filtered, retro)):
+        for i, (f, r) in enumerate(pairs):
             s = smooth_general(f, r, tgt)
             recordio.write_trajectory_csv(s, _indexed(out_dir, "smoothed", i,
                                                       "csv"))
-        log(f"smooth: target {kind}: wrote {len(filtered)} trajectories")
+        log(f"smooth: target {kind}: wrote {len(pairs)} trajectories")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +341,9 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
 
 def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective(cfg)
-    times, stacks, truth = _load_stacks(base_dir, cfg.targets, ep)
+    times, closed = grid = run_grid(ep)
+    stacks, _, truth = _load_stacks(base_dir, cfg.n_records, grid,
+                                    cfg.targets, truth=True)
     stats = consistency_check(stacks, times, ep)
 
     analysis = base_dir / "analysis"
@@ -326,8 +353,6 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     hs_rows: dict = {}
     hs_mean: dict = {}
     if truth is not None:
-        n = truth.shape[1] - 1
-        v_f, w = stacks["Filtered"][1], stacks["Retrofiltered"][1]
         for kind, (means, vw) in stacks.items():
             if kind not in STATE_KINDS or kind == "SmoothedLTL":
                 # the LTL-targeted state is not a truth-consistent
@@ -337,9 +362,9 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
                                   vw[:, None], means.transpose(1, 0, 2))
             emp_mean = emp.mean(axis=1)
             if kind == "ClassicalSmoothed":
-                v_s, _ = combine_arrays(v_f, np.zeros((n + 1, 2)), w,
-                                        np.zeros((n + 1, 2)), 1.0)
-                theory = hs_avg_theory_classical(1.0, v_f, w, v_s, vw)
+                theory = hs_avg_theory_classical(
+                    1.0, closed["Filtered"], closed["Retrofiltered"],
+                    closed["SmoothedTrue"], vw)
             else:
                 theory = 1.0 - 1.0 / vw
             hs_rows[kind] = (emp_mean, theory)
@@ -485,16 +510,6 @@ def _smoothed_scalar(v_f: float, w: float, v_tar: float) -> float:
     return float(v[0])
 
 
-def _smoothing_grids(ep: EffectiveParams, n: int):
-    _, v_f = filter_grid(ep, n)
-    _, w = retro_grid(ep, n)
-    zeros = np.zeros((n + 1, 2))
-    v_st, _ = combine_arrays(v_f, zeros, w, zeros, 1.0)
-    v_sl, _ = combine_arrays(v_f, zeros, w, zeros, TargetSpec.ltl(ep).v_tar)
-    v_cs, _ = combine_arrays(v_f, zeros, w, zeros, 0.0)
-    return v_f, w, v_st, v_sl, v_cs
-
-
 def _crit_filter_ss(ep: EffectiveParams) -> CriterionResult:
     v = v_filter_ss(ep)
     ok = abs(v / 4.7 - 1.0) <= 0.02
@@ -503,8 +518,8 @@ def _crit_filter_ss(ep: EffectiveParams) -> CriterionResult:
 
 
 def _crit_t0_ratios(ep: EffectiveParams) -> CriterionResult:
-    n = int(round(ep.record_duration / ep.dt))
-    v_f, _, _, v_sl, _ = _smoothing_grids(ep, n)
+    _, closed = run_grid(ep)
+    v_f, v_sl = closed["Filtered"], closed["SmoothedLTL"]
     tgt = TargetSpec.ltl(ep)
     t0 = np.array([0.0])
     sd_f = float(std_delta_theory(ep, "Filtered", tgt, t0)[0])
@@ -519,9 +534,8 @@ def _crit_t0_ratios(ep: EffectiveParams) -> CriterionResult:
 
 
 def _crit_true_target(ep: EffectiveParams) -> CriterionResult:
-    n = int(round(ep.record_duration / ep.dt))
-    v_f, _, v_st, _, _ = _smoothing_grids(ep, n)
-    r0 = v_f[0] / v_st[0]
+    _, closed = run_grid(ep)
+    r0 = closed["Filtered"][0] / closed["SmoothedTrue"][0]
     v_ss = v_filter_ss(ep)
     r_ss = v_ss / _smoothed_scalar(v_ss, retro_precision_ss(ep), 1.0)
     ok = r0 > 10.0 and abs(r_ss - 1.43) <= 0.02
@@ -560,26 +574,25 @@ def _crit_injection(study: InjectionStudy) -> CriterionResult:
 
 
 def _main_arrays(ep: EffectiveParams, n_records: int, base_seed: int):
+    """The main ensemble: truth means, time grid, and kind -> (means, vw)
+    as consistency_check takes them."""
     ens = simulate_truth_ensemble(ep, ep.record_duration, n_records,
                                   base_seed)
     truth = ens.means
     times, v_f, w, m_f, z = _estimate_stack(ep, ens.currents)
     del ens  # frees the currents; only the truth means are read again
-    v_st, m_st = combine_arrays(v_f, m_f, w, z, 1.0)
-    v_sl, m_sl = combine_arrays(v_f, m_f, w, z, TargetSpec.ltl(ep).v_tar)
-    v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
-    return (truth, times, v_f, w, z, m_f, (v_st, m_st), (v_sl, m_sl),
-            (v_cs, m_cs))
+    stacks = {"Filtered": (m_f, v_f)}
+    for target in TARGET_KINDS:
+        v, m = combine_arrays(v_f, m_f, w, z, target_spec(target, ep).v_tar)
+        stacks[_TRAJ_KIND[target]] = (m, v)
+    # last, so its stack is not held through the combinations
+    stacks["Retrofiltered"] = (effect_means(w, z, ep), w)
+    return truth, times, stacks
 
 
 def _crit_consistency(ep, arrays) -> CriterionResult:
-    _, times, v_f, w, z, m_f, st, sl, cs = arrays
-    stats = consistency_check({
-        "Filtered": (m_f, v_f),
-        "Retrofiltered": (effect_means(w, z, ep), w),
-        "SmoothedTrue": (st[1], st[0]),
-        "SmoothedLTL": (sl[1], sl[0]),
-        "ClassicalSmoothed": (cs[1], cs[0])}, times, ep)
+    _, times, stacks = arrays
+    stats = consistency_check(stacks, times, ep)
     n = times.shape[0] - 1
     probes = np.unique(np.round(np.linspace(0, n - 1, 20)).astype(int))
     bad = sum(int(stats.outside[kind][probes].sum())
@@ -592,12 +605,13 @@ def _crit_consistency(ep, arrays) -> CriterionResult:
 
 
 def _crit_mse(ep, arrays) -> CriterionResult:
-    truth, times, v_f, w, z, m_f, st, sl, cs = arrays
+    truth, times, stacks = arrays
+    (m_st, v_st), (m_f, v_f) = stacks["SmoothedTrue"], stacks["Filtered"]
     n = times.shape[0] - 1
     lo = int(round(0.7 * n))
     truth = truth[:, lo:, :]
-    rat_s = (np.mean((st[1][:, lo:, :] - truth) ** 2)
-             / np.mean(st[0][lo:] - 1.0))
+    rat_s = (np.mean((m_st[:, lo:, :] - truth) ** 2)
+             / np.mean(v_st[lo:] - 1.0))
     rat_f = (np.mean((m_f[:, lo:, :] - truth) ** 2)
              / np.mean(v_f[lo:] - 1.0))
     ok = abs(rat_s - 1.0) <= 0.05 and abs(rat_f - 1.0) <= 0.05
@@ -664,8 +678,8 @@ def _crit_physicality(n_sets: int = 1000,
         horizon = 8.0 / _relax_rate(ep)
         ep = dataclasses.replace(ep, record_duration=horizon,
                                  dt=horizon / 480.0)
-        _, _, v_st, _, _ = _smoothing_grids(ep, 480)
-        min_vs = min(min_vs, float(v_st.min()))
+        _, closed = run_grid(ep)
+        min_vs = min(min_vs, float(closed["SmoothedTrue"].min()))
     quantum_ok = min_vs >= 1.0 - 1e-9
 
     etas = np.linspace(0.05, 0.95, 20)

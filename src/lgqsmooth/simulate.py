@@ -95,7 +95,8 @@ class TruthBundle:
 
 @dataclass(frozen=True)
 class TruthEnsemble:
-    """Stacked truth bundles: means (N, n+1, 2), currents (N, n, 2)."""
+    """Stacked records and the states behind them: means (N, n+1, 2), the
+    true means or a surrogate's hidden states, and currents (N, n, 2)."""
 
     times: np.ndarray
     means: np.ndarray
@@ -107,27 +108,6 @@ class TruthEnsemble:
     @property
     def n_records(self) -> int:
         return self.means.shape[0]
-
-    def record(self, i: int) -> MeasurementRecord:
-        return MeasurementRecord(self.dt, self.currents[i, :, 0],
-                                 self.currents[i, :, 1], self.eta,
-                                 int(self.seeds[i]))
-
-
-@dataclass(frozen=True)
-class SurrogateEnsemble:
-    """Stacked surrogate draws: hidden states (N, n+1, 2), currents (N, n, 2)."""
-
-    times: np.ndarray
-    hidden: np.ndarray
-    currents: np.ndarray
-    seeds: np.ndarray
-    dt: float
-    eta: float
-
-    @property
-    def n_records(self) -> int:
-        return self.hidden.shape[0]
 
     def record(self, i: int) -> MeasurementRecord:
         return MeasurementRecord(self.dt, self.currents[i, :, 0],
@@ -275,63 +255,35 @@ def simulate_truth_ensemble(ep: EffectiveParams, duration: float,
 # Classical surrogate generator (identical record statistics)
 # ---------------------------------------------------------------------------
 
-def _draw_surrogate(rng: np.random.Generator, n: int,
-                    ep: EffectiveParams) -> tuple[np.ndarray, np.ndarray]:
-    x0 = rng.normal(0.0, math.sqrt(ep.sigma2_uncon), 2)
-    dw = rng.normal(0.0, math.sqrt(ep.dt), (n, _SURR_COLS))
-    return x0, dw
-
-
-def _evolve_surrogate(x0: np.ndarray, dw: np.ndarray,
-                      ep: EffectiveParams) -> tuple[np.ndarray, np.ndarray]:
-    n = dw.shape[1]
-    g, dt = ep.gamma_eff, ep.dt
-    f = math.exp(-g * dt / 2.0)
-    g_proc = math.sqrt(2.0 * g * ep.n_tot)
-    g_obs = math.sqrt(ep.meas_rate)
-    hidden = np.empty((x0.shape[0], n + 1, 2))
-    hidden[:, 0] = x0
-    for k in range(n):
-        hidden[:, k + 1] = f * hidden[:, k] + g_proc * dw[:, k, 0:2]
-    currents = g_obs * hidden[:, :n] + dw[:, :, 2:4] / dt
-    return hidden, currents
-
-
-def simulate_surrogate_record(ep: EffectiveParams, duration: float,
-                              seed: int | None = None
-                              ) -> tuple[np.ndarray, MeasurementRecord]:
+def simulate_surrogate_ensemble(ep: EffectiveParams, duration: float,
+                                n_records: int,
+                                base_seed: int) -> TruthEnsemble:
     """Classical Ornstein-Uhlenbeck surrogate with the same record law.
 
     The hidden state is an OU process with the system drift and diffusion;
     the record adds independent measurement noise.  First and second
     moments (and spectra) of the currents match the true-state generator,
-    which is what makes the filtering problem classically equivalent.
+    which is what makes the filtering problem classically equivalent.  Each
+    record draws its initial state, then one ``(n, 4)`` block of process
+    and measurement increments; the states evolve as the true means do, so
+    the ensemble's ``means`` are the hidden states.
     """
     _check_step(ep)
     n = _n_steps(ep, duration)
-    rng = np.random.default_rng(seed)
-    x0, dw = _draw_surrogate(rng, n, ep)
-    hidden, currents = _evolve_surrogate(x0[None], dw[None], ep)
-    record = MeasurementRecord(ep.dt, currents[0, :, 0], currents[0, :, 1],
-                               ep.eta, seed)
-    return hidden[0], record
-
-
-def simulate_surrogate_ensemble(ep: EffectiveParams, duration: float,
-                                n_records: int,
-                                base_seed: int) -> SurrogateEnsemble:
-    """Stacked ensemble of surrogate records (see simulate_truth_ensemble)."""
-    _check_step(ep)
-    n = _n_steps(ep, duration)
     seeds = derive_record_seeds(base_seed, n_records)
+    g_proc = math.sqrt(2.0 * ep.gamma_eff * ep.n_tot)
     x0 = np.empty((n_records, 2))
-    dw = np.empty((n_records, n, _SURR_COLS))
+    kicks = np.empty((n_records, n, 2))
+    noise = np.empty((n_records, n, 2))
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(int(s))
-        x0[i], dw[i] = _draw_surrogate(rng, n, ep)
-    hidden, currents = _evolve_surrogate(x0, dw, ep)
-    times = np.arange(n + 1) * ep.dt
-    return SurrogateEnsemble(times, hidden, currents, seeds, ep.dt, ep.eta)
+        x0[i] = rng.normal(0.0, math.sqrt(ep.sigma2_uncon), 2)
+        dw = rng.normal(0.0, math.sqrt(ep.dt), (n, _SURR_COLS))
+        kicks[i] = g_proc * dw[:, 0:2]
+        noise[i] = dw[:, 2:4] / ep.dt
+    means, currents = _evolve_true(x0, kicks, noise, ep)
+    return TruthEnsemble(np.arange(n + 1) * ep.dt, means, currents, seeds,
+                         ep.dt, ep.eta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Command line behavior: exit codes, output routing, reproducibility."""
 
+import contextlib
+import io
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lgqsmooth import pipeline, recordio
 from lgqsmooth.cli import main
+from lgqsmooth.estimate import KINDS
+from lgqsmooth.smooth import TARGET_KINDS
 from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
 
 TWO_PI = 2.0 * math.pi
@@ -136,7 +145,8 @@ def _estimate_with_short_record(cfg_path, tmp_path, capsys, jobs: str):
                  "--out-dir", str(out), "--jobs", jobs])
     assert code == 1
     err = capsys.readouterr().err
-    assert "estimate: record_00002: 240 samples, record_00000 has 250" in err
+    assert "estimate: record_00002: 240 samples, the config's records " \
+        "have 250" in err
     assert not (out / "estimates" / "filtered_00000.csv").exists()
 
 
@@ -147,6 +157,34 @@ def test_short_record_is_exit_one(cfg_path, tmp_path, capsys):
 def test_short_record_in_worker_pool_is_exit_one(cfg_path, tmp_path,
                                                  capsys):
     _estimate_with_short_record(cfg_path, tmp_path, capsys, "2")
+
+
+@pytest.mark.parametrize("defect", ["first record cut by 10 rows",
+                                    "record file deleted",
+                                    "record_us edited after simulate"])
+def test_estimate_input_error_names_path(cfg_path, tmp_path, capsys, defect):
+    # the config, not another record, gives the count and the length
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(out)]) == 0
+    records = out / "records"
+    victim = "estimate: record_00000"
+    if defect == "first record cut by 10 rows":
+        path = records / "record_00000.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:-10]) + "\n")
+        for stale in records.glob("record_*.bin"):
+            stale.unlink()
+    elif defect == "record file deleted":
+        (records / "record_00002.bin").unlink()
+        victim = records
+    else:
+        cfg_path.write_text(CONFIG.replace("record_us = 250",
+                                           "record_us = 200"))
+    capsys.readouterr()
+    code = main(["estimate", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    assert f"lgqsmooth: error: {victim}: " in capsys.readouterr().err
+    assert not (out / "estimates").exists()
 
 
 def test_simulate_refuses_earlier_run(cfg_path, tmp_path, capsys):
@@ -184,7 +222,8 @@ def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("defect", ["filtered file cut by one row",
-                                    "retro file of another kind"])
+                                    "retro file of another kind",
+                                    "record_us edited after estimate"])
 def test_smooth_input_error_names_path(cfg_path, tmp_path, capsys, defect):
     out = tmp_path / "run"
     for cmd in ("simulate", "estimate"):
@@ -194,6 +233,10 @@ def test_smooth_input_error_names_path(cfg_path, tmp_path, capsys, defect):
         victim = out / "estimates" / "filtered_00002.csv"
         text = victim.read_text().splitlines()
         victim.write_text("\n".join(text[:-1]) + "\n")
+    elif defect == "record_us edited after estimate":
+        cfg_path.write_text(CONFIG.replace("record_us = 250",
+                                           "record_us = 200"))
+        victim = out / "estimates" / "filtered_00000.csv"
     else:
         victim = out / "estimates" / "retro_00001.csv"
         victim.write_text(victim.read_text().replace(",Retrofiltered,",
@@ -206,7 +249,9 @@ def test_smooth_input_error_names_path(cfg_path, tmp_path, capsys, defect):
 
 
 @pytest.mark.parametrize("defect", ["smoothed file cut by one row",
+                                    "first filtered file cut by one row",
                                     "truth file deleted",
+                                    "smoothed directory deleted",
                                     "smoothed file of another kind",
                                     "first smoothed file of another kind",
                                     "smoothed directory of another kind",
@@ -215,9 +260,11 @@ def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
     out = tmp_path / "run"
     run_all(cfg_path, out)
     smoothed = out / "smoothed" / "TrueState"
-    if defect == "smoothed file cut by one row":
+    if defect.endswith("file cut by one row"):
         # the first file of its directory, so only the run's grid can tell
         victim = smoothed / "smoothed_00000.csv"
+        if defect.startswith("first filtered"):
+            victim = out / "estimates" / "filtered_00000.csv"
         text = victim.read_text().splitlines()
         victim.write_text("\n".join(text[:-1]) + "\n")
     elif defect == "first smoothed file's vw scaled by 1.5":
@@ -233,6 +280,9 @@ def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
     elif defect == "truth file deleted":
         (out / "truth" / "truth_00001.csv").unlink()
         victim = out / "truth"
+    elif defect == "smoothed directory deleted":
+        victim = out / "smoothed" / "Classical"
+        shutil.rmtree(victim)
     else:
         paths = sorted(smoothed.glob("smoothed_*.csv"))
         if defect == "smoothed file of another kind":
@@ -248,6 +298,74 @@ def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
     code = main(["analyze", "--config", str(cfg_path), "--out-dir", str(out)])
     assert code == 1
     assert f"lgqsmooth: error: {victim}: " in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """A finished 4-record run and its config, shared and never modified."""
+    base = tmp_path_factory.mktemp("clean")
+    cfg = base / "run.ini"
+    cfg.write_text(CONFIG)
+    run_all(cfg, base / "run")
+    return cfg, base / "run"
+
+
+_TRAJ_FILES = tuple(
+    [f"estimates/{stem}_{i:05d}.csv" for stem in ("filtered", "retro")
+     for i in range(4)]
+    + [f"smoothed/{t}/smoothed_{i:05d}.csv" for t in TARGET_KINDS
+       for i in range(4)])
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(rel=st.sampled_from(_TRAJ_FILES),
+       defect=st.sampled_from(["truncate", "time", "kind", "vw", "text"]),
+       row=st.integers(1, 251),
+       number=st.floats(),
+       kind=st.sampled_from(KINDS + ("", "filtered")),
+       column=st.sampled_from([0, 2, 3, 4, 5, 6]),
+       word=st.text("abcdefinxyz.-+ ", max_size=6).filter(_not_a_number))
+def test_corrupt_trajectory_is_exit_one(clean_run, rel, defect, row, number,
+                                        kind, column, word):
+    # estimates/ are checked by smooth, smoothed/ by analyze; each file
+    # has a header and 251 rows
+    cfg, clean = clean_run
+    with tempfile.TemporaryDirectory() as td:
+        out = Path(td) / "run"
+        shutil.copytree(clean, out)
+        victim = out / rel
+        lines = victim.read_text().splitlines()
+        if defect == "truncate":
+            lines = lines[:row]  # the header and 0 to 250 rows
+        else:
+            fields = lines[row].split(",")
+            if defect == "text":
+                fields[column] = word
+            elif defect == "kind":
+                assume(kind != fields[1])
+                fields[1] = kind
+            else:
+                col = 0 if defect == "time" else 4
+                assume(number != float(fields[col]))
+                fields[col] = repr(number)
+            lines[row] = ",".join(fields)
+        victim.write_text("\n".join(lines) + "\n")
+        stage = "smooth" if rel.startswith("estimates") else "analyze"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([stage, "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 1, err.getvalue()
+    assert (f"lgqsmooth: error: {victim}: " in err.getvalue()
+            or f"lgqsmooth: error: {victim.parent}: " in err.getvalue()), \
+        err.getvalue()
 
 
 def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):

@@ -70,15 +70,15 @@ def test_records_match_direct_simulation(run_dir, small_cfg):
 
 def test_smoothed_outputs_valid(run_dir, small_cfg):
     ep = pipeline.effective(small_cfg)
-    trajs = pipeline.load_trajectories(run_dir / "smoothed" / "TrueState",
-                                       "smoothed")
-    filt = pipeline.load_trajectories(run_dir / "estimates", "filtered")
-    for s, f in zip(trajs, filt):
-        assert s.kind == "SmoothedTrue"
-        assert np.isfinite(s.mean).all()
-        # smoothing never inflates the covariance and respects the target
-        assert (s.vw <= f.vw + 1e-12).all()
-        assert (s.vw >= 1.0 - 1e-12).all()
+    # the reader checks each file's kind and its vw against the closed form
+    stacks, _, _ = pipeline._load_stacks(run_dir, small_cfg.n_records,
+                                         pipeline.run_grid(ep),
+                                         ("TrueState",))
+    means, v_s = stacks["SmoothedTrue"]
+    assert np.isfinite(means).all()
+    # smoothing never inflates the covariance and respects the target
+    assert (v_s <= stacks["Filtered"][1] + 1e-12).all()
+    assert (v_s >= 1.0 - 1e-12).all()
 
 
 def test_analyze_tables(run_dir, small_cfg):
@@ -106,11 +106,11 @@ def test_parallel_estimate_is_bitwise_identical(small_cfg, run_dir,
         assert a == b, name
 
 
-def test_load_records_requires_files(tmp_path):
+def test_load_records_requires_files(tmp_path, ref_ep):
     with pytest.raises(FileNotFoundError):
         pipeline.load_records(tmp_path)
     with pytest.raises(FileNotFoundError):
-        pipeline.load_trajectories(tmp_path, "filtered")
+        pipeline._load_stacks(tmp_path, 1, pipeline.run_grid(ref_ep))
 
 
 def test_stage_inject(run_dir, small_cfg, tmp_path):

@@ -11,7 +11,6 @@ from lgqsmooth import (
     EffectiveParams,
     MeasurementRecord,
     simulate_surrogate_ensemble,
-    simulate_surrogate_record,
     simulate_true_and_record,
     simulate_truth_ensemble,
 )
@@ -106,15 +105,6 @@ def test_truth_stream_blocks_concatenate_to_ensemble(ref_ep, n_records,
     assert np.array_equal(_bits(currents), _bits(ens.currents))
 
 
-def test_surrogate_ensemble_slices_bit_identical(ref_ep):
-    ens = simulate_surrogate_ensemble(ref_ep, 40e-6, 5, base_seed=77)
-    for i in (0, 4):
-        hidden, rec = simulate_surrogate_record(ref_ep, 40e-6,
-                                                seed=int(ens.seeds[i]))
-        assert np.array_equal(ens.hidden[i], hidden)
-        assert np.array_equal(ens.currents[i], rec.currents)
-
-
 def test_derive_record_seeds():
     s1 = derive_record_seeds(42, 1000)
     s2 = derive_record_seeds(42, 1000)
@@ -205,7 +195,7 @@ def test_surrogate_hidden_stationary_variance():
     target = ep.sigma2_uncon
     tol = 4.0 * math.sqrt(2.0 / (n_rec - 1)) * target
     for k in (0, 30):
-        var = ens.hidden[:, k].var(axis=0, ddof=1)
+        var = ens.means[:, k].var(axis=0, ddof=1)
         assert np.all(np.abs(var - target) < tol)
 
 

@@ -1,5 +1,6 @@
 """Smoother checks: exact limits, frozen values, statistical consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,18 @@ from lgqsmooth.estimate import (
     retro_grid,
     retro_info,
 )
-from lgqsmooth.model import retro_precision_ss, ss_approximations
+from lgqsmooth.model import (
+    retro_precision_ss,
+    shup_violation_predicted,
+    ss_approximations,
+)
+from lgqsmooth.pipeline import _estimate_stack
 from lgqsmooth.smooth import combine_arrays, z_values
-from lgqsmooth.simulate import simulate_true_and_record
+from lgqsmooth.simulate import (
+    simulate_surrogate_ensemble,
+    simulate_true_and_record,
+    simulate_truth_ensemble,
+)
 
 from conftest import random_effective_params
 
@@ -276,3 +286,92 @@ def test_classical_mse_exceeds_quantum(ref_ep, main_truth, smoothed_ensembles):
     se = gap.std(ddof=1) / math.sqrt(2 * n_rec)
     assert gap.mean() > 0
     assert abs(gap.mean() - theory) < 4.0 * se
+
+
+# ---------------------------------------------------------------------------
+# classical surrogate: Monte Carlo of the classical smoother
+# ---------------------------------------------------------------------------
+
+def _window_means(per_sample: np.ndarray) -> list[tuple[float, float]]:
+    """Mean and standard error of (N, n+1) per-sample values over the
+    first, middle and last tenth of the record; the se comes from the
+    spread of the per-record window means."""
+    n = per_sample.shape[1] - 1
+    out = []
+    for lo, hi in ((0, n // 10), (9 * n // 20, 11 * n // 20),
+                   (9 * n // 10, n + 1)):
+        r = per_sample[:, lo:hi].mean(axis=1)
+        out.append((float(r.mean()), float(r.std(ddof=1) / math.sqrt(
+            r.shape[0]))))
+    return out
+
+
+def _surrogate_estimates(ep, base_seed):
+    ens = simulate_surrogate_ensemble(ep, ep.record_duration, 2000,
+                                      base_seed)
+    _, v_f, w, m_f, z = _estimate_stack(ep, ens.currents)
+    v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
+    return ens.means, (m_f, v_f), (m_cs, v_cs)
+
+
+def test_surrogate_mse_equals_filter_and_classical_covariances(ref_ep):
+    """For a classical hidden state with the record law of the quantum
+    system, the filter and the classical two-filter smoother (Fraser &
+    Potter 1969) are the optimal estimators: their mean-square errors are
+    v_F and v_cS."""
+    hidden, filtered, classical = _surrogate_estimates(ref_ep, 20240611)
+    for name, (means, v) in (("filtered", filtered),
+                             ("classical", classical)):
+        per = ((means - hidden) ** 2).mean(axis=-1) / v
+        for k, (ratio, se) in enumerate(_window_means(per)):
+            assert abs(ratio - 1.0) < 4.0 * se, \
+                f"{name}, window {k}: MSE / v = {ratio:.4f} +- {se:.4f}"
+
+
+def test_surrogate_classical_mse_below_ground_state(ref_ep):
+    """Where the predicate says so, the classical smoother estimates a
+    classical hidden state with a mean-square error below 1, the bound no
+    quantum state estimate can pass."""
+    ep = dataclasses.replace(ref_ep, n_th_eff=5.0, coop_eff=20.0, eta=0.9)
+    assert shup_violation_predicted(ep)
+    hidden, _, (m_cs, _) = _surrogate_estimates(ep, 20240612)
+    mse, se = _window_means(((m_cs - hidden) ** 2).mean(axis=-1))[1]
+    assert mse < 1.0 - 4.0 * se, f"classical MSE {mse:.4f} +- {se:.4f}"
+
+
+# ---------------------------------------------------------------------------
+# nondifferentiability: quadratic variation against the sample period
+# ---------------------------------------------------------------------------
+
+def test_quantum_estimates_nondifferentiable_classical_smooth(ref_ep):
+    """Mean squared increment per dt over the middle third of 400 records.
+
+    Quantum noise gives the filtered and the LTL-smoothed means a
+    quadratic variation that does not depend on dt: their rate stays flat.
+    The classical smoothed mean is differentiable, so its rate falls in
+    proportion to dt: log-log slope 1."""
+    dts = (1e-6, 0.5e-6, 0.25e-6)
+    rates: dict = {"Filtered": [], "SmoothedLTL": [], "ClassicalSmoothed": []}
+    for j, dt in enumerate(dts):
+        ep = dataclasses.replace(ref_ep, dt=dt)
+        ens = simulate_truth_ensemble(ep, ep.record_duration, 400,
+                                      base_seed=20240901 + j)
+        times, v_f, w, m_f, z = _estimate_stack(ep, ens.currents)
+        del ens
+        n = times.shape[0] - 1
+        mid = slice(n // 3, 2 * n // 3 + 1)
+        for kind, means in (
+                ("Filtered", m_f),
+                ("SmoothedLTL",
+                 combine_arrays(v_f, m_f, w, z, v_filter_ss(ep))[1]),
+                ("ClassicalSmoothed", combine_arrays(v_f, m_f, w, z, 0.0)[1])):
+            per = (np.diff(means[:, mid], axis=1) ** 2).mean(axis=(1, 2)) / dt
+            rates[kind].append((per.mean(), per.std(ddof=1)
+                                / math.sqrt(per.shape[0])))
+    for kind in ("Filtered", "SmoothedLTL"):
+        r0, se0 = rates[kind][0]
+        for r, se in rates[kind][1:]:
+            assert abs(r - r0) < 4.0 * math.hypot(se, se0), (kind, rates[kind])
+    slope = np.polyfit(np.log(dts), np.log(
+        [r for r, _ in rates["ClassicalSmoothed"]]), 1)[0]
+    assert abs(slope - 1.0) < 0.2, (slope, rates["ClassicalSmoothed"])
