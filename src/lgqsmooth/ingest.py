@@ -7,6 +7,19 @@ quadrature pair embedded as ``I1 sqrt(2) cos(wt) + I2 sqrt(2) sin(wt)``
 round-trips at unit gain.  The Butterworth filter is applied causally, so
 outputs carry its startup transient and group delay; callers discard the
 transient window.
+
+The low-pass is designed in numpy along the zpk steps of SciPy's
+``butter`` (analog prototype, tan prewarp at the internal fs = 2, bilinear
+transform), so demodulation needs no scipy.  It runs as a cascade of
+sections, one per conjugate pole pair (and one for the real pole of an odd
+order), each normalized to unit DC gain.  A section's output is
+``d x + 2 Re(y)`` with the complex first-order recurrence
+``y_k = p y_{k-1} + r x_k`` (partial fractions of the section).  That
+recurrence is evaluated in blocks of L samples: within a block the
+response from rest is ``p^j cumsum(r x_j p^-j)``, and the states entering
+the blocks follow the same recurrence with pole ``p^L``, solved the same
+way.  L keeps ``|p|^-L`` bounded.  The trace is mixed and filtered in time
+chunks whose section states carry over, so memory stays bounded too.
 """
 
 from __future__ import annotations
@@ -80,15 +93,107 @@ def normalize_shot_noise(raw: RawTrace, shot_level: float) -> RawTrace:
 
 
 def demod_filter(bw_3db: float, order: int, fs: float):
-    """Coefficients (b, a) of the causal low-pass used by demodulate."""
+    """Zeros, poles and gain of the causal low-pass used by demodulate.
+
+    The same arithmetic as SciPy's ``butter(order, bw_3db, fs=fs,
+    output="zpk")``, so the values match it bit for bit."""
     if not _MIN_ORDER <= order <= _MAX_ORDER:
         raise ValueError(f"order must be in [{_MIN_ORDER}, {_MAX_ORDER}]")
     if bw_3db <= 0 or bw_3db >= fs / 2:
         raise ValueError("bw_3db must lie below the input Nyquist rate")
-    # scipy.signal costs about a second to import; only demod needs it
-    from scipy import signal as sps
+    wn = np.float64(bw_3db) / (fs / 2)
+    # analog prototype; the middle pole of an odd order is exactly real
+    m = np.arange(-order + 1, order, 2, dtype=float)
+    p = -np.exp(1j * np.pi * m / (2 * order))
+    # move the cutoff to the frequency prewarped for the internal fs = 2
+    warped = float(4.0 * np.tan(np.pi * wn / 2.0))
+    p = warped * p
+    # bilinear transform; the zeros at infinity land on z = -1
+    k = warped ** order * np.real(1.0 / np.prod(4.0 - p))
+    return -np.ones(order), (4.0 + p) / (4.0 - p), k
 
-    return sps.butter(order, bw_3db, btype="low", fs=fs)
+
+# |p|^-L of a block stays below this, so the weights p^-j stay finite
+_MAX_GROWTH = 1e8
+# trace samples mixed and filtered at a time (rounded to a stride multiple)
+_CHUNK = 1 << 18
+
+
+def _block_len(p: complex) -> int:
+    decay = -math.log(abs(p))
+    return max(1, int(math.log(_MAX_GROWTH) / decay))
+
+
+def _recurrence(p: complex, x: np.ndarray, c: np.ndarray,
+                r: complex = 1.0) -> np.ndarray:
+    """``y_k = p y_{k-1} + r x_k`` along the last axis of x from
+    y_{-1} = c."""
+    n = x.shape[-1]
+    length = min(n, _block_len(p))
+    if length <= 1:
+        y = np.empty(x.shape, dtype=complex)
+        for k in range(n):
+            c = p * c + r * x[..., k]
+            y[..., k] = c
+        return y
+    log_p = np.log(p)
+    j = np.arange(1, length + 1)
+    n_blocks = -(-n // length)
+    y = np.zeros(x.shape[:-1] + (n_blocks * length,), dtype=complex)
+    y[..., :n] = x
+    y = y.reshape(x.shape[:-1] + (n_blocks, length))
+    y *= r * np.exp(-j * log_p)
+    np.cumsum(y, axis=-1, out=y)
+    # with j from 0 in a block: y_j = p^(j+1) (entering state + running sum)
+    p_block = np.exp(length * log_p)
+    enter = np.empty(x.shape[:-1] + (n_blocks,), dtype=complex)
+    enter[..., 0] = c
+    enter[..., 1:] = _recurrence(p_block, y[..., :-1, -1], c, p_block)
+    y += enter[..., None]
+    y *= np.exp(j * log_p)
+    return y.reshape(x.shape[:-1] + (-1,))[..., :n]
+
+
+class Lowpass:
+    """A :func:`demod_filter` design run as a cascade of first-order
+    complex sections (see the module docstring).  Each call filters the
+    next chunk of ``(rows, n)`` samples and carries the section states
+    over, so chunks fed in turn give the output of the whole trace.
+
+    The zeros are taken to be Butterworth's, all at z = -1.  The partial
+    fractions divide by the poles, which demodulate's conditions keep
+    near 1 (the band lies below fs / 20)."""
+
+    def __init__(self, zpk, rows: int):
+        _, poles, k = zpk
+        sections, gains = [], []
+        for p in poles[poles.imag >= 0]:
+            if p.imag > 0:
+                # (1 + w)^2 / ((1 - p w)(1 - conj(p) w)) at unit DC gain
+                g = abs(1.0 - p) ** 2 / 4.0
+                d = g / abs(p) ** 2
+                r = g * (1.0 + 1.0 / p) ** 2 / (1.0 - p.conjugate() / p)
+            else:
+                # (1 + w) / (1 - p w); half the residue, as 2 Re(y) is used
+                p = p.real
+                g = (1.0 - p) / 2.0
+                d = -g / p
+                r = g * (1.0 + 1.0 / p) / 2.0
+            sections.append((p, r, d))
+            gains.append(g)
+        # the gain left over (1 up to rounding) goes to the first section
+        p, r, d = sections[0]
+        corr = k / math.prod(gains)
+        sections[0] = (p, r * corr, d * corr)
+        self._sections = sections
+        self._states = np.zeros((len(sections), rows), dtype=complex)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        for i, (p, r, d) in enumerate(self._sections):
+            y = _recurrence(p, x, self._states[i], r)
+            self._states[i] = y[..., -1]
+            x = d * x + 2.0 * y.real
+        return x
 
 
 def demodulate(raw: RawTrace, omega: float, bw_3db: float = DEFAULT_BW_3DB,
@@ -117,17 +222,21 @@ def demodulate(raw: RawTrace, omega: float, bw_3db: float = DEFAULT_BW_3DB,
     # anti-alias margin for stride decimation
     if bw_3db > 0.25 / dt_out:
         raise ValueError("bw_3db too large for the decimated rate")
-    b, a = demod_filter(bw_3db, order, raw.fs)
+    lowpass = Lowpass(demod_filter(bw_3db, order, raw.fs), rows=2)
     if raw.duration < 5.0 / (2.0 * math.pi * bw_3db):
         raise ValueError("trace shorter than the demodulation transient")
 
-    from scipy import signal as sps
-
-    t = raw.times
     root2 = math.sqrt(2.0)
-    y1 = sps.lfilter(b, a, raw.samples * (root2 * np.cos(omega * t)))
-    y2 = sps.lfilter(b, a, raw.samples * (root2 * np.sin(omega * t)))
-    return MeasurementRecord(dt=dt_out, i1=y1[::stride], i2=y2[::stride])
+    out = np.empty((2, -(-raw.n // stride)))
+    step = max(1, _CHUNK // stride) * stride
+    for lo in range(0, raw.n, step):
+        x = raw.samples[lo:lo + step]
+        phase = omega * (np.arange(lo, lo + x.shape[0]) / raw.fs)
+        y = lowpass(np.stack((x * (root2 * np.cos(phase)),
+                              x * (root2 * np.sin(phase)))))
+        out[:, lo // stride:(lo + x.shape[0] - 1) // stride + 1] = \
+            y[:, ::stride]
+    return MeasurementRecord(dt=dt_out, i1=out[0], i2=out[1])
 
 
 def segment(rec: MeasurementRecord, record_len: float,

@@ -144,14 +144,32 @@ def _write_records(records, directory: Path, formats) -> None:
 
 
 def load_records(directory: Path) -> list[MeasurementRecord]:
+    """Read ``record_00000`` to ``record_<N-1>`` from a directory, the
+    ``.bin`` files where there are any, else the ``.csv`` files.
+
+    Each format present must hold every index from 0 to the largest in
+    either format; a ValueError names the directory and the first missing
+    file."""
     directory = Path(directory)
-    paths = sorted(directory.glob("record_*.bin"))
-    if paths:
-        return [recordio.read_record_bin(p) for p in paths]
-    paths = sorted(directory.glob("record_*.csv"))
-    if not paths:
+    indices = {}
+    for ext in ("bin", "csv"):
+        stems = (p.stem[len("record_"):]
+                 for p in directory.glob(f"record_*.{ext}"))
+        indices[ext] = {int(s) for s in stems if s.isdigit()}
+    present = [ext for ext in ("bin", "csv") if indices[ext]]
+    if not present:
         raise FileNotFoundError(f"no record files under {directory}")
-    return [recordio.read_record_csv(p) for p in paths]
+    n = 1 + max(max(indices[ext]) for ext in present)
+    for i in range(n):
+        for ext in present:
+            if i not in indices[ext]:
+                raise ValueError(
+                    f"{directory}: record_{i:05d}.{ext} is missing, though "
+                    f"record_{n - 1:05d} exists")
+    read = recordio.read_record_bin if present[0] == "bin" \
+        else recordio.read_record_csv
+    return [read(_indexed(directory, "record", i, present[0]))
+            for i in range(n)]
 
 
 def _indexed_paths(directory: Path, stem: str) -> list[Path]:
@@ -411,6 +429,13 @@ def stage_demod(trace_path: Path, out_dir: Path, omega: float,
     else:
         raw = recordio.read_raw_csv(trace_path)
     rec = demodulate(raw, omega, bw_3db=bw_3db, order=order, dt_out=dt_out)
+    # segment's arithmetic; the trace sample behind each output is stride
+    need = int(round(discard / dt_out)) + int(round(record_len / dt_out))
+    if rec.n < need:
+        stride = int(round(raw.fs * dt_out))
+        raise ValueError(
+            f"{trace_path}: {raw.n} samples, one record after the discard "
+            f"needs {(need - 1) * stride + 1}")
     parts = segment(rec, record_len, discard=discard)
     _write_records(parts, Path(out_dir), formats)
     log(f"demod: wrote {len(parts)} records")
@@ -714,9 +739,7 @@ def _crit_vacf(study: InjectionStudy) -> CriterionResult:
 
 
 def _crit_demod(omega: float) -> CriterionResult:
-    from scipy.signal import lfilter
-
-    from .ingest import DEFAULT_BW_3DB, demod_filter, demodulate
+    from .ingest import DEFAULT_BW_3DB, Lowpass, demod_filter, demodulate
 
     fs = 5.0e6
     dt = 1.0e-6
@@ -734,10 +757,9 @@ def _crit_demod(omega: float) -> CriterionResult:
          + np.mean((out.i2[k0:n] - i2[k0:]) ** 2))
         / (np.mean(i1[k0:] ** 2) + np.mean(i2[k0:] ** 2)))
 
-    b, a = demod_filter(DEFAULT_BW_3DB, 4, fs)
-    imp = np.zeros(int(round(600e-6 * fs)))
-    imp[0] = 1.0
-    h = np.abs(lfilter(b, a, imp))
+    imp = np.zeros((1, int(round(600e-6 * fs))))
+    imp[0, 0] = 1.0
+    h = np.abs(Lowpass(demod_filter(DEFAULT_BW_3DB, 4, fs), rows=1)(imp)[0])
     tail = float(h[int(round(400e-6 * fs)):].max() / h.max())
     ok = err < 0.05 and tail < 1e-3
     return CriterionResult(

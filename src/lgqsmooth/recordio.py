@@ -113,9 +113,10 @@ def read_record_bin(path) -> MeasurementRecord:
         if len(header) != 32:
             raise ValueError(f"{path}: truncated header")
         dt, n, eta, seed = struct.unpack("<dQdq", header)
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    if body.shape[0] != 2 * n:
+        data = fh.read()
+    if len(data) != 16 * n:
         raise ValueError(f"{path}: truncated body")
+    body = np.frombuffer(data, dtype="<f8")
     try:
         return MeasurementRecord(
             dt=dt, i1=body[0::2].copy(), i2=body[1::2].copy(),
@@ -214,9 +215,10 @@ def read_raw_bin(path) -> RawTrace:
         if len(header) != 16:
             raise ValueError(f"{path}: truncated header")
         fs, n = struct.unpack("<dQ", header)
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    if body.shape[0] != n:
+        data = fh.read()
+    if len(data) != 8 * n:
         raise ValueError(f"{path}: truncated body")
+    body = np.frombuffer(data, dtype="<f8")
     try:
         return RawTrace(fs=fs, samples=body.copy())
     except ValueError as exc:

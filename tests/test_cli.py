@@ -4,17 +4,19 @@ import contextlib
 import io
 import math
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lgqsmooth import pipeline, recordio
 from lgqsmooth.cli import main
 from lgqsmooth.estimate import KINDS
+from lgqsmooth.ingest import RawTrace
 from lgqsmooth.smooth import TARGET_KINDS
 from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
 
@@ -368,6 +370,69 @@ def test_corrupt_trajectory_is_exit_one(clean_run, rel, defect, row, number,
         err.getvalue()
 
 
+_BIN_HEADER = 36  # magic, then dt, n, eta and seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(rel=st.sampled_from(
+           [f"records/record_{i:05d}.bin" for i in range(4)]
+           + [f"truth/truth_{i:05d}.csv" for i in range(4)]),
+       defect=st.sampled_from(["header", "body", "dt", "text"]),
+       cut=st.integers(0, 2 ** 16),
+       row=st.integers(1, 251),
+       number=st.floats(),
+       word=st.text("abcdefinxyz.-+ ", max_size=6).filter(_not_a_number))
+@example(rel="records/record_00001.bin", defect="body", cut=13, row=1,
+         number=0.0, word="x")
+def test_corrupt_record_or_truth_is_exit_one(clean_run, rel, defect, cut, row,
+                                             number, word):
+    # records/ are read by estimate (the .bin files, as both formats
+    # exist), truth/ by analyze; a truth file has a header and 251 rows
+    cfg, clean = clean_run
+    with tempfile.TemporaryDirectory() as td:
+        out = Path(td) / "run"
+        shutil.copytree(clean, out)
+        victim = out / rel
+        if victim.suffix == ".bin":
+            data = bytearray(victim.read_bytes())
+            # cut at any byte, mid-sample too
+            if defect == "header":
+                data = data[:cut % _BIN_HEADER]
+            elif defect == "body":
+                data = data[:_BIN_HEADER + cut % (len(data) - _BIN_HEADER)]
+            elif defect == "dt":
+                # a dt within the 1e-9 relative tolerance is no defect
+                assume(not abs(number - 1e-6) <= 1e-15)
+                data[4:12] = struct.pack("<d", number)
+            else:
+                assume(False)  # every binary field is a number
+            victim.write_bytes(bytes(data))
+        else:
+            lines = victim.read_text().splitlines()
+            if defect == "header":
+                lines[0] = lines[0][:cut % len(lines[0])]
+            elif defect == "body":
+                lines = lines[:row]  # the header and 0 to 250 rows
+            else:
+                fields = lines[row].split(",")
+                if defect == "dt":
+                    assume(number != float(fields[0]))
+                    fields[0] = repr(number)
+                else:
+                    fields[cut % 3] = word
+                lines[row] = ",".join(fields)
+            victim.write_text("\n".join(lines) + "\n")
+        stage = "estimate" if rel.startswith("records") else "analyze"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([stage, "--config", str(cfg), "--out-dir", str(out)])
+    # estimate's own record checks name the record, not its path
+    assert code == 1, err.getvalue()
+    assert (f"lgqsmooth: error: {victim}: " in err.getvalue()
+            or f"lgqsmooth: error: estimate: {victim.stem}: "
+            in err.getvalue()), err.getvalue()
+
+
 def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
@@ -414,6 +479,39 @@ def test_inject_subcommand(cfg_path, tmp_path, capsys):
                  "--eta-old", "0.5", "--eta-new", "0.1"])
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_inject_refuses_a_gap_in_the_records(cfg_path, tmp_path, capsys):
+    # the .csv of the deleted .bin stays; neither format may be read
+    # around the gap
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(out)]) == 0
+    (out / "records" / "record_00001.bin").unlink()
+    capsys.readouterr()
+    code = main(["inject", "--records", str(out / "records"),
+                 "--out-dir", str(tmp_path / "inj"), "--formats", "bin",
+                 "--eta-old", "0.38", "--eta-new", "0.1", "--seed", "9"])
+    assert code == 1
+    assert f"lgqsmooth: error: {out / 'records'}: record_00001.bin is " \
+        "missing" in capsys.readouterr().err
+    assert not (tmp_path / "inj").exists()
+
+
+def test_demod_too_short_trace_is_exit_one(tmp_path, capsys):
+    # 20000 samples at 5 MHz are 4000 us, all of the default discard; one
+    # 750 us record after it needs output sample 4749, trace sample 23745
+    rng = np.random.default_rng(8)
+    trace = tmp_path / "trace.bin"
+    recordio.write_raw_bin(RawTrace(fs=5e6, samples=rng.normal(size=20000)),
+                           trace)
+    code = main(["demod", "--trace", str(trace),
+                 "--out-dir", str(tmp_path / "records"),
+                 "--omega-hz", "1.04e6"])
+    assert code == 1
+    assert f"lgqsmooth: error: {trace}: 20000 samples, one record after " \
+        "the discard needs 23746" in capsys.readouterr().err
+    assert not (tmp_path / "records").exists()
 
 
 def test_demod_subcommand(tmp_path):
@@ -474,14 +572,21 @@ rec = MeasurementRecord(1e-6, 100.0 * np.cos(2 * math.pi * 500.0 * t),
                         np.zeros_like(t))
 raw = synthesize_raw(rec, 2 * math.pi * 2.0e5, 1.0e6, seed=21)
 out = demodulate(raw, 2 * math.pi * 2.0e5, bw_3db=30e3)
+after_demod = [m for m in ("scipy.signal",) if m in sys.modules]
+from lgqsmooth.pipeline import _crit_demod
+crit = _crit_demod(2 * math.pi * 1.04e6)
 print(json.dumps({"loaded": loaded, "n": out.n,
-                  "finite": bool(np.isfinite(out.i1).all())}))
+                  "finite": bool(np.isfinite(out.i1).all()),
+                  "after_demod": after_demod, "crit_passed": crit.passed,
+                  "after_crit": [m for m in ("scipy.signal",)
+                                 if m in sys.modules]}))
 """
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc == {"loaded": [], "n": 1500, "finite": True}
+    assert doc == {"loaded": [], "n": 1500, "finite": True,
+                   "after_demod": [], "crit_passed": True, "after_crit": []}
 
 
 def test_report_leaves_scipy_to_the_side_process(tmp_path):

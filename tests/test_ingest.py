@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
-from lgqsmooth import v_filter_ss
+from lgqsmooth import ingest, v_filter_ss
 from lgqsmooth.estimate import filter_grid, filter_means, innovations
 from lgqsmooth.ingest import (
+    Lowpass,
     RawTrace,
     demod_filter,
     demodulate,
@@ -113,14 +116,92 @@ def test_round_trip_on_band_limited_record(ref_params):
 
 
 def test_impulse_response_vanishes_by_transient():
-    b, a = demod_filter(56.5e3, 4, FS)
+    design = demod_filter(56.5e3, 4, FS)
     n = int(3e-3 * FS)
     x = np.zeros(n)
     x[0] = 1.0
-    h = sps.lfilter(b, a, x)
+    h = Lowpass(design, rows=1)(x[None])[0]
     peak = np.abs(h).max()
+    assert np.abs(h - sps.sosfilt(sps.zpk2sos(*design), x)).max() \
+        < 1e-8 * peak
     late = np.arange(n) / FS > 400e-6
     assert np.abs(h[late]).max() < 1e-3 * peak
+
+
+# the tolerance against scipy's sosfilt, relative to the largest output
+SOS_TOL = 1e-8
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_design_is_scipy_butter_bit_for_bit(order):
+    for fs in (1e6, 5e6, 3.3e6):
+        for bw in (250.0, 2e3, 56.5e3, 0.04 * fs, 0.3 * fs):
+            z, p, k = demod_filter(bw, order, fs)
+            z2, p2, k2 = sps.butter(order, bw, fs=fs, output="zpk")
+            assert np.array_equal(z, z2) and np.array_equal(p, p2)
+            assert k == k2
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(2, 8),
+       log_ratio=st.floats(math.log10(5e-5), math.log10(0.05)),
+       n=st.one_of(st.integers(1, 40), st.integers(41, 6000)),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lowpass_matches_sosfilt(order, log_ratio, n, cuts, seed):
+    # 40 samples stay below one block at every validated bandwidth; the
+    # chunks fed in turn must give the output of the whole signal
+    design = demod_filter(10.0 ** log_ratio * FS, order, FS)
+    x = np.random.default_rng(seed).normal(3.0, 1.0, (2, n))
+    edges = sorted({0, n, *(int(c * n) for c in cuts)})
+    lowpass = Lowpass(design, rows=2)
+    y = np.concatenate([lowpass(x[:, lo:hi])
+                        for lo, hi in zip(edges, edges[1:])], axis=1)
+    ref = sps.sosfilt(sps.zpk2sos(*design), x, axis=1)
+    assert np.abs(y - ref).max() <= SOS_TOL * np.abs(ref).max()
+
+
+def _demodulate_with_sosfilt(raw, omega, bw_3db, order, stride):
+    t = raw.times
+    mixed = np.stack((raw.samples * (math.sqrt(2.0) * np.cos(omega * t)),
+                      raw.samples * (math.sqrt(2.0) * np.sin(omega * t))))
+    sos = sps.zpk2sos(*demod_filter(bw_3db, order, raw.fs))
+    return sps.sosfilt(sos, mixed, axis=1)[:, ::stride]
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.integers(2, 8),
+       log_ratio=st.floats(math.log10(5e-5), math.log10(0.04)),
+       chunk=st.integers(1, 4000),
+       extra=st.integers(0, 4000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_demodulate_over_chunks_matches_sosfilt(order, log_ratio, chunk,
+                                                extra, seed):
+    bw = 10.0 ** log_ratio * FS
+    # long enough for the transient check and for more than three chunks
+    n = max(int(1.0 / 10.0 ** log_ratio), 4 * chunk) + extra
+    x = np.random.default_rng(seed).normal(0.0, math.sqrt(FS), n)
+    raw = RawTrace(fs=FS, samples=x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CHUNK", chunk)
+        out = demodulate(raw, OMEGA, bw_3db=bw, order=order)
+    ref = _demodulate_with_sosfilt(raw, OMEGA, bw, order, 5)
+    got = np.stack((out.i1, out.i2))
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= SOS_TOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("order, bw_3db", [(8, 5e3), (6, 2e3)])
+def test_narrow_high_order_demod_is_finite(order, bw_3db):
+    # a direct-form (b, a) filter returns NaN or huge values here
+    n = 100000
+    x = np.random.default_rng(order).normal(0.0, math.sqrt(FS), n)
+    raw = RawTrace(fs=FS, samples=x)
+    out = demodulate(raw, OMEGA, bw_3db=bw_3db, order=order)
+    got = np.stack((out.i1, out.i2))
+    assert np.isfinite(got).all()
+    ref = _demodulate_with_sosfilt(raw, OMEGA, bw_3db, order, 5)
+    assert np.abs(got - ref).max() <= SOS_TOL * np.abs(ref).max()
 
 
 def test_demodulate_is_causal():
