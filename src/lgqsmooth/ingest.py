@@ -172,7 +172,9 @@ class Lowpass:
                 # (1 + w)^2 / ((1 - p w)(1 - conj(p) w)) at unit DC gain
                 g = abs(1.0 - p) ** 2 / 4.0
                 d = g / abs(p) ** 2
-                r = g * (1.0 + 1.0 / p) ** 2 / (1.0 - p.conjugate() / p)
+                # 1 - conj(p) / p written as 2i Im(p) / p: the difference
+                # cancels to about arg(p)^2 in the real part for a narrow band
+                r = g * (1.0 + 1.0 / p) ** 2 * p / (2j * p.imag)
             else:
                 # (1 + w) / (1 - p w); half the residue, as 2 Re(y) is used
                 p = p.real
