@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, pipeline
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, parse_formats
 from .estimate import NumericalError
 
 EXIT_OK = 0
@@ -33,15 +33,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-
-def _formats(text: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in text.split(",") if p.strip())
-    bad = [p for p in parts if p not in ("csv", "bin")]
-    if bad or not parts:
-        raise argparse.ArgumentTypeError(
-            f"formats must be a comma list of csv/bin, got {text!r}")
-    return parts
 
 
 def _add_config_args(sp) -> None:
@@ -95,8 +86,9 @@ def build_parser() -> _Parser:
                     help="reduced efficiency to emulate")
     sp.add_argument("--seed", type=int, default=0,
                     help="base seed for the injected noise (default 0)")
-    sp.add_argument("--formats", type=_formats, default=("csv",),
-                    help="output formats, comma list of csv/bin")
+    sp.add_argument("--formats", default="csv",
+                    help="output formats, comma list of csv/bin (default "
+                         "csv)")
 
     sp = sub.add_parser("demod",
                         help="demodulate a raw trace into records")
@@ -115,7 +107,9 @@ def build_parser() -> _Parser:
                     help="record length in us (default 750)")
     sp.add_argument("--discard-us", type=float, default=4000.0,
                     help="transient to discard in us (default 4000)")
-    sp.add_argument("--formats", type=_formats, default=("csv",))
+    sp.add_argument("--formats", default="csv",
+                    help="output formats, comma list of csv/bin (default "
+                         "csv)")
     return parser
 
 
@@ -152,7 +146,7 @@ def _dispatch(args) -> int:
     if cmd == "inject":
         pipeline.stage_inject(Path(args.records), Path(args.out_dir),
                               args.eta_old, args.eta_new, args.seed,
-                              formats=args.formats)
+                              formats=parse_formats(args.formats))
         return EXIT_OK
     if cmd == "demod":
         pipeline.stage_demod(Path(args.trace), Path(args.out_dir),
@@ -161,7 +155,7 @@ def _dispatch(args) -> int:
                              dt_out=args.dt_us * 1e-6,
                              record_len=args.record_us * 1e-6,
                              discard=args.discard_us * 1e-6,
-                             formats=args.formats)
+                             formats=parse_formats(args.formats))
         return EXIT_OK
     raise AssertionError(f"unhandled command {cmd!r}")
 

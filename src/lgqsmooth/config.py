@@ -61,6 +61,15 @@ def _get_int(section, key: str, name: str) -> int:
     return value
 
 
+def parse_formats(text: str) -> tuple[str, ...]:
+    """A comma list of output formats, each csv or bin, in first-listed
+    order without repeats."""
+    entries = [s.strip() for s in text.split(",") if s.strip()]
+    if not entries or set(entries) - _FORMATS:
+        raise ConfigError(f"formats must list csv and/or bin, got {text!r}")
+    return tuple(dict.fromkeys(entries))
+
+
 def parse_config_text(text: str) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=("#",))
@@ -146,12 +155,7 @@ def parse_config_text(text: str) -> RunConfig:
             if not out_dir:
                 raise ConfigError("outputs.directory is empty")
         if "formats" in out:
-            entries = [s.strip() for s in out["formats"].split(",")
-                       if s.strip()]
-            bad = set(entries) - _FORMATS
-            if bad or not entries:
-                raise ConfigError("outputs.formats must list csv and/or bin")
-            formats = tuple(dict.fromkeys(entries))
+            formats = parse_formats(out["formats"])
 
     return RunConfig(params=params, n_records=n_records, base_seed=base_seed,
                      targets=targets, eta_new=eta_new, out_dir=out_dir,

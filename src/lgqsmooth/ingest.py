@@ -271,6 +271,18 @@ def segment(rec: MeasurementRecord, record_len: float,
     return out
 
 
+def injection_noise(eta_old: float, eta_new: float,
+                    dt: float) -> tuple[float, float]:
+    """The noise-injection protocol from efficiency eta_old down to eta_new
+    at sample period dt: the standard deviation sqrt(sigma2/dt) of the white
+    noise added to each current sample, with sigma2 = eta_old/eta_new - 1,
+    and the factor 1/sqrt(1 + sigma2) that then rescales the sum."""
+    if not 0 < eta_new <= eta_old <= 1:
+        raise ValueError("requires 0 < eta_new <= eta_old <= 1")
+    sigma2 = eta_old / eta_new - 1.0
+    return math.sqrt(sigma2 / dt), 1.0 / math.sqrt(1.0 + sigma2)
+
+
 def inject_noise(rec: MeasurementRecord, eta_old: float, eta_new: float,
                  seed: int | None = None) -> MeasurementRecord:
     """Reduce the effective detection efficiency by adding white noise.
@@ -281,21 +293,18 @@ def inject_noise(rec: MeasurementRecord, eta_old: float, eta_new: float,
     The signal component shrinks accordingly, exactly as a detector of
     efficiency eta_new would record it.
     """
-    if not 0 < eta_new <= eta_old <= 1:
-        raise ValueError("requires 0 < eta_new <= eta_old <= 1")
+    sig, scale = injection_noise(eta_old, eta_new, rec.dt)
     if rec.eta_effective is not None and \
             abs(rec.eta_effective - eta_old) > 1e-9:
-        raise ValueError("eta_old does not match the record's efficiency")
-    sigma2 = eta_old / eta_new - 1.0
-    if sigma2 == 0.0:
+        raise ValueError(f"eta_old {eta_old} does not match the record's "
+                         f"efficiency {rec.eta_effective}")
+    if sig == 0.0:
         return MeasurementRecord(dt=rec.dt, i1=rec.i1.copy(),
                                  i2=rec.i2.copy(), eta_effective=eta_new,
                                  seed=rec.seed)
     rng = np.random.default_rng(
         np.random.SeedSequence(seed) if seed is not None
         else np.random.SeedSequence())
-    sig = math.sqrt(sigma2 / rec.dt)
-    scale = 1.0 / math.sqrt(1.0 + sigma2)
     noise = rng.normal(0.0, sig, (2, rec.n))
     # the parent seed no longer reproduces the record on its own
     return MeasurementRecord(

@@ -10,9 +10,10 @@ be rerun or inspected independently:
     smoothed/<target>/smoothed_%05d.csv
     analysis/{consistency.csv,stats.json,hs.csv,vacf.csv}
 
-Heavy per-record work is chunked over a process pool when jobs > 1; chunk
-results are merged in record-index order, so the artifacts are identical
-for any worker count.
+With jobs > 1, estimate splits the records into contiguous slices, one
+per worker process, and each worker filters and writes the files of its
+own slice; every record goes through the same per-record path whatever
+the worker count, so the artifacts are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .estimate import (
     run_filter,
     run_retrofilter,
 )
-from .ingest import inject_noise
+from .ingest import inject_noise, injection_noise
 from .metrics import (
     consistency_check,
     hs_avg_theory,
@@ -143,13 +144,14 @@ def _write_records(records, directory: Path, formats) -> None:
                                                     "bin"))
 
 
-def load_records(directory: Path) -> list[MeasurementRecord]:
+def load_records(directory: Path) -> tuple[list[Path],
+                                           list[MeasurementRecord]]:
     """Read ``record_00000`` to ``record_<N-1>`` from a directory, the
     ``.bin`` files where there are any, else the ``.csv`` files.
 
     Each format present must hold every index from 0 to the largest in
     either format; a ValueError names the directory and the first missing
-    file."""
+    file.  Returns the paths read and their records, in index order."""
     directory = Path(directory)
     indices = {}
     for ext in ("bin", "csv"):
@@ -168,8 +170,8 @@ def load_records(directory: Path) -> list[MeasurementRecord]:
                     f"record_{n - 1:05d} exists")
     read = recordio.read_record_bin if present[0] == "bin" \
         else recordio.read_record_csv
-    return [read(_indexed(directory, "record", i, present[0]))
-            for i in range(n)]
+    paths = [_indexed(directory, "record", i, present[0]) for i in range(n)]
+    return paths, [read(p) for p in paths]
 
 
 def _indexed_paths(directory: Path, stem: str) -> list[Path]:
@@ -282,51 +284,50 @@ def _estimate_stack(ep: EffectiveParams, currents: np.ndarray):
     return times, v_f, w, m_f, z
 
 
-def _estimate_chunk(args):
-    # module level, so the process pool can pickle it
-    _, _, _, means, z = _estimate_stack(*args)
-    return means, z
-
-
 def _chunks(n: int, jobs: int) -> list[slice]:
-    size = max(1, -(-n // max(1, jobs)))
+    size = -(-n // jobs)
     return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
+def _estimate_records(ep: EffectiveParams, records, est_dir: Path,
+                      first: int) -> None:
+    """Filter and retrofilter a contiguous slice of records, the first of
+    index ``first``, writing each record's files before the next record is
+    filtered.  Module level, so the process pool can pickle it."""
+    for i, rec in enumerate(records, first):
+        recordio.write_trajectory_csv(run_filter(rec, ep),
+                                      _indexed(est_dir, "filtered", i, "csv"))
+        recordio.write_trajectory_csv(run_retrofilter(rec, ep),
+                                      _indexed(est_dir, "retro", i, "csv"))
+
+
 def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
+    if jobs < 1:
+        raise ValueError(f"estimate: jobs must be at least 1, got {jobs}")
     ep = effective(cfg)
-    times, closed = run_grid(ep)
+    times, _ = run_grid(ep)
     n = times.shape[0] - 1
     rec_dir = base_dir / "records"
-    records = load_records(rec_dir)
+    paths, records = load_records(rec_dir)
     if len(records) != cfg.n_records:
         raise ValueError(f"{rec_dir}: {len(records)} record files for "
                          f"{cfg.n_records} records")
-    for i, rec in enumerate(records):
-        name = f"estimate: record_{i:05d}"
-        _check_record(rec, ep, name)
+    for path, rec in zip(paths, records):
+        _check_record(rec, ep, str(path))
         if rec.n != n:
-            raise ValueError(f"{name}: {rec.n} samples, the config's "
+            raise ValueError(f"{path}: {rec.n} samples, the config's "
                              f"records have {n}")
     est_dir = base_dir / "estimates"
     est_dir.mkdir(parents=True, exist_ok=True)
-    if jobs <= 1 or len(records) < 2 * jobs:
-        pairs = [(run_filter(r, ep), run_retrofilter(r, ep)) for r in records]
+    parts = _chunks(len(records), jobs)
+    if len(parts) == 1:
+        _estimate_records(ep, records, est_dir, 0)
     else:
-        currents = np.stack([rec.currents for rec in records])
-        parts = _chunks(len(records), jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _estimate_chunk, [(ep, currents[sl]) for sl in parts]))
-        v, w = closed["Filtered"], closed["Retrofiltered"]
-        pairs = [(Trajectory(times, means[j], v, "Filtered"),
-                  Trajectory(times, effect_means(w, zs[j], ep), w,
-                             "Retrofiltered", info=zs[j]))
-                 for means, zs in results for j in range(means.shape[0])]
-    for i, (f, r) in enumerate(pairs):
-        recordio.write_trajectory_csv(f, _indexed(est_dir, "filtered", i,
-                                                  "csv"))
-        recordio.write_trajectory_csv(r, _indexed(est_dir, "retro", i, "csv"))
+        with ProcessPoolExecutor(max_workers=len(parts)) as pool:
+            tasks = [pool.submit(_estimate_records, ep, records[sl], est_dir,
+                                 sl.start) for sl in parts]
+            for task in tasks:
+                task.result()
     log(f"estimate: wrote {len(records)} filtered/retro pairs")
 
 
@@ -409,10 +410,14 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
 
 def stage_inject(records_dir: Path, out_dir: Path, eta_old: float,
                  eta_new: float, seed: int, formats=("csv",)) -> int:
-    records = load_records(records_dir)
+    paths, records = load_records(records_dir)
     seeds = derive_record_seeds(seed, len(records))
-    injected = [inject_noise(rec, eta_old, eta_new, seed=int(s))
-                for rec, s in zip(records, seeds)]
+    injected = []
+    for path, rec, s in zip(paths, records, seeds):
+        try:
+            injected.append(inject_noise(rec, eta_old, eta_new, seed=int(s)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     _write_records(injected, Path(out_dir), formats)
     log(f"inject: wrote {len(injected)} records at eta = {eta_new}")
     return len(injected)
@@ -496,9 +501,7 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     del truth  # only the window's currents and clean means are used
     v_tar = v_filter_ss(ep)
 
-    sigma2 = ep.eta / eta_new - 1.0
-    scale = 1.0 / math.sqrt(1.0 + sigma2)
-    sig = math.sqrt(sigma2 / ep.dt)
+    sig, scale = injection_noise(ep.eta, eta_new, ep.dt)
     seeds = derive_record_seeds(inject_seed, n_records)
     # in place: the clean window is not needed once its noise is added
     for i in range(n_records):

@@ -6,6 +6,7 @@ import math
 import shutil
 import struct
 import tempfile
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +148,8 @@ def _estimate_with_short_record(cfg_path, tmp_path, capsys, jobs: str):
                  "--out-dir", str(out), "--jobs", jobs])
     assert code == 1
     err = capsys.readouterr().err
-    assert "estimate: record_00002: 240 samples, the config's records " \
-        "have 250" in err
+    assert f"lgqsmooth: error: {victim}: 240 samples, the config's " \
+        "records have 250" in err
     assert not (out / "estimates" / "filtered_00000.csv").exists()
 
 
@@ -161,6 +162,54 @@ def test_short_record_in_worker_pool_is_exit_one(cfg_path, tmp_path,
     _estimate_with_short_record(cfg_path, tmp_path, capsys, "2")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_exit_one(cfg_path, tmp_path, capsys, jobs):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["estimate", "--config", str(cfg_path),
+                 "--out-dir", str(out), "--jobs", jobs])
+    assert code == 1
+    assert f"lgqsmooth: error: estimate: jobs must be at least 1, got " \
+        f"{jobs}" in capsys.readouterr().err
+    assert not (out / "estimates").exists()
+
+
+def test_worker_pool_never_exceeds_the_chunks(cfg_path, tmp_path,
+                                              monkeypatch):
+    # 3 records at --jobs 8 are 3 one-record chunks; the stand-in pool runs
+    # each task in this process, so no worker process is started
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    cfg_path.write_text(CONFIG.replace("n_records = 4", "n_records = 3"))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(out)]) == 0
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    assert main(["estimate", "--config", str(cfg_path),
+                 "--out-dir", str(out), "--jobs", "8"]) == 0
+    assert asked == [3]
+    assert sorted(p.name for p in (out / "estimates").iterdir()) == [
+        f"{stem}_{i:05d}.csv" for stem in ("filtered", "retro")
+        for i in range(3)]
+
+
 @pytest.mark.parametrize("defect", ["first record cut by 10 rows",
                                     "record file deleted",
                                     "record_us edited after simulate"])
@@ -170,10 +219,11 @@ def test_estimate_input_error_names_path(cfg_path, tmp_path, capsys, defect):
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
     records = out / "records"
-    victim = "estimate: record_00000"
+    victim = records / "record_00000.bin"
     if defect == "first record cut by 10 rows":
-        path = records / "record_00000.csv"
-        path.write_text("\n".join(path.read_text().splitlines()[:-10]) + "\n")
+        victim = records / "record_00000.csv"
+        victim.write_text(
+            "\n".join(victim.read_text().splitlines()[:-10]) + "\n")
         for stale in records.glob("record_*.bin"):
             stale.unlink()
     elif defect == "record file deleted":
@@ -384,6 +434,8 @@ _BIN_HEADER = 36  # magic, then dt, n, eta and seed
        word=st.text("abcdefinxyz.-+ ", max_size=6).filter(_not_a_number))
 @example(rel="records/record_00001.bin", defect="body", cut=13, row=1,
          number=0.0, word="x")
+@example(rel="records/record_00001.bin", defect="dt", cut=0, row=1,
+         number=2e-6, word="x")
 def test_corrupt_record_or_truth_is_exit_one(clean_run, rel, defect, cut, row,
                                              number, word):
     # records/ are read by estimate (the .bin files, as both formats
@@ -426,11 +478,8 @@ def test_corrupt_record_or_truth_is_exit_one(clean_run, rel, defect, cut, row,
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([stage, "--config", str(cfg), "--out-dir", str(out)])
-    # estimate's own record checks name the record, not its path
     assert code == 1, err.getvalue()
-    assert (f"lgqsmooth: error: {victim}: " in err.getvalue()
-            or f"lgqsmooth: error: estimate: {victim.stem}: "
-            in err.getvalue()), err.getvalue()
+    assert f"lgqsmooth: error: {victim}: " in err.getvalue(), err.getvalue()
 
 
 def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):
@@ -443,7 +492,8 @@ def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):
     code = main(["estimate", "--config", str(other), "--out-dir", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "estimate: record_00000: record dt 1e-06 does not match" in err
+    assert f"lgqsmooth: error: {out / 'records' / 'record_00000.bin'}: " \
+        "record dt 1e-06 does not match" in err
     assert not (out / "estimates").exists()
 
 
@@ -478,7 +528,18 @@ def test_inject_subcommand(cfg_path, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "inj2"),
                  "--eta-old", "0.5", "--eta-new", "0.1"])
     assert code == 1
-    assert "does not match" in capsys.readouterr().err
+    assert f"lgqsmooth: error: {out / 'records' / 'record_00000.bin'}: " \
+        "eta_old 0.5 does not match" in capsys.readouterr().err
+    assert not (tmp_path / "inj2").exists()
+    # so is an output format outside csv/bin, as in the config
+    code = main(["inject", "--records", str(out / "records"),
+                 "--out-dir", str(tmp_path / "inj3"),
+                 "--eta-old", "0.38", "--eta-new", "0.1",
+                 "--formats", "csv,parquet"])
+    assert code == 1
+    assert "formats must list csv and/or bin, got 'csv,parquet'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "inj3").exists()
 
 
 def test_inject_refuses_a_gap_in_the_records(cfg_path, tmp_path, capsys):

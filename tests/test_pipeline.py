@@ -58,7 +58,7 @@ def test_records_match_direct_simulation(run_dir, small_cfg):
     ep = pipeline.effective(small_cfg)
     ens = simulate_truth_ensemble(ep, ep.record_duration,
                                   small_cfg.n_records, small_cfg.base_seed)
-    records = pipeline.load_records(run_dir / "records")
+    _, records = pipeline.load_records(run_dir / "records")
     assert len(records) == small_cfg.n_records
     for i, rec in enumerate(records):
         ref = ens.record(i)
@@ -95,15 +95,36 @@ def test_analyze_tables(run_dir, small_cfg):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize("jobs", [2, 3])  # 5 records in 3/2 and 2/2/1
 def test_parallel_estimate_is_bitwise_identical(small_cfg, run_dir,
-                                                tmp_path):
+                                                tmp_path, jobs):
     other = tmp_path / "par"
     pipeline.stage_simulate(small_cfg, other)
-    pipeline.stage_estimate(small_cfg, other, jobs=2)
+    pipeline.stage_estimate(small_cfg, other, jobs=jobs)
     for name in sorted(p.name for p in (run_dir / "estimates").iterdir()):
         a = recordio.checksum(run_dir / "estimates" / name)
         b = recordio.checksum(other / "estimates" / name)
         assert a == b, name
+
+
+def test_serial_estimate_writes_each_record_before_the_next(
+        small_cfg, tmp_path, monkeypatch):
+    base = tmp_path / "run"
+    pipeline.stage_simulate(small_cfg, base)
+    filtered = []
+    run_filter = pipeline.run_filter
+
+    def checked(rec, ep):
+        i = len(filtered)
+        if i:
+            assert (base / "estimates" / f"filtered_{i - 1:05d}.csv").is_file()
+            assert (base / "estimates" / f"retro_{i - 1:05d}.csv").is_file()
+        filtered.append(i)
+        return run_filter(rec, ep)
+
+    monkeypatch.setattr(pipeline, "run_filter", checked)
+    pipeline.stage_estimate(small_cfg, base, jobs=1)
+    assert len(filtered) == small_cfg.n_records
 
 
 def test_load_records_requires_files(tmp_path, ref_ep):
@@ -118,8 +139,8 @@ def test_stage_inject(run_dir, small_cfg, tmp_path):
     n = pipeline.stage_inject(run_dir / "records", out, 0.38, 0.10, seed=5,
                               formats=("bin",))
     assert n == small_cfg.n_records
-    injected = pipeline.load_records(out)
-    clean = pipeline.load_records(run_dir / "records")
+    _, injected = pipeline.load_records(out)
+    _, clean = pipeline.load_records(run_dir / "records")
     for rec, ref in zip(injected, clean):
         assert rec.eta_effective == 0.10
         assert rec.n == ref.n
@@ -146,7 +167,7 @@ def test_stage_demod(tmp_path, ref_ep):
                              dt_out=1e-6, record_len=300e-6,
                              discard=1000e-6, formats=("csv",))
     assert n == 3
-    parts = pipeline.load_records(out)
+    _, parts = pipeline.load_records(out)
     assert all(p.n == 300 for p in parts)
 
 
