@@ -13,7 +13,6 @@ from .ingest import (
     RawTrace,
     demodulate,
     inject_noise,
-    normalize_shot_noise,
     segment,
 )
 from .metrics import (
@@ -75,7 +74,6 @@ __all__ = [
     "inject_noise",
     "innovations",
     "isotropic_state",
-    "normalize_shot_noise",
     "retro_precision",
     "run_filter",
     "run_ltl_filter",

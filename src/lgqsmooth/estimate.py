@@ -11,23 +11,23 @@ at ``t_k`` uses samples ``I_k .. I_{n-1}`` (the record over ``[t_k, T)``).
 Both trajectories therefore have n+1 points for an n-sample record, and
 their time grids align for smoothing.
 
-The mean update per sample uses the exact exponential drift and the
-covariance at the beginning of the step:
+The mean update per sample uses the exact exponential drift f = exp(-Gamma
+dt/2) and the covariance at the beginning of the step, f m_k + g v(t_k)
+(I_k dt - g m_k dt) with g = sqrt(2 eta Gamma C), collected as
 
-    m_{k+1} = exp(-Gamma dt/2) m_k + g v(t_k) (I_k dt - g m_k dt)
+    m_{k+1} = [f - g v(t_k) g dt] m_k + g v(t_k) I_k dt
 
-with g = sqrt(2 eta Gamma C).  The retrofiltered effect is propagated in
-information form (precision w, information vector z = w * mean), backward
-from the uninformative final condition z(T) = 0, w(T) = 0:
+The retrofiltered effect is propagated in information form (precision w,
+information vector z = w * mean), backward from the uninformative final
+condition z(T) = 0, w(T) = 0:
 
     z_k = [1 - (Gamma/2 + 2 Gamma n_tot w(t_{k+1})) dt] z_{k+1} + g I_k dt
 
 so no retrofiltered quantity is ever stored as an unbounded variance.
 
-Both recursions take stacked records (leading axis = ensemble member).  A
-single record is recursed on Python floats instead of (1, 2) array slices,
-with the same IEEE operations in the same order, so its bits equal those
-of the stacked path.
+Both are first-order affine recurrences over stacked records (leading
+axis = ensemble member) run by :func:`lgqsmooth.simulate._affine_recurrence`,
+the retrofilter's on time-reversed views.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ import numpy as np
 
 from .model import (
     EffectiveParams,
-    GaussianState,
     retro_precision,
     retro_precision_ss,
     unconditional_state,
     v_filter,
     v_filter_ss,
 )
-from .simulate import MeasurementRecord
+from .simulate import MeasurementRecord, _affine_recurrence
 
 KINDS = ("Filtered", "Retrofiltered", "LTL", "SmoothedLTL", "SmoothedTrue",
          "ClassicalSmoothed")
@@ -129,24 +128,12 @@ def filter_means(currents: np.ndarray, ep: EffectiveParams, v: np.ndarray,
     dt = ep.dt
     f = math.exp(-ep.gamma_eff * dt / 2.0)
     g = math.sqrt(ep.meas_rate)
-    if currents.shape[0] == 1:
-        # the update below on Python floats: the same operations in the same
-        # order, so the same bits, without numpy dispatch per sample
-        x1, x2 = np.asarray(m0, dtype=float).reshape(2).tolist()
-        ix = currents[0] * dt
-        out = [x1, x2]
-        for c, i1, i2 in zip((g * v[:n]).tolist(), ix[:, 0].tolist(),
-                             ix[:, 1].tolist()):
-            x1 = f * x1 + c * (i1 - g * x1 * dt)
-            x2 = f * x2 + c * (i2 - g * x2 * dt)
-            out += (x1, x2)
-        return np.array(out).reshape(1, n + 1, 2)
+    gain = g * v[:n]
     means = np.empty((currents.shape[0], n + 1, 2))
     means[:, 0] = m0
-    for k in range(n):
-        mk = means[:, k]
-        means[:, k + 1] = f * mk + g * v[k] * (currents[:, k] * dt - g * mk * dt)
-    return means
+    np.multiply(currents, dt, out=means[:, 1:])
+    means[:, 1:] *= gain[:, None]
+    return _affine_recurrence(f - gain * (g * dt), means)
 
 
 def retro_info(currents: np.ndarray, ep: EffectiveParams,
@@ -157,32 +144,20 @@ def retro_info(currents: np.ndarray, ep: EffectiveParams,
     g = math.sqrt(ep.meas_rate)
     half_g = ep.gamma_eff / 2.0
     drift = 2.0 * ep.gamma_eff * ep.n_tot
-    if currents.shape[0] == 1:
-        decay = 1.0 - (half_g + drift * w[1:n + 1]) * dt
-        kx = g * currents[0] * dt
-        # the update below on Python floats (see filter_means); built from
-        # t_n backward with x2 before x1, so the reversed list is in order
-        out = [0.0, 0.0]
-        x1 = x2 = 0.0
-        for d, k1, k2 in zip(decay[::-1].tolist(), kx[::-1, 0].tolist(),
-                             kx[::-1, 1].tolist()):
-            x1 = d * x1 + k1
-            x2 = d * x2 + k2
-            out += (x2, x1)
-        return np.array(out[::-1]).reshape(1, n + 1, 2)
+    decay = 1.0 - (half_g + drift * w[1:n + 1]) * dt
     z = np.empty((currents.shape[0], n + 1, 2))
     z[:, n] = 0.0
-    for k in range(n - 1, -1, -1):
-        decay = 1.0 - (half_g + drift * w[k + 1]) * dt
-        z[:, k] = decay * z[:, k + 1] + g * currents[:, k] * dt
+    np.multiply(currents, g, out=z[:, :n])
+    z[:, :n] *= dt
+    # from t_n backward: reversed in time, z is a forward recurrence
+    _affine_recurrence(decay[::-1], z[:, ::-1])
     return z
 
 
-def filter_grid(ep: EffectiveParams, n: int,
-                v0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def filter_grid(ep: EffectiveParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Trajectory time grid and closed-form filter covariance for n samples."""
     times = np.arange(n + 1) * ep.dt
-    return times, v_filter(times, ep, v0=v0)
+    return times, v_filter(times, ep)
 
 
 def retro_grid(ep: EffectiveParams, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,20 +182,12 @@ def effect_means(w: np.ndarray, z: np.ndarray, ep: EffectiveParams) -> np.ndarra
 # Public per-record operations
 # ---------------------------------------------------------------------------
 
-def run_filter(rec: MeasurementRecord, ep: EffectiveParams,
-               init: GaussianState | None = None) -> Trajectory:
-    """Forward-filter one record into a state trajectory (kind "Filtered").
-
-    ``init`` defaults to the unconditional state.  A non-default physical
-    initial state evaluates the same closed-form covariance flow from its
-    variance.
-    """
+def run_filter(rec: MeasurementRecord, ep: EffectiveParams) -> Trajectory:
+    """Forward-filter one record from the unconditional state into a state
+    trajectory (kind "Filtered")."""
     _check_record(rec, ep, "estimate.run_filter")
-    if init is None:
-        init = unconditional_state(ep)
-    if not init.physical:
-        raise ValueError("initial state must be physical")
-    times, v = filter_grid(ep, rec.n, None if init.v == ep.sigma2_uncon else init.v)
+    times, v = filter_grid(ep, rec.n)
+    init = unconditional_state(ep)
     means = filter_means(rec.currents[None], ep, v, init.mean[None])[0]
     return Trajectory(times, means, v, "Filtered")
 
@@ -274,7 +241,13 @@ def run_ltl_filter(recs: Sequence[MeasurementRecord], ep: EffectiveParams,
 
 def innovations(rec: MeasurementRecord, ep: EffectiveParams,
                 traj: Trajectory | None = None) -> np.ndarray:
-    """Innovation increments I_k dt - g m_k dt; white with variance dt."""
+    """Innovation increments I_k dt - g m_k dt.
+
+    White, with the discrete-time conditional variance
+    dt (1 + g^2 (v_k - 1) dt) per component at sample k: the shot
+    noise's dt plus the filter error's g^2 (v_k - v_true) dt^2, with the
+    true covariance v_true = 1.
+    """
     if traj is None:
         traj = run_filter(rec, ep)
     g = math.sqrt(ep.meas_rate)

@@ -1,6 +1,6 @@
-"""Carrier-band trace processing: shot-noise normalization, lock-in style
-demodulation with a causal Butterworth low-pass, record segmentation, and
-the efficiency-reducing noise-injection protocol.
+"""Carrier-band trace processing: lock-in style demodulation with a causal
+Butterworth low-pass, record segmentation, and the efficiency-reducing
+noise-injection protocol.
 
 The demodulation gain convention matches ``simulate.synthesize_raw``: a
 quadrature pair embedded as ``I1 sqrt(2) cos(wt) + I2 sqrt(2) sin(wt)``
@@ -46,14 +46,12 @@ _MIN_CARRIER_TO_BW = 5.0
 class RawTrace:
     """A sampled carrier-band trace.
 
-    ``shot_level`` is the per-sample variance of the white shot-noise
-    floor when known; traces in the normalized convention have
-    ``shot_level == fs`` (unit spectral density).
+    Traces are taken in the shot-noise-normalized convention: the white
+    floor has per-sample variance fs (unit spectral density).
     """
 
     fs: float
     samples: np.ndarray
-    shot_level: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.fs) and self.fs > 0):
@@ -63,8 +61,6 @@ class RawTrace:
             raise ValueError("samples must be a non-empty 1-d array")
         if not np.isfinite(samples).all():
             raise ValueError("ingest: non-finite raw sample")
-        if self.shot_level is not None and self.shot_level <= 0:
-            raise ValueError("shot_level must be positive when given")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -78,18 +74,6 @@ class RawTrace:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n) / self.fs
-
-
-def normalize_shot_noise(raw: RawTrace, shot_level: float) -> RawTrace:
-    """Rescale a trace so its white floor has per-sample variance fs.
-
-    ``shot_level`` is the known per-sample shot-noise variance of the
-    input; estimating it from data is out of scope.
-    """
-    if shot_level <= 0:
-        raise ValueError("shot_level must be positive")
-    scale = math.sqrt(raw.fs / shot_level)
-    return RawTrace(fs=raw.fs, samples=raw.samples * scale, shot_level=raw.fs)
 
 
 def demod_filter(bw_3db: float, order: int, fs: float):

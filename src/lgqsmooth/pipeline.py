@@ -174,24 +174,19 @@ def load_records(directory: Path) -> tuple[list[Path],
     return paths, [read(p) for p in paths]
 
 
-def _indexed_paths(directory: Path, stem: str) -> list[Path]:
-    paths = sorted(Path(directory).glob(f"{stem}_*.csv"))
-    if not paths:
-        raise FileNotFoundError(f"{directory}: no {stem} files")
-    return paths
-
-
 def _load_stacks(base_dir: Path, n_records: int, grid, targets=(),
                  truth: bool = False):
     """Read a run's trajectories and check them against its configuration.
 
     Reads estimates/, smoothed/<target>/ for each of ``targets``, and,
-    with ``truth``, truth/ where it exists, each into one stack.  Each directory must hold ``n_records`` files; each file the
-    time grid of ``grid`` (from :func:`run_grid`), its directory's kind
-    (Filtered, Retrofiltered or the target's smoothed kind) and exactly
-    that kind's closed-form vw.  A ValueError names the file at fault, or
-    the directory when its file count is wrong or all of its files have
-    another kind.
+    with ``truth``, truth/ where it exists, each into one stack.  Each
+    directory must hold exactly ``n_records`` files, read by index from
+    ``<stem>_00000.csv`` on, so a missing index is an error, not a shifted
+    pairing.  Each file must hold the time grid of ``grid`` (from
+    :func:`run_grid`), its directory's kind (Filtered, Retrofiltered or
+    the target's smoothed kind) and exactly that kind's closed-form vw.
+    An error names the file at fault, or the directory when its file
+    count is wrong or all of its files have another kind.
 
     Returns kind -> (means (N, n+1, 2), vw), the retrofilter's information
     vectors (N, n+1, 2), and the truth means (None unless read)."""
@@ -204,10 +199,18 @@ def _load_stacks(base_dir: Path, n_records: int, grid, targets=(),
         dirs.append((base_dir / "truth", "truth", None))
     stacks, info, truth_means = {}, None, None
     for directory, stem, kind in dirs:
-        paths = _indexed_paths(directory, stem)
-        if len(paths) != n_records:
-            raise ValueError(f"{directory}: {len(paths)} {stem} files for "
+        count = len(list(directory.glob(f"{stem}_*.csv")))
+        if count == 0:
+            raise FileNotFoundError(f"{directory}: no {stem} files")
+        if count != n_records:
+            raise ValueError(f"{directory}: {count} {stem} files for "
                              f"{n_records} records")
+        paths = [_indexed(directory, stem, i, "csv")
+                 for i in range(n_records)]
+        for path in paths:
+            if not path.is_file():
+                raise ValueError(f"{path}: missing, though {directory} "
+                                 f"holds {count} {stem} files")
         means = np.empty((n_records, times.shape[0], 2))
         if kind == "Retrofiltered":
             info = np.empty_like(means)

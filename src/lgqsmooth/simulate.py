@@ -21,8 +21,9 @@ True states are generated by one stream, :func:`truth_stream`, which
 yields the stacked ensemble as consecutive time blocks.  It carries each
 record's generator and last true mean from one block to the next; drawing
 ``(b, k)`` increments block after block consumes a generator exactly as one
-``(n, k)`` draw, and the mean recursion is sequential in time, so the
-blocks concatenate to the bits of a single-block run.  A long ensemble
+``(n, k)`` draw, and the mean recursion (:func:`_affine_recurrence`, which
+the estimators share) is sequential in time, so the blocks concatenate to
+the bits of a single-block run.  A long ensemble
 whose early samples are only a warm-up then never has to be held whole.
 """
 
@@ -176,6 +177,33 @@ def _draw_kicks(rng: np.random.Generator, n: int, ep: EffectiveParams
     return kicks, dw[:, 0:2] / ep.dt
 
 
+def _affine_recurrence(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y[:, k+1] = a[k] y[:, k] + y[:, k+1]`` for k < n, in place.
+
+    ``y`` (N, n+1, 2) holds the start, then the offsets; it may be a
+    time-reversed view.  One record is recursed on Python floats, read and
+    written through a memoryview, with the same IEEE operations as a
+    stacked row, so its bits are that row's.  Strictly sequential, so no
+    bit depends on where a block starts.
+    """
+    if y.shape[0] == 1:
+        # a view of y unless y is reversed; then a copy, written back below
+        row = np.ascontiguousarray(y[0]).reshape(-1)
+        m = memoryview(row)
+        x1, x2 = m[0], m[1]
+        j = 2
+        for c in memoryview(np.ascontiguousarray(a)):
+            x1 = c * x1 + m[j]
+            x2 = c * x2 + m[j + 1]
+            m[j], m[j + 1] = x1, x2
+            j += 2
+        y[0] = row.reshape(-1, 2)
+        return y
+    for k in range(a.shape[0]):
+        y[:, k + 1] += a[k] * y[:, k]
+    return y
+
+
 def _evolve_true(m0: np.ndarray, kicks: np.ndarray, noise: np.ndarray,
                  ep: EffectiveParams) -> tuple[np.ndarray, np.ndarray]:
     """Stacked true means and currents; ``noise`` becomes the currents."""
@@ -184,8 +212,8 @@ def _evolve_true(m0: np.ndarray, kicks: np.ndarray, noise: np.ndarray,
     g_obs = math.sqrt(ep.meas_rate)
     means = np.empty((m0.shape[0], n + 1, 2))
     means[:, 0] = m0
-    for k in range(n):
-        means[:, k + 1] = f * means[:, k] + kicks[:, k]
+    means[:, 1:] = kicks
+    _affine_recurrence(np.full(n, f), means)
     noise += g_obs * means[:, :n]
     return means, noise
 
@@ -320,4 +348,4 @@ def synthesize_raw(record: MeasurementRecord, omega: float, fs: float,
         entropy = np.random.SeedSequence(seed)
     rng = np.random.default_rng(entropy)
     noise = rng.normal(0.0, math.sqrt(fs), n_raw)
-    return RawTrace(fs=fs, samples=signal + noise, shot_level=fs)
+    return RawTrace(fs=fs, samples=signal + noise)

@@ -8,6 +8,9 @@ distance, itself checked against a Wigner-grid integral, is the reference
 for the package's isotropic one.  The injection study and the velocity
 autocorrelation are also kept in their whole-array forms, which the
 time-streamed study and the record-blocked autocorrelation must reproduce.
+The filter and retrofilter recursions are kept in their per-sample forms:
+the retrofilter's reproduces the package's bits, the filter's bounds the
+rounding of the package's factor-and-offset form.
 """
 
 from __future__ import annotations
@@ -114,6 +117,41 @@ def retro_variance_ode_from_big(ep: EffectiveParams, taus: np.ndarray,
                     method="Radau", rtol=1e-10, atol=1e-12 * v_big)
     assert sol.success, sol.message
     return sol.y[0]
+
+
+def filter_means_reference(currents: np.ndarray, ep: EffectiveParams,
+                           v: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """The filter mean update as the model states it, one stacked step per
+    sample: m_{k+1} = f m_k + g v_k (I_k dt - g m_k dt)."""
+    n = currents.shape[1]
+    dt = ep.dt
+    f = math.exp(-ep.gamma_eff * dt / 2.0)
+    g = math.sqrt(ep.meas_rate)
+    means = np.empty((currents.shape[0], n + 1, 2))
+    means[:, 0] = m0
+    for k in range(n):
+        mk = means[:, k]
+        means[:, k + 1] = f * mk + g * v[k] * (currents[:, k] * dt
+                                               - g * mk * dt)
+    return means
+
+
+def retro_info_reference(currents: np.ndarray, ep: EffectiveParams,
+                         w: np.ndarray) -> np.ndarray:
+    """The retrofilter's information update as the model states it, one
+    stacked step per sample from t_n backward:
+    z_k = [1 - (Gamma/2 + 2 Gamma n_tot w_{k+1}) dt] z_{k+1} + g I_k dt."""
+    n = currents.shape[1]
+    dt = ep.dt
+    g = math.sqrt(ep.meas_rate)
+    half_g = ep.gamma_eff / 2.0
+    drift = 2.0 * ep.gamma_eff * ep.n_tot
+    z = np.empty((currents.shape[0], n + 1, 2))
+    z[:, n] = 0.0
+    for k in range(n - 1, -1, -1):
+        decay = 1.0 - (half_g + drift * w[k + 1]) * dt
+        z[:, k] = decay * z[:, k + 1] + g * currents[:, k] * dt
+    return z
 
 
 def injection_study_whole(ep: EffectiveParams, eta_new: float,

@@ -300,6 +300,24 @@ def test_smooth_input_error_names_path(cfg_path, tmp_path, capsys, defect):
     assert not (out / "smoothed").exists()
 
 
+@pytest.mark.parametrize("cmd", ["smooth", "analyze"])
+def test_renamed_trajectory_file_is_exit_one(cfg_path, tmp_path, capsys,
+                                             cmd):
+    # the file count still matches, but index 2 is gone: pairing files by
+    # sorted name would put filtered_00003 beside retro_00002
+    out = tmp_path / "run"
+    for stage in ("simulate", "estimate", "smooth")[:2 if cmd == "smooth"
+                                                     else 3]:
+        assert main([stage, "--config", str(cfg_path),
+                     "--out-dir", str(out)]) == 0
+    victim = out / "estimates" / "filtered_00002.csv"
+    victim.rename(victim.with_name("filtered_00004.csv"))
+    capsys.readouterr()
+    code = main([cmd, "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    assert f"lgqsmooth: error: {victim}: missing" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("defect", ["smoothed file cut by one row",
                                     "first filtered file cut by one row",
                                     "truth file deleted",

@@ -27,11 +27,9 @@ from lgqsmooth import (
     NumericalError,
     Trajectory,
     innovations,
-    isotropic_state,
     run_filter,
     run_ltl_filter,
     run_retrofilter,
-    v_filter,
     v_filter_ss,
 )
 from lgqsmooth.estimate import (
@@ -42,7 +40,13 @@ from lgqsmooth.estimate import (
     retro_info,
 )
 from lgqsmooth.model import retro_precision_ss, v_retro
-from lgqsmooth.simulate import simulate_true_and_record, simulate_truth_ensemble
+from lgqsmooth.simulate import (
+    _evolve_true,
+    simulate_true_and_record,
+    simulate_truth_ensemble,
+)
+
+from _oracles import filter_means_reference, retro_info_reference
 
 
 def make_record(ep, seed=0, n=None):
@@ -91,12 +95,6 @@ def test_non_finite_sample_reported(ref_ep):
         run_retrofilter(broken, ref_ep)
 
 
-def test_filter_requires_physical_init(ref_ep):
-    rec = make_record(ref_ep, n=5)
-    with pytest.raises(ValueError, match="physical"):
-        run_filter(rec, ref_ep, init=isotropic_state([0, 0], 2.0, physical=False))
-
-
 # ---------------------------------------------------------------------------
 # deterministic behaviour
 # ---------------------------------------------------------------------------
@@ -105,15 +103,14 @@ def test_unmonitored_filter_is_pure_decay():
     ep = EffectiveParams(gamma_eff=100.0, n_th_eff=40.0, coop_eff=0.0,
                          eta=0.5, record_duration=1e-3, dt=1e-6)
     n = 1000
-    rec = MeasurementRecord(ep.dt, np.random.default_rng(3).normal(0, 1e3, n),
-                            np.zeros(n), ep.eta)
-    init = isotropic_state([3.0, -2.0], 5.0)
-    traj = run_filter(rec, ep, init=init)
+    currents = np.zeros((1, n, 2))
+    currents[0, :, 0] = np.random.default_rng(3).normal(0, 1e3, n)
+    m0 = np.array([[3.0, -2.0]])
+    _, v = filter_grid(ep, n)
+    means = filter_means(currents, ep, v, m0)[0]
     f = math.exp(-ep.gamma_eff * ep.dt / 2.0)
     ks = np.arange(n + 1)
-    assert np.allclose(traj.mean, f ** ks[:, None] * init.mean, rtol=1e-12)
-    assert traj.vw[0] == 5.0
-    assert np.allclose(traj.vw, v_filter(traj.times, ep, v0=5.0), rtol=0, atol=0)
+    assert np.allclose(means, f ** ks[:, None] * m0[0], rtol=1e-12)
 
 
 def test_covariance_independent_of_record(ref_ep):
@@ -288,6 +285,37 @@ def test_gain_perturbation_increases_mse(ref_ep, main_truth, filtered_ensemble):
     assert run_scaled(1.1) > mse_opt
 
 
+def _within_reference(got, ref):
+    # the declared tolerance: 1e-12 of each quadrature's largest |m|
+    err = np.abs(got - ref).max(axis=(0, 1))
+    return bool(np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1))))
+
+
+def test_recursions_match_per_sample_references(ref_ep, main_truth,
+                                                filtered_ensemble,
+                                                retro_ensemble):
+    """The filter's factor-and-offset recurrence rounds differently from
+    the per-sample update and stays within tolerance; the retrofilter does
+    the per-sample arithmetic, so its bits are the reference's.  Both on
+    the stacked main ensemble and on one record of over 1e5 samples, which
+    takes the float path."""
+    _, v, means = filtered_ensemble
+    _, w, z = retro_ensemble
+    m0 = np.zeros((main_truth.n_records, 2))
+    ref = filter_means_reference(main_truth.currents, ref_ep, v, m0)
+    assert _within_reference(means, ref)
+    assert _same_bits(z, retro_info_reference(main_truth.currents, ref_ep, w))
+    long = main_truth.currents[:134].reshape(1, -1, 2)
+    assert long.shape[1] >= 100_000
+    _, v_long = filter_grid(ref_ep, long.shape[1])
+    _, w_long = retro_grid(ref_ep, long.shape[1])
+    m0 = np.array([[3.0, -2.0]])
+    assert _within_reference(filter_means(long, ref_ep, v_long, m0),
+                             filter_means_reference(long, ref_ep, v_long, m0))
+    assert _same_bits(retro_info(long, ref_ep, w_long),
+                      retro_info_reference(long, ref_ep, w_long))
+
+
 # ---------------------------------------------------------------------------
 # long-time-limit filtering across warm-up records
 # ---------------------------------------------------------------------------
@@ -372,20 +400,28 @@ def _stacked_currents(draw):
 @given(_stacked_currents())
 def test_single_record_matches_stacked_rows_property(ref_ep, data):
     # a one-record call recurses on Python floats; its bits must equal the
-    # corresponding row of the stacked loop
+    # corresponding row of the stacked loop, for the filter, the
+    # retrofilter and the true means (currents stand in for the kicks)
     currents, m0 = data
     n = currents.shape[1]
     _, v = filter_grid(ref_ep, n)
     _, w = retro_grid(ref_ep, n)
     m_all = filter_means(currents, ref_ep, v, m0)
     z_all = retro_info(currents, ref_ep, w)
+    t_all, c_all = _evolve_true(m0, currents, currents.copy(), ref_ep)
     for i in range(currents.shape[0]):
-        m_one = filter_means(currents[i:i + 1], ref_ep, v, m0[i:i + 1])
-        z_one = retro_info(currents[i:i + 1], ref_ep, w)
-        assert _same_bits(m_one, m_all[i:i + 1])
-        assert _same_bits(z_one, z_all[i:i + 1])
+        row = slice(i, i + 1)
+        m_one = filter_means(currents[row], ref_ep, v, m0[row])
+        z_one = retro_info(currents[row], ref_ep, w)
+        t_one, c_one = _evolve_true(m0[row], currents[row],
+                                    currents[row].copy(), ref_ep)
+        assert _same_bits(m_one, m_all[row])
+        assert _same_bits(z_one, z_all[row])
+        assert _same_bits(t_one, t_all[row])
+        assert _same_bits(c_one, c_all[row])
     if n == 0:
         assert _same_bits(m_all[:, 0], m0)
+        assert _same_bits(t_all[:, 0], m0)
         assert not np.any(z_all)
 
 

@@ -16,7 +16,6 @@ from lgqsmooth.ingest import (
     demod_filter,
     demodulate,
     inject_noise,
-    normalize_shot_noise,
     segment,
 )
 from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
@@ -26,7 +25,7 @@ OMEGA = 2 * math.pi * 1.04e6
 
 
 # ---------------------------------------------------------------------------
-# RawTrace and normalization
+# RawTrace and the shot-noise floor
 # ---------------------------------------------------------------------------
 
 def test_rawtrace_validation():
@@ -38,27 +37,9 @@ def test_rawtrace_validation():
     bad[3] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         RawTrace(fs=FS, samples=bad)
-    with pytest.raises(ValueError, match="shot_level"):
-        RawTrace(fs=FS, samples=np.ones(10), shot_level=-1.0)
     tr = RawTrace(fs=FS, samples=np.ones(10))
     assert tr.duration == pytest.approx(10 / FS)
     assert tr.times[1] == pytest.approx(1 / FS)
-
-
-def test_normalize_identity_and_scale_invariance():
-    rng = np.random.default_rng(3)
-    x = rng.normal(0.0, math.sqrt(FS), 1000)
-    tr = RawTrace(fs=FS, samples=x, shot_level=FS)
-    out = normalize_shot_noise(tr, FS)
-    assert np.array_equal(out.samples, x)
-    assert out.shot_level == FS
-    # scaling the input and its shot level together is absorbed
-    c = 7.3
-    scaled = RawTrace(fs=FS, samples=c * x, shot_level=c * c * FS)
-    out2 = normalize_shot_noise(scaled, c * c * FS)
-    assert np.allclose(out2.samples, x, rtol=1e-12)
-    with pytest.raises(ValueError):
-        normalize_shot_noise(tr, 0.0)
 
 
 def test_normalized_floor_psd_is_flat():
@@ -67,8 +48,7 @@ def test_normalized_floor_psd_is_flat():
     # (records with live signal fill the band around the carrier instead)
     n = 400
     rec = MeasurementRecord(dt=1e-6, i1=np.zeros(n), i2=np.zeros(n))
-    raw = synthesize_raw(rec, OMEGA, FS, seed=41)
-    tr = normalize_shot_noise(raw, raw.shot_level)
+    tr = synthesize_raw(rec, OMEGA, FS, seed=41)
     f, pxx = sps.periodogram(tr.samples, fs=tr.fs, window="boxcar",
                              scaling="density")
     mask = (np.abs(f - OMEGA / (2 * math.pi)) > 0.3e6) & (f > 0.1e6)
