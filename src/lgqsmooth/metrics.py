@@ -6,8 +6,13 @@ self-consistency check with its standard-error-of-variance bars, and the
 velocity autocorrelation of trajectory means.  The two ensemble statistics
 take one stack per trajectory kind: means of shape (N, n+1, 2) for N
 records on a shared grid of n+1 samples.  The autocorrelation transforms
-its records in blocks of 256, so its FFT work space stays under 30 MB at
-1000 samples however many records a kind holds.
+its records in blocks of 256 and adds each record's autocovariance to one
+running sum per kind, in record order, so its work space stays under
+30 MB at 1000 samples however many records a kind holds.  The acceptance
+report runs its ensembles in the same 256-record blocks and feeds each
+block to the running sums (:func:`acov_sums`, then
+:func:`vacf_from_sums`), so it never holds a whole stack and gets the bits
+of one call on the whole ensemble.
 
 The standard error of an ensemble variance uses an effective record count
 that discounts temporal correlation between consecutive records of length
@@ -228,43 +233,59 @@ class VacfResult:
                 raise ValueError(f"unnormalized autocorrelation for {kind}")
 
 
-def _acf_biased(means: np.ndarray, dt: float, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation of the finite-difference velocities of
-    ``means`` (N, n+1, 2) over time, averaged over records and components.
+def acov_sums(means: dict, dt: float, max_lag: int,
+              sums: dict | None = None) -> dict:
+    """Add each record's velocity autocovariance to its kind's running sum.
 
-    Velocities and spectra are formed _ACF_BLOCK records at a time, so the
-    FFT work space is bounded by the block, not the ensemble; each record's
-    autocovariance lands in one (N, max_lag+1, 2) array that is averaged
-    once.  Up to _ACF_BLOCK records this is a single unblocked transform."""
-    n = means.shape[1] - 1
-    size = 1 << (2 * n - 1).bit_length()
-    acov = np.empty((means.shape[0], max_lag + 1, 2))
-    for lo in range(0, means.shape[0], _ACF_BLOCK):
-        hi = lo + _ACF_BLOCK
-        vel = np.diff(means[lo:hi], axis=1) / dt
-        f = np.fft.rfft(vel, size, axis=1)
-        acov[lo:hi] = np.fft.irfft(f * np.conj(f), size,
-                                   axis=1)[:, :max_lag + 1]
-    return acov.mean(axis=(0, 2)) / n
-
-
-def vacf(means: dict, dt: float, max_lag: int | None = None,
-         threshold: float = DEFAULT_VACF_THRESHOLD) -> VacfResult:
-    """Autocorrelation of finite-difference mean velocities per kind;
-    ``means`` maps each kind to its (N, n+1, 2) stack, sampled every dt."""
-    if not means:
-        raise ValueError("empty ensemble")
-    n_v = next(iter(means.values())).shape[1] - 1
-    if max_lag is None:
-        max_lag = n_v - 1
-    if max_lag >= n_v:
-        raise ValueError("trajectory too short for requested max lag")
-    values: dict = {}
-    decorr: dict = {}
+    ``means`` maps each kind to an (N, n+1, 2) stack; its finite-difference
+    velocities are transformed _ACF_BLOCK records at a time, so the FFT
+    work space is bounded by the block, not the ensemble.  Each record's
+    biased autocovariance at lags 0..max_lag, summed over the two
+    components, is added to ``sums[kind]`` (started at zero) in record
+    order.  A caller that feeds an ensemble block by block, in order and
+    at multiples of _ACF_BLOCK, gets the sums of one call on the whole
+    stack.  Returns ``sums`` (a new dict when None)."""
+    sums = {} if sums is None else sums
     for kind, stack in means.items():
         if not np.all(np.isfinite(stack)):
             raise ValueError(f"non-finite means in kind {kind}")
-        acov = _acf_biased(stack, dt, max_lag)
+        total = sums.setdefault(kind, np.zeros(max_lag + 1))
+        n = stack.shape[1] - 1
+        size = 1 << (2 * n - 1).bit_length()
+        for lo in range(0, stack.shape[0], _ACF_BLOCK):
+            f = np.fft.rfft(np.diff(stack[lo:lo + _ACF_BLOCK], axis=1) / dt,
+                            size, axis=1)
+            f = f * np.conj(f)  # not in place: that rounds differently
+            acov = np.fft.irfft(f, size, axis=1)[:, :max_lag + 1]
+            # each transform freed before the next array is made
+            del f
+            acov = acov[..., 0] + acov[..., 1]
+            for row in acov:
+                total += row
+    return sums
+
+
+def _biased(total: np.ndarray, n_records: int, n: int) -> np.ndarray:
+    # the mean over records and components, per velocity sample
+    return total / (2 * n_records) / n
+
+
+def _acf_biased(means: np.ndarray, dt: float, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation of the finite-difference velocities of
+    ``means`` (N, n+1, 2) over time, averaged over records and components."""
+    total = acov_sums({None: means}, dt, max_lag)[None]
+    return _biased(total, means.shape[0], means.shape[1] - 1)
+
+
+def vacf_from_sums(sums: dict, n_records: int, n: int, dt: float,
+                   threshold: float = DEFAULT_VACF_THRESHOLD) -> VacfResult:
+    """Normalized velocity autocorrelation per kind from the running sums
+    of :func:`acov_sums` over ``n_records`` records of n velocities each,
+    with the first lag at which each curve drops below ``threshold``."""
+    values: dict = {}
+    decorr: dict = {}
+    for kind, total in sums.items():
+        acov = _biased(total, n_records, n)
         if acov[0] <= 0:
             raise ValueError(f"zero velocity power in kind {kind}")
         norm = acov / acov[0]
@@ -273,5 +294,24 @@ def vacf(means: dict, dt: float, max_lag: int | None = None,
         below = norm < threshold
         decorr[kind] = float(np.flatnonzero(below)[0]) * dt if below.any() \
             else math.inf
-    lags = np.arange(max_lag + 1) * dt
+    lags = np.arange(next(iter(sums.values())).shape[0]) * dt
     return VacfResult(lags, values, decorr, threshold)
+
+
+def vacf(means: dict, dt: float, max_lag: int | None = None,
+         threshold: float = DEFAULT_VACF_THRESHOLD) -> VacfResult:
+    """Autocorrelation of finite-difference mean velocities per kind;
+    ``means`` maps each kind to its (N, n+1, 2) stack, sampled every dt,
+    and every kind has the same N and n."""
+    if not means:
+        raise ValueError("empty ensemble")
+    shape = next(iter(means.values())).shape
+    if any(stack.shape != shape for stack in means.values()):
+        raise ValueError("every kind needs the same records and grid")
+    n_v = shape[1] - 1
+    if max_lag is None:
+        max_lag = n_v - 1
+    if max_lag >= n_v:
+        raise ValueError("trajectory too short for requested max lag")
+    return vacf_from_sums(acov_sums(means, dt, max_lag), shape[0], n_v, dt,
+                          threshold)

@@ -14,6 +14,15 @@ With jobs > 1, estimate splits the records into contiguous slices, one
 per worker process, and each worker filters and writes the files of its
 own slice; every record goes through the same per-record path whatever
 the worker count, so the artifacts are identical for any worker count.
+
+The acceptance report writes no run directory.  It generates, filters and
+smooths its two ensembles (the injection study and the main ensemble) in
+blocks of 256 records, the autocorrelation's FFT batch, and keeps of each
+block only what its criteria read: probe columns, late-window squared
+errors and running autocovariance sums.  Its memory is then flat in the
+record count apart from those slices, and every reduction over records
+runs on them with the operations a whole stack would see, so the report
+text is the same bits as a whole-stack computation.
 """
 
 from __future__ import annotations
@@ -42,12 +51,15 @@ from .estimate import (
 )
 from .ingest import inject_noise, injection_noise
 from .metrics import (
+    _ACF_BLOCK,
+    acov_sums,
     consistency_check,
     hs_avg_theory,
     hs_avg_theory_classical,
     hs_sq_isotropic,
     std_delta_theory,
     vacf,
+    vacf_from_sums,
 )
 from .model import (
     EffectiveParams,
@@ -452,28 +464,45 @@ def stage_demod(trace_path: Path, out_dir: Path, omega: float,
 
 # ---------------------------------------------------------------------------
 # noise-injection study (report criteria 4 and 9)
+#
+# The report's two ensembles run in record blocks aligned with the
+# autocorrelation's FFT batches; each block's records come from their own
+# generators, and every recursion is row by row, so no record's bits
+# depend on its block.
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class InjectionStudy:
-    """Stacked arrays for the reduced-efficiency comparison.
+    """What criteria 4 and 9 read of the reduced-efficiency comparison.
 
     The clean ensemble provides the long-time-limit target; the injected
-    window is re-estimated at the reduced efficiency.
+    window is re-estimated at the reduced efficiency.  Of the means, only
+    the two ``probes`` columns are kept: ``m_ltl``, ``m_f`` and ``m_s`` are
+    (N, 2, 2).  The closed-form curves cover the whole window, and
+    ``acov`` holds each kind's running velocity autocovariance sum
+    (:func:`metrics.acov_sums`) over all N records.
     """
 
     ep_clean: EffectiveParams
     ep_new: EffectiveParams
     v_tar: float
     times: np.ndarray
-    m_ltl: np.ndarray          # (N, n+1, 2) target means on the window
+    probes: tuple              # window sample indices of the kept columns
+    m_ltl: np.ndarray          # (N, 2, 2) target means at the probes
     v_f: np.ndarray            # filter covariance at eta_new
     m_f: np.ndarray
     w: np.ndarray
     v_s: np.ndarray            # smoothed toward the LTL target
     m_s: np.ndarray
     v_cs: np.ndarray
-    m_cs: np.ndarray
+    acov: dict                 # Filtered, SmoothedLTL, ClassicalSmoothed
+
+
+def _record_blocks(n_records: int) -> list[slice]:
+    """Record blocks of the report's ensembles, aligned with the
+    autocorrelation's FFT blocks."""
+    return [slice(lo, min(lo + _ACF_BLOCK, n_records))
+            for lo in range(0, n_records, _ACF_BLOCK)]
 
 
 def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
@@ -483,9 +512,12 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     """Filter a clean ensemble through a warm-up into its long-time limit,
     then re-estimate the last ``window`` of its records at ``eta_new``.
 
-    The clean ensemble is streamed in record-length warm-up blocks, with
-    the window as the last block; the clean filter runs block by block
-    from the previous block's last mean, so only the window is kept."""
+    Records run in blocks of :func:`_record_blocks`, each from its own
+    generators.  A block's clean ensemble is streamed in record-length
+    warm-up blocks, with the window as the last block; the clean filter
+    runs block by block from the previous block's last mean, so only the
+    window is kept.  After its estimates and smoothing, a block leaves
+    only its probe columns and its velocity autocovariance sums behind."""
     ep_new = dataclasses.replace(ep, eta=eta_new)
     total = warmup_records * ep.record_duration + window
     n_total = int(round(total / ep.dt))
@@ -493,32 +525,46 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     n_rec = int(round(ep.record_duration / ep.dt))
     n_warm = n_total - n_win
     steps = [min(n_rec, n_warm - lo) for lo in range(0, n_warm, n_rec)]
-    rngs = [np.random.default_rng(int(s))
-            for s in derive_record_seeds(base_seed, n_records)]
-
+    seeds = derive_record_seeds(base_seed, n_records)
+    inject_seeds = derive_record_seeds(inject_seed, n_records)
     _, v_clean = filter_grid(ep, n_total)
-    m_ltl, lo = np.zeros((n_records, 1, 2)), 0
-    for _, truth, win in truth_stream(ep, rngs, steps + [n_win]):
-        m_ltl = filter_means(win, ep, v_clean[lo:], m_ltl[:, -1])
-        lo += win.shape[1]
-    del truth  # only the window's currents and clean means are used
     v_tar = v_filter_ss(ep)
-
     sig, scale = injection_noise(ep.eta, eta_new, ep.dt)
-    seeds = derive_record_seeds(inject_seed, n_records)
-    # in place: the clean window is not needed once its noise is added
-    for i in range(n_records):
-        rng = np.random.default_rng(int(seeds[i]))
-        win[i] += rng.normal(0.0, sig, win[i].shape)
-        win[i] *= scale
-
-    times, v_f, w, m_f, z = _estimate_stack(ep_new, win)
-    del win
-    v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
-    v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
+    probes = (0, n_win // 2)
+    kept = {name: np.empty((n_records, 2, 2))
+            for name in ("m_ltl", "m_f", "m_s")}
+    acov: dict = {}
+    for sl in _record_blocks(n_records):
+        rngs = [np.random.default_rng(int(s)) for s in seeds[sl]]
+        m_ltl, lo = np.zeros((len(rngs), 1, 2)), 0
+        for _, truth, win in truth_stream(ep, rngs, steps + [n_win]):
+            m_ltl = filter_means(win, ep, v_clean[lo:], m_ltl[:, -1])
+            lo += win.shape[1]
+        del truth  # only the window's currents and clean means are used
+        # in place: the clean window is not needed once its noise is added
+        for row, s in zip(win, inject_seeds[sl]):
+            row += np.random.default_rng(int(s)).normal(0.0, sig, row.shape)
+            row *= scale
+        kept["m_ltl"][sl] = m_ltl[:, probes]
+        del m_ltl
+        times, v_f, w, m_f, z = _estimate_stack(ep_new, win)
+        del win
+        kept["m_f"][sl] = m_f[:, probes]
+        # each kind's autocovariance as soon as it exists, so that at most
+        # one smoothed stack is held through a transform
+        v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
+        acov_sums({"ClassicalSmoothed": m_cs}, ep.dt, n_win - 1, acov)
+        del m_cs
+        v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
+        del z
+        kept["m_s"][sl] = m_s[:, probes]
+        acov_sums({"SmoothedLTL": m_s}, ep.dt, n_win - 1, acov)
+        del m_s
+        acov_sums({"Filtered": m_f}, ep.dt, n_win - 1, acov)
+        del m_f  # before the next block makes its own
     return InjectionStudy(ep_clean=ep, ep_new=ep_new, v_tar=v_tar,
-                          times=times, m_ltl=m_ltl, v_f=v_f, m_f=m_f, w=w,
-                          v_s=v_s, m_s=m_s, v_cs=v_cs, m_cs=m_cs)
+                          times=times, probes=probes, v_f=v_f, w=w, v_s=v_s,
+                          v_cs=v_cs, acov=acov, **kept)
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +632,17 @@ def _crit_injection(study: InjectionStudy) -> CriterionResult:
     imp_ss = 1.0 - hs_avg_theory(v_tar, v_sss) / hs_avg_theory(v_tar, v_fss)
     ok = abs(imp0 - 0.23) <= 0.01 and abs(imp_ss - 0.13) <= 0.01
 
-    n_win = study.v_f.shape[0] - 1
-    worst = 0.0
-    for k in (0, n_win // 2):
-        for v_curve, m_curve in ((study.v_f, study.m_f),
-                                 (study.v_s, study.m_s)):
-            samp = hs_sq_isotropic(v_tar, study.m_ltl[:, k],
-                                   v_curve[k], m_curve[:, k])
+    pulls = []
+    for j, k in enumerate(study.probes):
+        for v_curve, m_kept in ((study.v_f, study.m_f),
+                                (study.v_s, study.m_s)):
+            samp = hs_sq_isotropic(v_tar, study.m_ltl[:, j],
+                                   v_curve[k], m_kept[:, j])
             se = samp.std(ddof=1) / math.sqrt(samp.shape[0])
-            pull = abs(samp.mean() - hs_avg_theory(v_tar, v_curve[k])) / se
-            worst = max(worst, pull)
+            pulls.append(abs(samp.mean() - hs_avg_theory(v_tar, v_curve[k]))
+                         / se)
+    # np.max keeps a NaN pull (an undefined spread), which then fails
+    worst = float(np.max(pulls))
     ok = ok and worst <= 3.0
     return CriterionResult(
         4, "reduced-efficiency smoothing advantage", ok,
@@ -604,31 +651,63 @@ def _crit_injection(study: InjectionStudy) -> CriterionResult:
         f"worst sampled deviation {worst:.2f} se (limit 3)")
 
 
-def _main_arrays(ep: EffectiveParams, n_records: int, base_seed: int):
-    """The main ensemble: truth means, time grid, and kind -> (means, vw)
-    as consistency_check takes them."""
-    ens = simulate_truth_ensemble(ep, ep.record_duration, n_records,
-                                  base_seed)
-    truth = ens.means
-    times, v_f, w, m_f, z = _estimate_stack(ep, ens.currents)
-    del ens  # frees the currents; only the truth means are read again
-    stacks = {"Filtered": (m_f, v_f)}
+def _report_probes(n: int) -> np.ndarray:
+    """Criterion 5's 20 probe samples of an n-sample record."""
+    return np.unique(np.round(np.linspace(0, n - 1, 20)).astype(int))
+
+
+def _kinds_of(ep: EffectiveParams, v_f, w, m_f, z):
+    """(kind, vw, means) of the five conditioning kinds of one block of
+    filtered and retrofiltered records, each made only when asked for, so
+    a caller that keeps slices holds at most two means stacks at once."""
+    yield "Filtered", v_f, m_f
     for target in TARGET_KINDS:
         v, m = combine_arrays(v_f, m_f, w, z, target_spec(target, ep).v_tar)
-        stacks[_TRAJ_KIND[target]] = (m, v)
-    # last, so its stack is not held through the combinations
-    stacks["Retrofiltered"] = (effect_means(w, z, ep), w)
-    return truth, times, stacks
+        yield _TRAJ_KIND[target], v, m
+    yield "Retrofiltered", w, effect_means(w, z, ep)
+
+
+def _main_arrays(ep: EffectiveParams, n_records: int, base_seed: int):
+    """What criteria 5 and 6 read of the main ensemble.
+
+    Records run in blocks of :func:`_record_blocks`, each from its own
+    generators.  Returns the grid times at the kept columns (the probes,
+    then the last sample, so the kept times span the record), kind ->
+    (means, vw) at those columns as consistency_check takes them, and for
+    SmoothedTrue and Filtered the late-window squared errors against the
+    truth (N, n+1-lo, 2) with vw[lo:], from lo = round(0.7 n)."""
+    n = _n_steps(ep, ep.record_duration)
+    cols = np.append(_report_probes(n), n)
+    lo = int(round(0.7 * n))
+    seeds = derive_record_seeds(base_seed, n_records)
+    kept, vw = {}, {}
+    late = {kind: np.empty((n_records, n + 1 - lo, 2))
+            for kind in ("SmoothedTrue", "Filtered")}
+    for sl in _record_blocks(n_records):
+        rngs = [np.random.default_rng(int(s)) for s in seeds[sl]]
+        times, truth, currents = next(truth_stream(ep, rngs, [n]))
+        times, v_f, w, m_f, z = _estimate_stack(ep, currents)
+        del currents
+        for kind, v, m in _kinds_of(ep, v_f, w, m_f, z):
+            vw[kind] = v
+            kept.setdefault(kind, np.empty((n_records, cols.shape[0], 2)))
+            kept[kind][sl] = m[:, cols]
+            if kind in late:
+                np.subtract(m[:, lo:], truth[:, lo:], out=late[kind][sl])
+                late[kind][sl] **= 2
+        del truth, m_f, z, m  # before the next block makes its own
+    # the closed-form vw are the same for every block
+    late = {kind: (err, vw[kind][lo:]) for kind, err in late.items()}
+    stacks = {kind: (m, vw[kind][cols]) for kind, m in kept.items()}
+    return times[cols], stacks, late
 
 
 def _crit_consistency(ep, arrays) -> CriterionResult:
-    _, times, stacks = arrays
+    times, stacks, _ = arrays
     stats = consistency_check(stacks, times, ep)
-    n = times.shape[0] - 1
-    probes = np.unique(np.round(np.linspace(0, n - 1, 20)).astype(int))
-    bad = sum(int(stats.outside[kind][probes].sum())
-              for kind in stats.outside)
-    total = len(stats.outside) * probes.shape[0]
+    # every kept column but the record's last sample is a probe
+    bad = sum(int(stats.outside[kind][:-1].sum()) for kind in stats.outside)
+    total = len(stats.outside) * (times.shape[0] - 1)
     return CriterionResult(
         5, "ensemble variance consistency", bad == 0,
         f"{total - bad}/{total} probes within 3 standard errors "
@@ -636,15 +715,9 @@ def _crit_consistency(ep, arrays) -> CriterionResult:
 
 
 def _crit_mse(ep, arrays) -> CriterionResult:
-    truth, times, stacks = arrays
-    (m_st, v_st), (m_f, v_f) = stacks["SmoothedTrue"], stacks["Filtered"]
-    n = times.shape[0] - 1
-    lo = int(round(0.7 * n))
-    truth = truth[:, lo:, :]
-    rat_s = (np.mean((m_st[:, lo:, :] - truth) ** 2)
-             / np.mean(v_st[lo:] - 1.0))
-    rat_f = (np.mean((m_f[:, lo:, :] - truth) ** 2)
-             / np.mean(v_f[lo:] - 1.0))
+    _, _, late = arrays
+    rat_s, rat_f = (np.mean(err) / np.mean(vw - 1.0)
+                    for err, vw in (late["SmoothedTrue"], late["Filtered"]))
     ok = abs(rat_s - 1.0) <= 0.05 and abs(rat_f - 1.0) <= 0.05
     return CriterionResult(
         6, "mean-square error identities", ok,
@@ -731,9 +804,9 @@ def _crit_physicality(n_sets: int = 1000,
 
 
 def _crit_vacf(study: InjectionStudy) -> CriterionResult:
-    res = vacf({"Filtered": study.m_f, "SmoothedLTL": study.m_s,
-                "ClassicalSmoothed": study.m_cs},
-               study.times[1] - study.times[0])
+    res = vacf_from_sums(study.acov, study.m_f.shape[0],
+                         study.times.shape[0] - 1,
+                         study.times[1] - study.times[0])
     d = res.decorrelation_time
     ratio = d["ClassicalSmoothed"] / max(d["Filtered"], d["SmoothedLTL"])
     ok = ratio >= 10.0
@@ -802,17 +875,32 @@ def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
         f"(1 and 2 workers)")
 
 
+# the injection study's efficiency when the config has no [noise_injection]
+DEFAULT_ETA_NEW = 0.10
+
+
 def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     """Run the full validation suite and return one result per criterion.
 
     Statistical checks reuse two shared ensembles: the main truth ensemble
     at the configured parameters and the reduced-efficiency injection
-    study.  Criteria 7, 8 and 10 read neither, so one side process runs
-    them meanwhile; it starts before the ensembles exist and is joined
-    before criterion 11 starts its own pool.  Seeds derive from the
-    configured base seed, so the report is reproducible.
+    study, each run in record blocks that leave only the slices their
+    criteria read.  Criteria 7, 8 and 10 read neither, so one side process
+    runs them meanwhile; it starts before the ensembles exist and is joined
+    before criterion 11 starts its own pool.  The record count and the
+    study's efficiency are checked before anything starts.  Seeds derive
+    from the configured base seed, so the report is reproducible.
     """
     ep = effective(cfg)
+    if cfg.n_records < 2:
+        raise ValueError(f"report: ensemble.n_records = {cfg.n_records}, the "
+                         "report's ensemble statistics need at least 2")
+    eta_new = cfg.eta_new if cfg.eta_new is not None else DEFAULT_ETA_NEW
+    if not 0 < eta_new <= cfg.params.eta:
+        given = " (its default)" if cfg.eta_new is None else ""
+        raise ValueError(f"report: noise_injection.eta_new = {eta_new:g}"
+                         f"{given} must be in (0, params.eta = "
+                         f"{cfg.params.eta:g}]")
     omega = cfg.params.omega if cfg.params.omega > 0 else 2.0 * math.pi * 1.04e6
     log("report: cross-checking closed forms, physicality bounds and "
         "demodulation in a side process")
@@ -822,7 +910,6 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
         results = [_crit_filter_ss(ep), _crit_t0_ratios(ep),
                    _crit_true_target(ep)]
 
-        eta_new = cfg.eta_new if cfg.eta_new is not None else 0.10
         log("report: running the reduced-efficiency injection study")
         study = run_injection_study(ep, eta_new, cfg.n_records,
                                     cfg.base_seed + 1_000_003,

@@ -161,20 +161,24 @@ def _draw_initial(rng: np.random.Generator, ep: EffectiveParams) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(max(ep.sigma2_uncon - 1.0, 0.0)), 2)
 
 
-def _draw_kicks(rng: np.random.Generator, n: int, ep: EffectiveParams
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """State kicks (n, 2) and record noise (n, 2) of the next n samples.
+def _draw_kicks(rng: np.random.Generator, ep: EffectiveParams,
+                kicks: np.ndarray, noise: np.ndarray) -> None:
+    """Draw the state kicks (b, 2) and record noise (b, 2) of the next b
+    samples straight into ``kicks`` and ``noise``.
 
     The three Wiener pairs are reduced at once, so an ensemble never holds
-    all of its (n, 6) increments.
+    all of its (b, 6) increments.
     """
-    dw = rng.normal(0.0, math.sqrt(ep.dt), (n, _TRUE_COLS))
+    dw = rng.normal(0.0, math.sqrt(ep.dt), (kicks.shape[0], _TRUE_COLS))
     g_obs = math.sqrt(ep.meas_rate)
     g_u1 = math.sqrt(2.0 * (1.0 - ep.eta) * ep.gamma_eff * ep.coop_eff)
     g_u2 = math.sqrt(2.0 * ep.gamma_eff * ep.n_th_eff)
-    # true covariance held at its stationary value 1, so kicks carry unit v
-    kicks = g_obs * dw[:, 0:2] + g_u1 * dw[:, 2:4] + g_u2 * dw[:, 4:6]
-    return kicks, dw[:, 0:2] / ep.dt
+    # true covariance held at its stationary value 1, so kicks carry unit v;
+    # summed as (g_obs dw_0 + g_u1 dw_1) + g_u2 dw_2
+    np.multiply(dw[:, 0:2], g_obs, out=kicks)
+    kicks += g_u1 * dw[:, 2:4]
+    kicks += g_u2 * dw[:, 4:6]
+    np.divide(dw[:, 0:2], ep.dt, out=noise)
 
 
 def _affine_recurrence(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -204,18 +208,19 @@ def _affine_recurrence(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _evolve_true(m0: np.ndarray, kicks: np.ndarray, noise: np.ndarray,
+def _evolve_true(means: np.ndarray, currents: np.ndarray,
                  ep: EffectiveParams) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked true means and currents; ``noise`` becomes the currents."""
-    n = kicks.shape[1]
+    """Stacked true means and currents, in place: ``means`` (N, n+1, 2)
+    holds the start, then the kicks; ``currents`` (N, n, 2) holds the
+    record noise, to which each record's mean leakage is added."""
+    n = currents.shape[1]
     f = math.exp(-ep.gamma_eff * ep.dt / 2.0)
     g_obs = math.sqrt(ep.meas_rate)
-    means = np.empty((m0.shape[0], n + 1, 2))
-    means[:, 0] = m0
-    means[:, 1:] = kicks
     _affine_recurrence(np.full(n, f), means)
-    noise += g_obs * means[:, :n]
-    return means, noise
+    # one record at a time, so no (N, n, 2) temporary is made
+    for row, mean in zip(currents, means):
+        row += g_obs * mean[:n]
+    return means, currents
 
 
 def truth_stream(ep: EffectiveParams, rngs: Sequence[np.random.Generator],
@@ -235,11 +240,12 @@ def truth_stream(ep: EffectiveParams, rngs: Sequence[np.random.Generator],
     mean = np.array([_draw_initial(rng, ep) for rng in rngs]).reshape(-1, 2)
     lo = 0
     for b in steps:
-        kicks = np.empty((len(rngs), b, 2))
-        noise = np.empty((len(rngs), b, 2))
+        means = np.empty((len(rngs), b + 1, 2))
+        currents = np.empty((len(rngs), b, 2))
+        means[:, 0] = mean
         for i, rng in enumerate(rngs):
-            kicks[i], noise[i] = _draw_kicks(rng, b, ep)
-        means, currents = _evolve_true(mean, kicks, noise, ep)
+            _draw_kicks(rng, ep, means[i, 1:], currents[i])
+        _evolve_true(means, currents, ep)
         yield np.arange(lo, lo + b + 1) * ep.dt, means, currents
         mean = means[:, b].copy()
         lo += b
@@ -300,16 +306,15 @@ def simulate_surrogate_ensemble(ep: EffectiveParams, duration: float,
     n = _n_steps(ep, duration)
     seeds = derive_record_seeds(base_seed, n_records)
     g_proc = math.sqrt(2.0 * ep.gamma_eff * ep.n_tot)
-    x0 = np.empty((n_records, 2))
-    kicks = np.empty((n_records, n, 2))
-    noise = np.empty((n_records, n, 2))
+    means = np.empty((n_records, n + 1, 2))
+    currents = np.empty((n_records, n, 2))
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(int(s))
-        x0[i] = rng.normal(0.0, math.sqrt(ep.sigma2_uncon), 2)
+        means[i, 0] = rng.normal(0.0, math.sqrt(ep.sigma2_uncon), 2)
         dw = rng.normal(0.0, math.sqrt(ep.dt), (n, _SURR_COLS))
-        kicks[i] = g_proc * dw[:, 0:2]
-        noise[i] = dw[:, 2:4] / ep.dt
-    means, currents = _evolve_true(x0, kicks, noise, ep)
+        np.multiply(dw[:, 0:2], g_proc, out=means[i, 1:])
+        np.divide(dw[:, 2:4], ep.dt, out=currents[i])
+    _evolve_true(means, currents, ep)
     return TruthEnsemble(np.arange(n + 1) * ep.dt, means, currents, seeds,
                          ep.dt, ep.eta)
 

@@ -7,7 +7,9 @@ regardless of the absolute rates.  The general-covariance Hilbert-Schmidt
 distance, itself checked against a Wigner-grid integral, is the reference
 for the package's isotropic one.  The injection study and the velocity
 autocorrelation are also kept in their whole-array forms, which the
-time-streamed study and the record-blocked autocorrelation must reproduce.
+record-blocked study and autocorrelation must reproduce, and so is the
+report's main ensemble, whose kept slices the record-blocked one must
+reproduce.
 The filter and retrofilter recursions are kept in their per-sample forms:
 the retrofilter's reproduces the package's bits, the filter's bounds the
 rounding of the package's factor-and-offset form.
@@ -21,7 +23,14 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from lgqsmooth.estimate import filter_grid, filter_means, retro_grid, retro_info
+from lgqsmooth.estimate import (
+    effect_means,
+    filter_grid,
+    filter_means,
+    retro_grid,
+    retro_info,
+)
+from lgqsmooth.metrics import _ACF_BLOCK
 from lgqsmooth.model import EffectiveParams, GaussianState, v_filter_ss
 from lgqsmooth.simulate import derive_record_seeds, simulate_truth_ensemble
 from lgqsmooth.smooth import combine_arrays
@@ -187,6 +196,44 @@ def injection_study_whole(ep: EffectiveParams, eta_new: float,
     v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
     return dict(times=times, m_ltl=m_clean[:, n_total - n_win:], v_f=v_f,
                 m_f=m_f, w=w, v_s=v_s, m_s=m_s, v_cs=v_cs, m_cs=m_cs)
+
+
+def main_arrays_whole(ep: EffectiveParams, n_records: int,
+                      base_seed: int):
+    """The report's main ensemble on whole stacks: truth means, time grid
+    and kind -> (means (N, n+1, 2), vw) for the five conditioning kinds."""
+    ens = simulate_truth_ensemble(ep, ep.record_duration, n_records,
+                                  base_seed)
+    n = ens.currents.shape[1]
+    times, v_f = filter_grid(ep, n)
+    _, w = retro_grid(ep, n)
+    m_f = filter_means(ens.currents, ep, v_f, np.zeros((n_records, 2)))
+    z = retro_info(ens.currents, ep, w)
+    stacks = {"Filtered": (m_f, v_f)}
+    for kind, v_tar in (("SmoothedLTL", v_filter_ss(ep)),
+                        ("SmoothedTrue", 1.0), ("ClassicalSmoothed", 0.0)):
+        v, m = combine_arrays(v_f, m_f, w, z, v_tar)
+        stacks[kind] = (m, v)
+    stacks["Retrofiltered"] = (effect_means(w, z, ep), w)
+    return ens.means, times, stacks
+
+
+def velocity_acov_batched(means: np.ndarray, dt: float,
+                          max_lag: int) -> np.ndarray:
+    """Every record's velocity autocovariance, (N, max_lag+1, 2), formed
+    in the package's record batches (pocketfft may round a row by its
+    place in a batch) and held whole; its ``mean(axis=(0, 2)) / n`` is the
+    whole-array biased autocorrelation."""
+    n = means.shape[1] - 1
+    size = 1 << (2 * n - 1).bit_length()
+    acov = np.empty((means.shape[0], max_lag + 1, 2))
+    for lo in range(0, means.shape[0], _ACF_BLOCK):
+        hi = lo + _ACF_BLOCK
+        vel = np.diff(means[lo:hi], axis=1) / dt
+        f = np.fft.rfft(vel, size, axis=1)
+        acov[lo:hi] = np.fft.irfft(f * np.conj(f), size,
+                                   axis=1)[:, :max_lag + 1]
+    return acov
 
 
 def acf_biased_whole(means: np.ndarray, dt: float,

@@ -706,3 +706,33 @@ def test_side_criterion_error_is_exit_one(cfg_path, tmp_path, capsys):
     assert captured.out == ""
     assert "lgqsmooth: error: fs must exceed four times the carrier " \
         "frequency" in captured.err
+
+
+def test_report_checks_default_injection_efficiency_first(cfg_path, tmp_path,
+                                                          capsys):
+    # without [noise_injection] the study runs at eta_new = 0.10, which a
+    # 0.05 detector cannot reach; the report says so before it starts
+    # the side process or the study
+    cfg_path.write_text(CONFIG.replace("eta = 0.38", "eta = 0.05"))
+    code = main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "rep")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "noise_injection.eta_new = 0.1 (its default) must be in " \
+        "(0, params.eta = 0.05]" in captured.err
+    assert "side process" not in captured.err
+    assert "running the reduced-efficiency injection study" \
+        not in captured.err
+
+
+def test_report_refuses_one_record(cfg_path, tmp_path, capsys):
+    # one record has no ensemble spread, so the report refuses it up front
+    cfg_path.write_text(CONFIG.replace("n_records = 4", "n_records = 1"))
+    code = main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "rep")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "report: ensemble.n_records = 1" in captured.err
+    assert "side process" not in captured.err

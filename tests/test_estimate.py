@@ -396,6 +396,14 @@ def _stacked_currents(draw):
     return currents, m0
 
 
+def _start_and_kicks(m0, kicks):
+    # _evolve_true's means argument: the start, then the kicks
+    means = np.empty((m0.shape[0], kicks.shape[1] + 1, 2))
+    means[:, 0] = m0
+    means[:, 1:] = kicks
+    return means
+
+
 @settings(max_examples=80, deadline=None)
 @given(_stacked_currents())
 def test_single_record_matches_stacked_rows_property(ref_ep, data):
@@ -408,12 +416,13 @@ def test_single_record_matches_stacked_rows_property(ref_ep, data):
     _, w = retro_grid(ref_ep, n)
     m_all = filter_means(currents, ref_ep, v, m0)
     z_all = retro_info(currents, ref_ep, w)
-    t_all, c_all = _evolve_true(m0, currents, currents.copy(), ref_ep)
+    t_all, c_all = _evolve_true(_start_and_kicks(m0, currents),
+                                currents.copy(), ref_ep)
     for i in range(currents.shape[0]):
         row = slice(i, i + 1)
         m_one = filter_means(currents[row], ref_ep, v, m0[row])
         z_one = retro_info(currents[row], ref_ep, w)
-        t_one, c_one = _evolve_true(m0[row], currents[row],
+        t_one, c_one = _evolve_true(_start_and_kicks(m0[row], currents[row]),
                                     currents[row].copy(), ref_ep)
         assert _same_bits(m_one, m_all[row])
         assert _same_bits(z_one, z_all[row])

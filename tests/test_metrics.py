@@ -31,14 +31,16 @@ from lgqsmooth.estimate import (
 from lgqsmooth.metrics import (
     EnsembleStats,
     _acf_biased,
+    acov_sums,
     effective_record_count,
     hs_sq_isotropic,
+    vacf_from_sums,
 )
 from lgqsmooth.model import retro_precision_ss
 from lgqsmooth.smooth import combine_arrays, z_values
 from lgqsmooth.simulate import simulate_true_and_record
 
-from _oracles import acf_biased_whole, gaussian_hs_sq
+from _oracles import acf_biased_whole, gaussian_hs_sq, velocity_acov_batched
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +337,28 @@ def test_acf_blocked_matches_whole_transform(n_records):
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     else:
         assert np.max(np.abs(got - expected)) <= 1e-12 * expected[0]
+
+
+@pytest.mark.parametrize("n_records", [8, 256, 257, 1000])
+def test_acf_running_sum_matches_whole_mean(n_records):
+    # the record-order running sum over per-record autocovariances gives
+    # the bits of numpy's mean over the whole (N, max_lag+1, 2) array, and
+    # so does feeding it in record blocks at multiples of the FFT batch
+    rng = np.random.default_rng(n_records)
+    dt = 1e-6
+    means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
+    acov = velocity_acov_batched(means, dt, 999)
+    expected = acov.mean(axis=(0, 2)) / 1000
+    assert np.array_equal(_acf_biased(means, dt, 999).view(np.uint64),
+                          expected.view(np.uint64))
+    sums: dict = {}
+    for lo in range(0, n_records, 256):
+        acov_sums({"Filtered": means[lo:lo + 256]}, dt, 999, sums)
+    res = vacf_from_sums(sums, n_records, 1000, dt)
+    whole = vacf({"Filtered": means}, dt)
+    assert np.array_equal(res.values["Filtered"], whole.values["Filtered"])
+    assert np.array_equal(sums["Filtered"].view(np.uint64),
+                          acov.sum(axis=(0, 2)).view(np.uint64))
 
 
 def test_vacf_white_velocity():

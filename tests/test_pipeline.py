@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,15 @@ import pytest
 from lgqsmooth import pipeline, recordio
 from lgqsmooth.config import RunConfig
 from lgqsmooth.ingest import RawTrace
+from lgqsmooth.metrics import consistency_check
 from lgqsmooth.model import PhysicalParams, v_filter_ss
 from lgqsmooth.simulate import MeasurementRecord, simulate_truth_ensemble, synthesize_raw
 
-from _oracles import injection_study_whole
+from _oracles import (
+    injection_study_whole,
+    main_arrays_whole,
+    velocity_acov_batched,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,18 +178,30 @@ def test_stage_demod(tmp_path, ref_ep):
     assert all(p.n == 300 for p in parts)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
 def test_injection_study_structure(ref_ep):
-    study = pipeline.run_injection_study(ref_ep, 0.10, 40, 777, 888,
+    # 300 records: one full 256-record block and a partial one
+    study = pipeline.run_injection_study(ref_ep, 0.10, 300, 777, 888,
                                          window=3e-4, warmup_records=1)
     n_win = int(round(3e-4 / ref_ep.dt))
-    assert study.m_ltl.shape == (40, n_win + 1, 2)
-    assert study.m_f.shape == study.m_ltl.shape
+    assert study.probes == (0, n_win // 2)
+    assert study.m_ltl.shape == (300, 2, 2)
+    assert study.m_f.shape == study.m_s.shape == study.m_ltl.shape
+    assert study.times.shape == study.v_f.shape == (n_win + 1,)
+    assert set(study.acov) == {"Filtered", "SmoothedLTL",
+                               "ClassicalSmoothed"}
+    assert all(a.shape == (n_win,) for a in study.acov.values())
     assert study.v_f[0] == pytest.approx(study.ep_new.sigma2_uncon)
     assert study.v_tar == pytest.approx(v_filter_ss(ref_ep))
     # smoothing interpolates between the target floor and the filter
     assert (study.v_s <= study.v_f + 1e-12).all()
     assert (study.v_s >= study.v_tar - 1e-12).all()
-    assert np.isfinite(study.m_s).all() and np.isfinite(study.m_cs).all()
+    assert np.isfinite(study.m_s).all()
 
 
 @pytest.mark.parametrize("window, warmup_records, record_us", [
@@ -191,20 +210,107 @@ def test_injection_study_structure(ref_ep):
 def test_injection_study_matches_whole_array_oracle(ref_ep, window,
                                                     warmup_records,
                                                     record_us):
-    # streamed in record-length blocks, the study keeps the bits of one
-    # ensemble over warm-up and window with the window sliced out after
+    # in 256-record blocks, each streamed in record-length time blocks,
+    # the study keeps the bits of one ensemble over warm-up and window:
+    # its probe columns, its curves and its autocovariance sums
     ep = dataclasses.replace(ref_ep, record_duration=record_us * 1e-6)
-    study = pipeline.run_injection_study(ep, 0.10, 40, 777, 888,
+    n_records = 300
+    study = pipeline.run_injection_study(ep, 0.10, n_records, 777, 888,
                                          window=window,
                                          warmup_records=warmup_records)
-    whole = injection_study_whole(ep, 0.10, 40, 777, 888, window=window,
+    whole = injection_study_whole(ep, 0.10, n_records, 777, 888,
+                                  window=window,
                                   warmup_records=warmup_records)
-    for name, expected in whole.items():
-        got = getattr(study, name)
-        assert got.shape == expected.shape, name
-        assert np.array_equal(got.view(np.uint64),
-                              np.ascontiguousarray(expected).view(np.uint64)), \
-            name
+    probes = list(study.probes)
+    for name in ("m_ltl", "m_f", "m_s"):
+        assert _same_bits(getattr(study, name), whole[name][:, probes]), name
+    for name in ("times", "v_f", "w", "v_s", "v_cs"):
+        assert _same_bits(getattr(study, name), whole[name]), name
+    n_win = whole["v_f"].shape[0] - 1
+    for kind, name in (("Filtered", "m_f"), ("SmoothedLTL", "m_s"),
+                       ("ClassicalSmoothed", "m_cs")):
+        acov = velocity_acov_batched(whole[name], ep.dt, n_win - 1)
+        assert _same_bits(study.acov[kind], acov.sum(axis=(0, 2))), kind
+
+
+def test_main_arrays_match_whole_stack_oracle(ref_ep):
+    # in 256-record blocks the main ensemble keeps what criteria 5 and 6
+    # read, bit for bit: variances and their error bars at the probes, and
+    # the late-window MSE ratios
+    n_records = 300
+    times, stacks, late = pipeline._main_arrays(ref_ep, n_records, 4242)
+    truth, w_times, w_stacks = main_arrays_whole(ref_ep, n_records, 4242)
+    n = w_times.shape[0] - 1
+    probes = pipeline._report_probes(n)
+    assert probes.shape == (20,)
+    assert _same_bits(times, w_times[np.append(probes, n)])
+    got = consistency_check(stacks, times, ref_ep)
+    expected = consistency_check(w_stacks, w_times, ref_ep)
+    assert set(got.var_ens) == set(expected.var_ens)
+    for kind in expected.var_ens:
+        assert _same_bits(got.var_ens[kind][:-1],
+                          expected.var_ens[kind][probes]), kind
+        assert _same_bits(got.sev[kind][:-1], expected.sev[kind][probes]), \
+            kind
+    lo = int(round(0.7 * n))
+    for kind in ("SmoothedTrue", "Filtered"):
+        m, v = w_stacks[kind]
+        err, vw = late[kind]
+        ratio = np.mean(err) / np.mean(vw - 1.0)
+        expected_ratio = (np.mean((m[:, lo:, :] - truth[:, lo:, :]) ** 2)
+                          / np.mean(v[lo:] - 1.0))
+        assert _same_bits(ratio, expected_ratio), kind
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_ensembles_memory_is_flat_in_records(ref_ep):
+    # 256 and 1024 records: four times the blocks, and only the slices the
+    # criteria read may grow with the record count.  At 250 samples per
+    # record those are, in float64 pairs, the study's three kinds at two
+    # probes, and the main ensemble's five kinds at 20 probes and the last
+    # sample plus two kinds' squared errors over samples 175..250
+    ep = dataclasses.replace(ref_ep, record_duration=250e-6)
+    for name, run, kept in (
+            ("study",
+             lambda n: pipeline.run_injection_study(ep, 0.10, n, 5, 6,
+                                                    window=3e-4,
+                                                    warmup_records=1),
+             3 * 2 * 16),
+            ("main ensemble", lambda n: pipeline._main_arrays(ep, n, 7),
+             (5 * 21 + 2 * 76) * 16)):
+        small = _traced_peak(run, 256)
+        large = _traced_peak(run, 1024)
+        assert large <= small + kept * 768 + 1e6, (name, small, large)
+
+
+def test_undefined_pull_fails_criterion_4(ref_ep):
+    # one record has no sample spread, so its pulls are NaN; they must
+    # fail the check, not vanish from the worst one.  The default window
+    # passes the theory half, so only the pulls decide
+    one = pipeline.run_injection_study(ref_ep, 0.10, 1, 5, 6)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = pipeline._crit_injection(one)
+    assert res.detail.startswith("theory gain 23.0% at t = 0 (23 +- 1), "
+                                 "13.0% steady (13 +- 1); ")
+    assert not res.passed
+    assert "worst sampled deviation nan se" in res.detail
+    # identical records: zero spread, so no pull is finite either
+    two = pipeline.run_injection_study(ref_ep, 0.10, 2, 5, 6)
+    same = dataclasses.replace(
+        two, **{name: np.repeat(getattr(two, name)[:1], 2, axis=0)
+                for name in ("m_ltl", "m_f", "m_s")})
+    with np.errstate(all="ignore"):
+        res = pipeline._crit_injection(same)
+    assert not res.passed
 
 
 def test_peak_rss_matches_kernel_high_water_mark():

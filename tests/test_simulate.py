@@ -135,8 +135,9 @@ def test_stability_guard(ref_ep):
 def test_pure_decay_without_noise(ref_ep):
     # exact exponential drift: with all increments zeroed the mean is f^k m0
     m0 = np.array([[3.0, -2.0]])
-    means, currents = _evolve_true(m0, np.zeros((1, 20, 2)),
-                                   np.zeros((1, 20, 2)), ref_ep)
+    start = np.zeros((1, 21, 2))
+    start[:, 0] = m0
+    means, currents = _evolve_true(start, np.zeros((1, 20, 2)), ref_ep)
     f = math.exp(-ref_ep.gamma_eff * ref_ep.dt / 2.0)
     ks = np.arange(21)
     assert np.allclose(means[0], f ** ks[:, None] * m0[0], rtol=1e-12, atol=0)
