@@ -169,12 +169,17 @@ def retro_grid(ep: EffectiveParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     return times, w
 
 
+def effect_defined(w: np.ndarray, ep: EffectiveParams) -> np.ndarray:
+    """Where the precision w is above the meaningful floor, so that the
+    effect mean z/w is defined."""
+    return w > W_MIN_FRACTION * retro_precision_ss(ep)
+
+
 def effect_means(w: np.ndarray, z: np.ndarray, ep: EffectiveParams) -> np.ndarray:
-    """z/w with NaN where the precision is below the meaningful floor."""
-    floor = W_MIN_FRACTION * retro_precision_ss(ep)
+    """z/w, NaN where it is not :func:`effect_defined`."""
     # divided in place where defined, so a stack makes no masked copies
     out = np.full(z.shape, np.nan)
-    np.divide(z, w[:, None], out=out, where=(w > floor)[:, None])
+    np.divide(z, w[:, None], out=out, where=effect_defined(w, ep)[:, None])
     return out
 
 

@@ -213,16 +213,16 @@ def demodulate(raw: RawTrace, omega: float, bw_3db: float = DEFAULT_BW_3DB,
         raise ValueError("trace shorter than the demodulation transient")
 
     root2 = math.sqrt(2.0)
-    out = np.empty((2, -(-raw.n // stride)))
+    out = np.empty((-(-raw.n // stride), 2))
     step = max(1, _CHUNK // stride) * stride
     for lo in range(0, raw.n, step):
         x = raw.samples[lo:lo + step]
         phase = omega * (np.arange(lo, lo + x.shape[0]) / raw.fs)
         y = lowpass(np.stack((x * (root2 * np.cos(phase)),
                               x * (root2 * np.sin(phase)))))
-        out[:, lo // stride:(lo + x.shape[0] - 1) // stride + 1] = \
-            y[:, ::stride]
-    return MeasurementRecord(dt=dt_out, i1=out[0], i2=out[1])
+        out[lo // stride:(lo + x.shape[0] - 1) // stride + 1] = \
+            y[:, ::stride].T
+    return MeasurementRecord(dt=dt_out, currents=out)
 
 
 def segment(rec: MeasurementRecord, record_len: float,
@@ -246,13 +246,9 @@ def segment(rec: MeasurementRecord, record_len: float,
         warnings.warn("trace too short for one record after discard",
                       stacklevel=2)
         return []
-    out = []
-    for k in range(n_rec):
-        lo = n_skip + k * n_win
-        out.append(MeasurementRecord(
-            dt=rec.dt, i1=rec.i1[lo:lo + n_win], i2=rec.i2[lo:lo + n_win],
-            eta_effective=rec.eta_effective))
-    return out
+    return [MeasurementRecord(dt=rec.dt, currents=rec.currents[lo:lo + n_win],
+                              eta_effective=rec.eta_effective)
+            for lo in range(n_skip, n_skip + n_rec * n_win, n_win)]
 
 
 def injection_noise(eta_old: float, eta_new: float,
@@ -283,17 +279,13 @@ def inject_noise(rec: MeasurementRecord, eta_old: float, eta_new: float,
         raise ValueError(f"eta_old {eta_old} does not match the record's "
                          f"efficiency {rec.eta_effective}")
     if sig == 0.0:
-        return MeasurementRecord(dt=rec.dt, i1=rec.i1.copy(),
-                                 i2=rec.i2.copy(), eta_effective=eta_new,
-                                 seed=rec.seed)
+        return MeasurementRecord(dt=rec.dt, currents=rec.currents.copy(),
+                                 eta_effective=eta_new, seed=rec.seed)
     rng = np.random.default_rng(
         np.random.SeedSequence(seed) if seed is not None
         else np.random.SeedSequence())
-    noise = rng.normal(0.0, sig, (2, rec.n))
+    # all of I1's noise, then I2's: a seed's draw order fixes the output
+    noise = rng.normal(0.0, sig, (2, rec.n)).T
     # the parent seed no longer reproduces the record on its own
-    return MeasurementRecord(
-        dt=rec.dt,
-        i1=(rec.i1 + noise[0]) * scale,
-        i2=(rec.i2 + noise[1]) * scale,
-        eta_effective=eta_new,
-        seed=None)
+    return MeasurementRecord(rec.dt, (rec.currents + noise) * scale,
+                             eta_effective=eta_new)

@@ -270,13 +270,6 @@ def _biased(total: np.ndarray, n_records: int, n: int) -> np.ndarray:
     return total / (2 * n_records) / n
 
 
-def _acf_biased(means: np.ndarray, dt: float, max_lag: int) -> np.ndarray:
-    """Biased autocorrelation of the finite-difference velocities of
-    ``means`` (N, n+1, 2) over time, averaged over records and components."""
-    total = acov_sums({None: means}, dt, max_lag)[None]
-    return _biased(total, means.shape[0], means.shape[1] - 1)
-
-
 def vacf_from_sums(sums: dict, n_records: int, n: int, dt: float,
                    threshold: float = DEFAULT_VACF_THRESHOLD) -> VacfResult:
     """Normalized velocity autocorrelation per kind from the running sums

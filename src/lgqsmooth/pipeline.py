@@ -39,8 +39,10 @@ from . import recordio
 from .config import RunConfig
 from .estimate import (
     STATE_KINDS,
+    NumericalError,
     Trajectory,
     _check_record,
+    effect_defined,
     effect_means,
     filter_grid,
     filter_means,
@@ -186,23 +188,27 @@ def load_records(directory: Path) -> tuple[list[Path],
     return paths, [read(p) for p in paths]
 
 
-def _load_stacks(base_dir: Path, n_records: int, grid, targets=(),
-                 truth: bool = False):
+def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
+                 targets=(), truth: bool = False):
     """Read a run's trajectories and check them against its configuration.
 
     Reads estimates/, smoothed/<target>/ for each of ``targets``, and,
     with ``truth``, truth/ where it exists, each into one stack.  Each
     directory must hold exactly ``n_records`` files, read by index from
     ``<stem>_00000.csv`` on, so a missing index is an error, not a shifted
-    pairing.  Each file must hold the time grid of ``grid`` (from
-    :func:`run_grid`), its directory's kind (Filtered, Retrofiltered or
-    the target's smoothed kind) and exactly that kind's closed-form vw.
-    An error names the file at fault, or the directory when its file
-    count is wrong or all of its files have another kind.
+    pairing.  Each file must hold the time grid of :func:`run_grid`, its
+    directory's kind (Filtered, Retrofiltered or the target's smoothed
+    kind) and exactly that kind's closed-form vw.  An error names the
+    file at fault, or the directory when its file count is wrong or all
+    of its files have another kind.  A non-finite mean or information
+    vector is a NumericalError naming the file and sample, except an
+    effect mean where it is not :func:`effect_defined`, NaN by design.
 
-    Returns kind -> (means (N, n+1, 2), vw), the retrofilter's information
-    vectors (N, n+1, 2), and the truth means (None unless read)."""
-    times, closed = grid
+    Returns the :func:`run_grid` grid, kind -> (means (N, n+1, 2), vw),
+    the retrofilter's information vectors (N, n+1, 2), and the truth means
+    (None unless read)."""
+    times, closed = grid = run_grid(ep)
+    defined = effect_defined(closed["Retrofiltered"], ep)
     dirs = [(base_dir / "estimates", "filtered", "Filtered"),
             (base_dir / "estimates", "retro", "Retrofiltered")]
     dirs += [(base_dir / "smoothed" / t, "smoothed", _TRAJ_KIND[t])
@@ -246,9 +252,14 @@ def _load_stacks(base_dir: Path, n_records: int, grid, targets=(),
             if vw is not None and not np.array_equal(v, vw):
                 raise ValueError(f"{path}: {name} differs from its closed "
                                  f"form at the configured parameters")
-            means[i] = m
+            bad = ~np.isfinite(m).all(axis=1)
             if z is not None:
+                bad = bad & defined | ~np.isfinite(z).all(axis=1)
                 info[i] = z
+            if bad.any():
+                raise NumericalError(f"{path}: non-finite value at sample "
+                                     f"{int(np.flatnonzero(bad)[0])}")
+            means[i] = m
         if other:
             path, k = (directory, other[0][1]) if len(other) == n_records \
                 else other[0]
@@ -257,7 +268,7 @@ def _load_stacks(base_dir: Path, n_records: int, grid, targets=(),
             truth_means = means
         else:
             stacks[kind] = (means, vw)
-    return stacks, info, truth_means
+    return grid, stacks, info, truth_means
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +363,7 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
 
 def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective(cfg)
-    times, _ = grid = run_grid(ep)
-    stacks, info, _ = _load_stacks(base_dir, cfg.n_records, grid)
+    (times, _), stacks, info, _ = _load_stacks(base_dir, cfg.n_records, ep)
     (m_f, v_f), (m_r, w) = stacks["Filtered"], stacks["Retrofiltered"]
     pairs = [(Trajectory(times, m_f[i], v_f, "Filtered"),
               Trajectory(times, m_r[i], w, "Retrofiltered", info=info[i]))
@@ -375,9 +385,8 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
 
 def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective(cfg)
-    times, closed = grid = run_grid(ep)
-    stacks, _, truth = _load_stacks(base_dir, cfg.n_records, grid,
-                                    cfg.targets, truth=True)
+    (times, closed), stacks, _, truth = _load_stacks(
+        base_dir, cfg.n_records, ep, cfg.targets, truth=True)
     stats = consistency_check(stacks, times, ep)
 
     analysis = base_dir / "analysis"
@@ -483,7 +492,6 @@ class InjectionStudy:
     (:func:`metrics.acov_sums`) over all N records.
     """
 
-    ep_clean: EffectiveParams
     ep_new: EffectiveParams
     v_tar: float
     times: np.ndarray
@@ -562,9 +570,9 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
         del m_s
         acov_sums({"Filtered": m_f}, ep.dt, n_win - 1, acov)
         del m_f  # before the next block makes its own
-    return InjectionStudy(ep_clean=ep, ep_new=ep_new, v_tar=v_tar,
-                          times=times, probes=probes, v_f=v_f, w=w, v_s=v_s,
-                          v_cs=v_cs, acov=acov, **kept)
+    return InjectionStudy(ep_new=ep_new, v_tar=v_tar, times=times,
+                          probes=probes, v_f=v_f, w=w, v_s=v_s, v_cs=v_cs,
+                          acov=acov, **kept)
 
 
 # ---------------------------------------------------------------------------
@@ -825,16 +833,14 @@ def _crit_demod(omega: float) -> CriterionResult:
     n = 4000
     t = np.arange(n) * dt
     amp = 3.0e4
-    i1 = amp * np.cos(2.0 * math.pi * 300.0 * t)
-    i2 = amp * np.sin(2.0 * math.pi * 450.0 * t)
-    rec = MeasurementRecord(dt, i1, i2)
-    raw = synthesize_raw(rec, omega, fs, seed=13)
+    cur = amp * np.stack((np.cos(2.0 * math.pi * 300.0 * t),
+                          np.sin(2.0 * math.pi * 450.0 * t)), axis=-1)
+    raw = synthesize_raw(MeasurementRecord(dt, cur), omega, fs, seed=13)
     out = demodulate(raw, omega)
     k0 = 400
-    err = math.sqrt(
-        (np.mean((out.i1[k0:n] - i1[k0:]) ** 2)
-         + np.mean((out.i2[k0:n] - i2[k0:]) ** 2))
-        / (np.mean(i1[k0:] ** 2) + np.mean(i2[k0:] ** 2)))
+    sq_err, sq = (out.currents[k0:n] - cur[k0:]) ** 2, cur[k0:] ** 2
+    err = math.sqrt((sq_err[:, 0].mean() + sq_err[:, 1].mean())
+                    / (sq[:, 0].mean() + sq[:, 1].mean()))
 
     imp = np.zeros((1, int(round(600e-6 * fs))))
     imp[0, 0] = 1.0

@@ -69,6 +69,15 @@ def _numbers(path, rows: list[str], usecols=None) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _check_body(path, data: bytes, n: int, size: int) -> None:
+    """The body after a binary header holds n samples of ``size`` bytes."""
+    if len(data) < n * size:
+        raise ValueError(f"{path}: truncated body")
+    if len(data) > n * size:
+        raise ValueError(f"{path}: body of {len(data)} bytes, but the "
+                         f"header's n = {n} requires {n * size}")
+
+
 # ---------------------------------------------------------------------------
 # measurement records
 # ---------------------------------------------------------------------------
@@ -76,7 +85,7 @@ def _numbers(path, rows: list[str], usecols=None) -> np.ndarray:
 def write_record_csv(rec: MeasurementRecord, path) -> None:
     """Columns t_s,i1,i2; efficiency and seed metadata are not stored."""
     _write_table(path, "t_s,i1,i2", [
-        ("%.17g,%.17g,%.17g\n", (np.arange(rec.n) * rec.dt, rec.i1, rec.i2))])
+        ("%.17g,%.17g,%.17g\n", (np.arange(rec.n) * rec.dt, *rec.currents.T))])
 
 
 def read_record_csv(path) -> MeasurementRecord:
@@ -87,21 +96,18 @@ def read_record_csv(path) -> MeasurementRecord:
     dt = float(t[1] - t[0])
     if dt <= 0 or np.abs(np.diff(t) - dt).max() > 1e-6 * dt:
         raise ValueError(f"{path}: time column is not uniform")
-    return MeasurementRecord(dt=dt, i1=data[:, 1], i2=data[:, 2])
+    return MeasurementRecord(dt=dt, currents=data[:, 1:])
 
 
 def write_record_bin(rec: MeasurementRecord, path) -> None:
     """Magic 'LGQ1', then dt (f8), n (u8), eta (f8, NaN=unknown),
-    seed (i8, -1=unknown), then interleaved i1,i2 samples (f8)."""
+    seed (i8, -1=unknown), then the rows of ``currents`` (f8, I1, I2)."""
     eta = float("nan") if rec.eta_effective is None else rec.eta_effective
     seed = -1 if rec.seed is None else int(rec.seed)
-    body = np.empty(2 * rec.n, dtype="<f8")
-    body[0::2] = rec.i1
-    body[1::2] = rec.i2
     with open(path, "wb") as fh:
         fh.write(_RECORD_MAGIC)
         fh.write(struct.pack("<dQdq", rec.dt, rec.n, eta, seed))
-        fh.write(body.tobytes())
+        fh.write(rec.currents.astype("<f8", copy=False).tobytes())
 
 
 def read_record_bin(path) -> MeasurementRecord:
@@ -114,12 +120,11 @@ def read_record_bin(path) -> MeasurementRecord:
             raise ValueError(f"{path}: truncated header")
         dt, n, eta, seed = struct.unpack("<dQdq", header)
         data = fh.read()
-    if len(data) != 16 * n:
-        raise ValueError(f"{path}: truncated body")
+    _check_body(path, data, n, 16)
     body = np.frombuffer(data, dtype="<f8")
     try:
         return MeasurementRecord(
-            dt=dt, i1=body[0::2].copy(), i2=body[1::2].copy(),
+            dt=dt, currents=body.reshape(-1, 2).copy(),
             eta_effective=None if np.isnan(eta) else eta,
             seed=None if seed < 0 else seed)
     except ValueError as exc:
@@ -216,8 +221,7 @@ def read_raw_bin(path) -> RawTrace:
             raise ValueError(f"{path}: truncated header")
         fs, n = struct.unpack("<dQ", header)
         data = fh.read()
-    if len(data) != 8 * n:
-        raise ValueError(f"{path}: truncated body")
+    _check_body(path, data, n, 8)
     body = np.frombuffer(data, dtype="<f8")
     try:
         return RawTrace(fs=fs, samples=body.copy())

@@ -6,6 +6,8 @@ Sampling conventions shared with the estimators:
   ``I_j(t_k) dt = sqrt(2 eta Gamma C) <X_j>(t_k) dt + dW_j`` with the Wiener
   increment of variance dt.  Currents therefore carry per-sample variance
   1/dt (unit spectral density, the shot-noise normalization).
+* A record's currents are one (n, 2) array, row k ``(I_1, I_2)(t_k)``,
+  so a member of an ensemble's (N, n, 2) currents is a record as it is.
 * State trajectories span ``t_0 .. t_n`` (n+1 points for n samples).
 * The mean's linear drift is applied through the exact factor
   ``exp(-Gamma dt / 2)`` each step; only the measurement/noise kicks are
@@ -46,30 +48,30 @@ _SURR_COLS = 4       # process pair, measurement pair
 class MeasurementRecord:
     """Sampled quadrature currents in shot-noise-normalized units.
 
-    ``eta_effective`` is the detection efficiency the record statistics
-    correspond to (None when unknown, e.g. demodulated external data);
-    ``seed`` is the generating RNG seed when the record is synthetic.
+    ``currents`` (n, 2) holds sample k's pair (I1, I2) in row k, the
+    layout the filters and the ``.bin`` format share.  ``eta_effective``
+    is the detection efficiency the record statistics correspond to (None
+    when unknown, e.g. demodulated external data); ``seed`` is the
+    generating RNG seed when the record is synthetic.
     """
 
     dt: float
-    i1: np.ndarray
-    i2: np.ndarray
+    currents: np.ndarray
     eta_effective: float | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        i1 = np.asarray(self.i1, dtype=float)
-        i2 = np.asarray(self.i2, dtype=float)
+        currents = np.asarray(self.currents, dtype=float)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if i1.ndim != 1 or i1.shape != i2.shape:
-            raise ValueError("i1 and i2 must be 1-d arrays of equal length")
-        object.__setattr__(self, "i1", i1)
-        object.__setattr__(self, "i2", i2)
+        if currents.ndim != 2 or currents.shape[1] != 2:
+            raise ValueError("currents must be an (n, 2) array, got shape "
+                             f"{currents.shape}")
+        object.__setattr__(self, "currents", currents)
 
     @property
     def n(self) -> int:
-        return self.i1.shape[0]
+        return self.currents.shape[0]
 
     @property
     def duration(self) -> float:
@@ -78,11 +80,6 @@ class MeasurementRecord:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n) * self.dt
-
-    @property
-    def currents(self) -> np.ndarray:
-        """Samples stacked as an (n, 2) array."""
-        return np.stack([self.i1, self.i2], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,7 @@ class TruthEnsemble:
         return self.means.shape[0]
 
     def record(self, i: int) -> MeasurementRecord:
-        return MeasurementRecord(self.dt, self.currents[i, :, 0],
-                                 self.currents[i, :, 1], self.eta,
+        return MeasurementRecord(self.dt, self.currents[i], self.eta,
                                  int(self.seeds[i]))
 
 
@@ -264,9 +260,8 @@ def simulate_true_and_record(ep: EffectiveParams, duration: float,
     n = _n_steps(ep, duration)
     times, means, currents = next(truth_stream(
         ep, [np.random.default_rng(seed)], [n]))
-    record = MeasurementRecord(ep.dt, currents[0, :, 0], currents[0, :, 1],
-                               ep.eta, seed)
-    return TruthBundle(times, means[0], record)
+    return TruthBundle(times, means[0],
+                       MeasurementRecord(ep.dt, currents[0], ep.eta, seed))
 
 
 def simulate_truth_ensemble(ep: EffectiveParams, duration: float,
@@ -345,8 +340,8 @@ def synthesize_raw(record: MeasurementRecord, omega: float, fs: float,
     n_raw = int(round(record.n * record.dt * fs))
     t = np.arange(n_raw) / fs
     idx = np.minimum((t / record.dt + 1e-9).astype(int), record.n - 1)
-    signal = (record.i1[idx] * math.sqrt(2.0) * np.cos(omega * t)
-              + record.i2[idx] * math.sqrt(2.0) * np.sin(omega * t))
+    signal = (record.currents[idx, 0] * math.sqrt(2.0) * np.cos(omega * t)
+              + record.currents[idx, 1] * math.sqrt(2.0) * np.sin(omega * t))
     if seed is None and record.seed is not None:
         entropy = np.random.SeedSequence((record.seed, 0x7261))
     else:

@@ -438,6 +438,41 @@ def test_corrupt_trajectory_is_exit_one(clean_run, rel, defect, row, number,
         err.getvalue()
 
 
+@pytest.mark.parametrize("cmd, rel, column, value", [
+    ("smooth", "estimates/filtered_00003.csv", 2, "nan"),
+    ("smooth", "estimates/retro_00001.csv", 6, "inf"),
+    ("analyze", "estimates/filtered_00003.csv", 3, "-inf"),
+    ("analyze", "estimates/retro_00002.csv", 2, "nan"),
+    ("analyze", "smoothed/Classical/smoothed_00000.csv", 3, "nan"),
+    ("analyze", "truth/truth_00001.csv", 1, "inf")])
+def test_nonfinite_trajectory_is_exit_two(clean_run, tmp_path, capsys, cmd,
+                                          rel, column, value):
+    # row 41 holds sample 40; there the retrofilter's effect mean is
+    # defined, so every column named above must be finite
+    cfg, clean = clean_run
+    out = tmp_path / "run"
+    shutil.copytree(clean, out)
+    victim = out / rel
+    lines = victim.read_text().splitlines()
+    fields = lines[41].split(",")
+    fields[column] = value
+    lines[41] = ",".join(fields)
+    victim.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main([cmd, "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lgqsmooth: numerical error: {victim}: "
+                          "non-finite "), err
+    assert err.endswith(" at sample 40\n"), err
+    # the stage wrote nothing: every smoothed and analysis file but the
+    # victim is still the clean run's
+    for sub in ("smoothed", "analysis"):
+        for path in sorted((clean / sub).rglob("*.*")):
+            copy = out / path.relative_to(clean)
+            assert copy == victim or copy.read_bytes() == path.read_bytes()
+
+
 _BIN_HEADER = 36  # magic, then dt, n, eta and seed
 
 
@@ -597,8 +632,8 @@ def test_demod_subcommand(tmp_path):
     fs = 1.0e6
     dt = 1e-6
     t = np.arange(1500) * dt
-    rec = MeasurementRecord(dt, 100.0 * np.cos(TWO_PI * 500.0 * t),
-                            np.zeros_like(t))
+    rec = MeasurementRecord(dt, np.column_stack(
+        [100.0 * np.cos(TWO_PI * 500.0 * t), np.zeros_like(t)]))
     raw = synthesize_raw(rec, TWO_PI * 2.0e5, fs, seed=21)
     trace = tmp_path / "trace.bin"
     recordio.write_raw_bin(raw, trace)
@@ -647,15 +682,15 @@ import numpy as np
 from lgqsmooth.ingest import demodulate
 from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
 t = np.arange(1500) * 1e-6
-rec = MeasurementRecord(1e-6, 100.0 * np.cos(2 * math.pi * 500.0 * t),
-                        np.zeros_like(t))
+rec = MeasurementRecord(1e-6, np.column_stack(
+    [100.0 * np.cos(2 * math.pi * 500.0 * t), np.zeros_like(t)]))
 raw = synthesize_raw(rec, 2 * math.pi * 2.0e5, 1.0e6, seed=21)
 out = demodulate(raw, 2 * math.pi * 2.0e5, bw_3db=30e3)
 after_demod = [m for m in ("scipy.signal",) if m in sys.modules]
 from lgqsmooth.pipeline import _crit_demod
 crit = _crit_demod(2 * math.pi * 1.04e6)
 print(json.dumps({"loaded": loaded, "n": out.n,
-                  "finite": bool(np.isfinite(out.i1).all()),
+                  "finite": bool(np.isfinite(out.currents).all()),
                   "after_demod": after_demod, "crit_passed": crit.passed,
                   "after_crit": [m for m in ("scipy.signal",)
                                  if m in sys.modules]}))

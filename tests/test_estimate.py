@@ -86,9 +86,9 @@ def test_filter_rejects_eta_mismatch(ref_ep):
 
 def test_non_finite_sample_reported(ref_ep):
     rec = make_record(ref_ep, n=20)
-    i1 = rec.i1.copy()
-    i1[13] = np.nan
-    broken = MeasurementRecord(rec.dt, i1, rec.i2, rec.eta_effective)
+    currents = rec.currents.copy()
+    currents[13, 0] = np.nan
+    broken = MeasurementRecord(rec.dt, currents, rec.eta_effective)
     with pytest.raises(NumericalError, match="sample 13"):
         run_filter(broken, ref_ep)
     with pytest.raises(NumericalError, match="sample 13"):
@@ -361,7 +361,7 @@ def test_ltl_filter_insufficient_warmup(ref_ep):
 
 def test_ltl_filter_mixed_dt_rejected(ref_ep):
     a = make_record(ref_ep, seed=1, n=10)
-    b = MeasurementRecord(2e-6, np.zeros(5), np.zeros(5), ref_ep.eta)
+    b = MeasurementRecord(2e-6, np.zeros((5, 2)), ref_ep.eta)
     with pytest.raises(ValueError, match="sample period"):
         run_ltl_filter([a, b], ref_ep)
     with pytest.raises(ValueError, match="at least one"):

@@ -47,7 +47,7 @@ def test_normalized_floor_psd_is_flat():
     # from the carrier is the pure shot floor at unit spectral density
     # (records with live signal fill the band around the carrier instead)
     n = 400
-    rec = MeasurementRecord(dt=1e-6, i1=np.zeros(n), i2=np.zeros(n))
+    rec = MeasurementRecord(dt=1e-6, currents=np.zeros((n, 2)))
     tr = synthesize_raw(rec, OMEGA, FS, seed=41)
     f, pxx = sps.periodogram(tr.samples, fs=tr.fs, window="boxcar",
                              scaling="density")
@@ -68,8 +68,8 @@ def test_pure_tone_recovers_quadratures():
     tr = RawTrace(fs=FS, samples=a * math.sqrt(2) * np.cos(OMEGA * t))
     rec = demodulate(tr, OMEGA)
     late = rec.times > 400e-6
-    assert np.all(np.abs(rec.i1[late] - a) < 1e-3 * a)
-    assert np.all(np.abs(rec.i2[late]) < 1e-3 * a)
+    assert np.all(np.abs(rec.currents[late, 0] - a) < 1e-3 * a)
+    assert np.all(np.abs(rec.currents[late, 1]) < 1e-3 * a)
     assert rec.dt == 1e-6
     assert rec.eta_effective is None
 
@@ -82,15 +82,14 @@ def test_round_trip_on_band_limited_record(ref_params):
     n = 4000
     t = np.arange(n) * dt
     amp = 3e4
-    rec = MeasurementRecord(dt=dt,
-                            i1=amp * np.cos(2 * math.pi * 300.0 * t),
-                            i2=amp * np.sin(2 * math.pi * 450.0 * t))
+    rec = MeasurementRecord(dt=dt, currents=amp * np.column_stack(
+        [np.cos(2 * math.pi * 300.0 * t), np.sin(2 * math.pi * 450.0 * t)]))
     raw = synthesize_raw(rec, ref_params.omega, FS, seed=99)
     out = demodulate(raw, ref_params.omega)
     assert out.n == rec.n
     late = rec.times > 400e-6
-    err = np.concatenate([(out.i1 - rec.i1)[late], (out.i2 - rec.i2)[late]])
-    ref = np.concatenate([rec.i1[late], rec.i2[late]])
+    err = (out.currents - rec.currents)[late]
+    ref = rec.currents[late]
     rel = math.sqrt(float((err ** 2).mean() / (ref ** 2).mean()))
     assert rel < 0.05
 
@@ -169,7 +168,7 @@ def test_demodulate_over_chunks_matches_sosfilt(order, log_ratio, chunk,
         mp.setattr(ingest, "_CHUNK", chunk)
         out = demodulate(raw, OMEGA, bw_3db=bw, order=order)
     ref = _demodulate_with_sosfilt(raw, OMEGA, bw, order, 5)
-    got = np.stack((out.i1, out.i2))
+    got = out.currents.T
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= SOS_TOL * np.abs(ref).max()
 
@@ -181,7 +180,7 @@ def test_narrow_high_order_demod_is_finite(order, bw_3db):
     x = np.random.default_rng(order).normal(0.0, math.sqrt(FS), n)
     raw = RawTrace(fs=FS, samples=x)
     out = demodulate(raw, OMEGA, bw_3db=bw_3db, order=order)
-    got = np.stack((out.i1, out.i2))
+    got = out.currents.T
     assert np.isfinite(got).all()
     ref = _demodulate_with_sosfilt(raw, OMEGA, bw_3db, order, 5)
     assert np.abs(got - ref).max() <= SOS_TOL * np.abs(ref).max()
@@ -197,9 +196,9 @@ def test_demodulate_is_causal():
     ra = demodulate(RawTrace(fs=FS, samples=x), OMEGA)
     rb = demodulate(RawTrace(fs=FS, samples=y), OMEGA)
     n_safe = k_star // int(FS * 1e-6)
-    assert np.array_equal(ra.i1[:n_safe], rb.i1[:n_safe])
-    assert np.array_equal(ra.i2[:n_safe], rb.i2[:n_safe])
-    assert not np.allclose(ra.i1[n_safe + 1:], rb.i1[n_safe + 1:])
+    assert np.array_equal(ra.currents[:n_safe], rb.currents[:n_safe])
+    assert not np.allclose(ra.currents[n_safe + 1:, 0],
+                           rb.currents[n_safe + 1:, 0])
 
 
 def test_demodulate_is_linear():
@@ -212,8 +211,8 @@ def test_demodulate_is_linear():
     ry = demodulate(RawTrace(fs=FS, samples=y), OMEGA)
     rxy = demodulate(RawTrace(fs=FS, samples=a * x + b * y), OMEGA)
     # IIR recursion rounding leaves ~1e-11 absolute at O(1) signal scale
-    assert np.allclose(rxy.i1, a * rx.i1 + b * ry.i1, rtol=1e-9, atol=1e-9)
-    assert np.allclose(rxy.i2, a * rx.i2 + b * ry.i2, rtol=1e-9, atol=1e-9)
+    assert np.allclose(rxy.currents, a * rx.currents + b * ry.currents,
+                       rtol=1e-9, atol=1e-9)
 
 
 def test_demodulate_preconditions():
@@ -242,14 +241,16 @@ def test_segment_counts_and_contiguity():
     discard = 4.0e-3
     n = int(round((discard + 2.5 * record_len) / dt))
     rng = np.random.default_rng(7)
-    rec = MeasurementRecord(dt=dt, i1=rng.normal(size=n),
-                            i2=rng.normal(size=n), eta_effective=0.38)
+    i1 = rng.normal(size=n)
+    i2 = rng.normal(size=n)
+    rec = MeasurementRecord(dt=dt, currents=np.column_stack([i1, i2]),
+                            eta_effective=0.38)
     parts = segment(rec, record_len)
     assert len(parts) == 2
     n_skip = int(round(discard / dt))
     n_win = int(round(record_len / dt))
-    cat1 = np.concatenate([p.i1 for p in parts])
-    assert np.array_equal(cat1, rec.i1[n_skip:n_skip + 2 * n_win])
+    cat = np.concatenate([p.currents for p in parts])
+    assert np.array_equal(cat, rec.currents[n_skip:n_skip + 2 * n_win])
     for p in parts:
         assert p.n == n_win
         assert p.eta_effective == 0.38
@@ -257,7 +258,7 @@ def test_segment_counts_and_contiguity():
 
 
 def test_segment_too_short_warns():
-    rec = MeasurementRecord(dt=1e-6, i1=np.zeros(100), i2=np.zeros(100))
+    rec = MeasurementRecord(dt=1e-6, currents=np.zeros((100, 2)))
     with pytest.warns(UserWarning, match="too short"):
         parts = segment(rec, 750e-6)
     assert parts == []
@@ -270,10 +271,12 @@ def test_segment_too_short_warns():
 # ---------------------------------------------------------------------------
 
 def test_inject_identity_and_errors():
-    rec = MeasurementRecord(dt=1e-6, i1=np.ones(50), i2=np.zeros(50),
+    rec = MeasurementRecord(dt=1e-6,
+                            currents=np.column_stack([np.ones(50),
+                                                      np.zeros(50)]),
                             eta_effective=0.38, seed=3)
     same = inject_noise(rec, 0.38, 0.38, seed=1)
-    assert np.array_equal(same.i1, rec.i1)
+    assert np.array_equal(same.currents, rec.currents)
     assert same.eta_effective == 0.38
     assert same.seed == 3
     with pytest.raises(ValueError, match="eta_new"):
@@ -287,7 +290,7 @@ def test_inject_identity_and_errors():
 def test_inject_noise_variance_and_determinism():
     dt = 1e-6
     n = 400000
-    rec = MeasurementRecord(dt=dt, i1=np.zeros(n), i2=np.zeros(n),
+    rec = MeasurementRecord(dt=dt, currents=np.zeros((n, 2)),
                             eta_effective=0.38)
     out = inject_noise(rec, 0.38, 0.10, seed=11)
     sigma2 = 0.38 / 0.10 - 1.0
@@ -296,13 +299,13 @@ def test_inject_noise_variance_and_determinism():
     assert out.seed is None
     # rescaled output exposes the raw injected noise
     scale = math.sqrt(1.0 + sigma2)
-    added = np.concatenate([out.i1, out.i2]) * scale
+    added = out.currents * scale
     var = float(added.var())
     assert var == pytest.approx(sigma2 / dt, rel=4 * math.sqrt(2 / (2 * n)))
     again = inject_noise(rec, 0.38, 0.10, seed=11)
-    assert np.array_equal(again.i1, out.i1)
+    assert np.array_equal(again.currents, out.currents)
     other = inject_noise(rec, 0.38, 0.10, seed=12)
-    assert not np.array_equal(other.i1, out.i1)
+    assert not np.array_equal(other.currents[:, 0], out.currents[:, 0])
 
 
 def test_injected_records_match_reduced_efficiency(ref_ep, ref_ep_injected,

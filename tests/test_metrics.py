@@ -30,7 +30,7 @@ from lgqsmooth.estimate import (
 )
 from lgqsmooth.metrics import (
     EnsembleStats,
-    _acf_biased,
+    _biased,
     acov_sums,
     effective_record_count,
     hs_sq_isotropic,
@@ -331,7 +331,7 @@ def test_acf_blocked_matches_whole_transform(n_records):
     rng = np.random.default_rng(n_records)
     dt = 1e-6
     means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
-    got = _acf_biased(means, dt, 999)
+    got = _biased(acov_sums({None: means}, dt, 999)[None], n_records, 1000)
     expected = acf_biased_whole(means, dt, 999)
     if n_records <= 256:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -349,8 +349,8 @@ def test_acf_running_sum_matches_whole_mean(n_records):
     means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
     acov = velocity_acov_batched(means, dt, 999)
     expected = acov.mean(axis=(0, 2)) / 1000
-    assert np.array_equal(_acf_biased(means, dt, 999).view(np.uint64),
-                          expected.view(np.uint64))
+    got = _biased(acov_sums({None: means}, dt, 999)[None], n_records, 1000)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     sums: dict = {}
     for lo in range(0, n_records, 256):
         acov_sums({"Filtered": means[lo:lo + 256]}, dt, 999, sums)

@@ -69,8 +69,7 @@ def test_records_match_direct_simulation(run_dir, small_cfg):
     assert len(records) == small_cfg.n_records
     for i, rec in enumerate(records):
         ref = ens.record(i)
-        np.testing.assert_array_equal(rec.i1, ref.i1)
-        np.testing.assert_array_equal(rec.i2, ref.i2)
+        np.testing.assert_array_equal(rec.currents, ref.currents)
         assert rec.eta_effective == ref.eta_effective
         assert rec.seed == ref.seed
 
@@ -78,9 +77,8 @@ def test_records_match_direct_simulation(run_dir, small_cfg):
 def test_smoothed_outputs_valid(run_dir, small_cfg):
     ep = pipeline.effective(small_cfg)
     # the reader checks each file's kind and its vw against the closed form
-    stacks, _, _ = pipeline._load_stacks(run_dir, small_cfg.n_records,
-                                         pipeline.run_grid(ep),
-                                         ("TrueState",))
+    _, stacks, _, _ = pipeline._load_stacks(run_dir, small_cfg.n_records,
+                                            ep, ("TrueState",))
     means, v_s = stacks["SmoothedTrue"]
     assert np.isfinite(means).all()
     # smoothing never inflates the covariance and respects the target
@@ -138,7 +136,7 @@ def test_load_records_requires_files(tmp_path, ref_ep):
     with pytest.raises(FileNotFoundError):
         pipeline.load_records(tmp_path)
     with pytest.raises(FileNotFoundError):
-        pipeline._load_stacks(tmp_path, 1, pipeline.run_grid(ref_ep))
+        pipeline._load_stacks(tmp_path, 1, ref_ep)
 
 
 def test_stage_inject(run_dir, small_cfg, tmp_path):
@@ -151,7 +149,7 @@ def test_stage_inject(run_dir, small_cfg, tmp_path):
     for rec, ref in zip(injected, clean):
         assert rec.eta_effective == 0.10
         assert rec.n == ref.n
-        assert not np.allclose(rec.i1, ref.i1)
+        assert not np.allclose(rec.currents[:, 0], ref.currents[:, 0])
     out2 = tmp_path / "inj2"
     pipeline.stage_inject(run_dir / "records", out2, 0.38, 0.10, seed=5,
                           formats=("bin",))
@@ -164,8 +162,8 @@ def test_stage_demod(tmp_path, ref_ep):
     omega = TWO_PI * 2.0e5
     dt = 1e-6
     t = np.arange(2000) * dt
-    rec = MeasurementRecord(dt, 200.0 * np.cos(TWO_PI * 400.0 * t),
-                            np.zeros_like(t))
+    rec = MeasurementRecord(dt, np.column_stack(
+        [200.0 * np.cos(TWO_PI * 400.0 * t), np.zeros_like(t)]))
     raw = synthesize_raw(rec, omega, fs, seed=3)
     trace = tmp_path / "trace.bin"
     recordio.write_raw_bin(raw, trace)

@@ -17,8 +17,9 @@ from lgqsmooth.simulate import MeasurementRecord, simulate_truth_ensemble
 @pytest.fixture()
 def rec(rng):
     n = 64
-    return MeasurementRecord(1e-6, rng.normal(size=n) * 1e3,
-                             rng.normal(size=n) * 1e3,
+    i1 = rng.normal(size=n) * 1e3
+    i2 = rng.normal(size=n) * 1e3
+    return MeasurementRecord(1e-6, np.column_stack([i1, i2]),
                              eta_effective=0.38, seed=1234)
 
 
@@ -32,8 +33,7 @@ def test_record_csv_round_trip(rec, tmp_path):
     recordio.write_record_csv(rec, path)
     back = recordio.read_record_csv(path)
     assert back.dt == rec.dt
-    np.testing.assert_array_equal(back.i1, rec.i1)
-    np.testing.assert_array_equal(back.i2, rec.i2)
+    np.testing.assert_array_equal(back.currents, rec.currents)
     # text format stores only the samples
     assert back.eta_effective is None and back.seed is None
 
@@ -45,12 +45,29 @@ def test_record_bin_round_trip(rec, tmp_path):
     assert back.dt == rec.dt
     assert back.eta_effective == rec.eta_effective
     assert back.seed == rec.seed
-    np.testing.assert_array_equal(back.i1, rec.i1)
-    np.testing.assert_array_equal(back.i2, rec.i2)
+    np.testing.assert_array_equal(back.currents, rec.currents)
+
+
+def test_record_bin_bytes_are_pinned(tmp_path):
+    # magic, the <dQdq header, then the samples interleaved I1, I2
+    rec = MeasurementRecord(0.5, [[1.0, -2.0], [0.25, 3.0], [-0.5, 1.5]],
+                            eta_effective=0.75, seed=7)
+    path = tmp_path / "rec.bin"
+    recordio.write_record_bin(rec, path)
+    expected = bytes.fromhex(
+        "4c475131"                              # b"LGQ1"
+        "000000000000e03f" "0300000000000000"   # dt = 0.5, n = 3
+        "000000000000e83f" "0700000000000000"   # eta = 0.75, seed = 7
+        "000000000000f03f" "00000000000000c0"   # I1, I2 = 1, -2
+        "000000000000d03f" "0000000000000840"   # 0.25, 3
+        "000000000000e0bf" "000000000000f83f")  # -0.5, 1.5
+    assert path.read_bytes() == expected
+    back = recordio.read_record_bin(path)
+    assert back.currents.tolist() == [[1.0, -2.0], [0.25, 3.0], [-0.5, 1.5]]
 
 
 def test_record_bin_keeps_missing_metadata(rec, tmp_path):
-    bare = MeasurementRecord(rec.dt, rec.i1, rec.i2)
+    bare = MeasurementRecord(rec.dt, rec.currents)
     path = tmp_path / "bare.bin"
     recordio.write_record_bin(bare, path)
     back = recordio.read_record_bin(path)
@@ -71,6 +88,11 @@ def test_record_bin_rejects_corruption(rec, tmp_path):
         recordio.read_record_bin(bad)
     bad.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated body"):
+        recordio.read_record_bin(bad)
+    bad.write_bytes(blob + bytes(24))
+    msg = (f"^{re.escape(str(bad))}: body of 1048 bytes, but the header's "
+           "n = 64 requires 1024$")
+    with pytest.raises(ValueError, match=msg):
         recordio.read_record_bin(bad)
     # the dt field follows the 4-byte magic
     for dt in (0.0, float("nan")):
@@ -172,7 +194,12 @@ def test_raw_round_trips(tmp_path, rng):
     assert back_c.fs == pytest.approx(raw.fs, rel=1e-12)
     blob = pb.read_bytes()
     pb.write_bytes(blob[:40])
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError, match="truncated body"):
+        recordio.read_raw_bin(pb)
+    pb.write_bytes(blob + bytes(8))
+    msg = (f"^{re.escape(str(pb))}: body of 808 bytes, but the header's "
+           "n = 100 requires 800$")
+    with pytest.raises(ValueError, match=msg):
         recordio.read_raw_bin(pb)
     # the fs field opens the header
     for fs in (0.0, float("nan")):
@@ -234,7 +261,7 @@ def _format_case(name):
     a, b, c = SPECIALS, np.roll(SPECIALS, 3), np.roll(SPECIALS, 7)
     times = TIMES
     if name == "record":
-        rec = MeasurementRecord(1e-6, a, b)
+        rec = MeasurementRecord(1e-6, np.column_stack([a, b]))
         return (lambda p: recordio.write_record_csv(rec, p),
                 "t_s,i1,i2\n" + "".join(
                     _line(k * 1e-6, a[k], b[k]) for k in range(n)))
@@ -335,8 +362,9 @@ def test_reader_rejects_another_writers_table(tmp_path, rng):
     assert str(exc.value).startswith(f"{truth}: ")
 
     record = tmp_path / "record_00000.csv"
-    recordio.write_record_csv(MeasurementRecord(1e-6, np.zeros(4), np.ones(4)),
-                              record)
+    recordio.write_record_csv(
+        MeasurementRecord(1e-6, np.column_stack([np.zeros(4), np.ones(4)])),
+        record)
     for read, header in ((recordio.read_means_csv, "t_s,x1,x2"),
                          (recordio.read_raw_csv, "t_s,value")):
         with pytest.raises(ValueError, match=f"expected header '{header}'"):

@@ -37,18 +37,18 @@ def short_ep(n_steps: int) -> EffectiveParams:
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        MeasurementRecord(0.0, np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        MeasurementRecord(1e-6, np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        MeasurementRecord(1e-6, np.zeros((3, 2)), np.zeros((3, 2)))
-    rec = MeasurementRecord(2e-6, np.arange(4.0), np.arange(4.0) + 1,
+        MeasurementRecord(0.0, np.zeros((3, 2)))
+    for shape in ((3,), (3, 3), (2, 3), (3, 2, 2)):
+        with pytest.raises(ValueError, match=r"\(n, 2\) array"):
+            MeasurementRecord(1e-6, np.zeros(shape))
+    rec = MeasurementRecord(2e-6, [[k, k + 1] for k in range(4)],
                             eta_effective=0.38, seed=7)
     assert rec.n == 4
     assert rec.duration == pytest.approx(8e-6)
     assert np.allclose(rec.times, [0, 2e-6, 4e-6, 6e-6])
     assert rec.currents.shape == (4, 2)
-    assert np.all(rec.currents[:, 1] == rec.i2)
+    assert rec.currents.dtype == np.float64
+    assert np.all(rec.currents[:, 1] == np.arange(4.0) + 1)
     assert rec.eta_effective == 0.38 and rec.seed == 7
 
 
@@ -57,9 +57,9 @@ def test_true_record_deterministic(ref_ep):
     b = simulate_true_and_record(ref_ep, 50e-6, seed=123)
     c = simulate_true_and_record(ref_ep, 50e-6, seed=124)
     assert np.array_equal(a.true_mean, b.true_mean)
-    assert np.array_equal(a.record.i1, b.record.i1)
-    assert np.array_equal(a.record.i2, b.record.i2)
-    assert not np.array_equal(a.record.i1, c.record.i1)
+    assert np.array_equal(a.record.currents, b.record.currents)
+    assert not np.array_equal(a.record.currents[:, 0],
+                              c.record.currents[:, 0])
     assert a.true_mean.shape == (51, 2)
     assert a.record.n == 50
     assert a.times.shape == (51,)
@@ -82,7 +82,7 @@ def test_truth_ensemble_slices_bit_identical(ref_ep):
         assert np.array_equal(_bits(ens.currents[i]),
                               _bits(solo.record.currents))
         rec = ens.record(i)
-        assert np.array_equal(_bits(rec.i1), _bits(solo.record.i1))
+        assert np.array_equal(_bits(rec.currents), _bits(solo.record.currents))
         assert rec.seed == int(ens.seeds[i])
 
 
