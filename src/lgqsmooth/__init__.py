@@ -27,12 +27,9 @@ from .metrics import (
 )
 from .model import (
     EffectiveParams,
-    GaussianState,
     PhysicalParams,
     effective_params,
-    isotropic_state,
     retro_precision,
-    unconditional_state,
     v_filter,
     v_filter_ss,
     v_retro,
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EffectiveParams",
     "EnsembleStats",
-    "GaussianState",
     "MeasurementRecord",
     "NumericalError",
     "PhysicalParams",
@@ -73,7 +69,6 @@ __all__ = [
     "hs_avg_theory_classical",
     "inject_noise",
     "innovations",
-    "isotropic_state",
     "retro_precision",
     "run_filter",
     "run_ltl_filter",
@@ -86,7 +81,6 @@ __all__ = [
     "smooth_general",
     "std_delta_theory",
     "synthesize_raw",
-    "unconditional_state",
     "v_filter",
     "v_filter_ss",
     "v_retro",

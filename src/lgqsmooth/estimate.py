@@ -43,7 +43,6 @@ from .model import (
     EffectiveParams,
     retro_precision,
     retro_precision_ss,
-    unconditional_state,
     v_filter,
     v_filter_ss,
 )
@@ -78,7 +77,6 @@ class Trajectory:
     vw: np.ndarray
     kind: str
     info: np.ndarray | None = None
-    physical: bool = True
     converged: bool = True
 
     def __post_init__(self) -> None:
@@ -192,8 +190,7 @@ def run_filter(rec: MeasurementRecord, ep: EffectiveParams) -> Trajectory:
     trajectory (kind "Filtered")."""
     _check_record(rec, ep, "estimate.run_filter")
     times, v = filter_grid(ep, rec.n)
-    init = unconditional_state(ep)
-    means = filter_means(rec.currents[None], ep, v, init.mean[None])[0]
+    means = filter_means(rec.currents[None], ep, v, np.zeros((1, 2)))[0]
     return Trajectory(times, means, v, "Filtered")
 
 
@@ -234,8 +231,7 @@ def run_ltl_filter(recs: Sequence[MeasurementRecord], ep: EffectiveParams,
     currents = np.concatenate([r.currents for r in recs], axis=0)
     n_total = currents.shape[0]
     times, v = filter_grid(ep, n_total)
-    init = unconditional_state(ep)
-    means = filter_means(currents[None], ep, v, init.mean[None])[0]
+    means = filter_means(currents[None], ep, v, np.zeros((1, 2)))[0]
     offset = n_total - recs[-1].n
     vss = v_filter_ss(ep)
     converged = (v[offset] - vss) <= 1e-3 * vss

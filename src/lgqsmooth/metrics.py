@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import EffectiveParams, retro_precision, v_filter
-from .smooth import TargetSpec, combine_arrays, z_values
+from .smooth import TargetSpec, smoothed_variance, z_values
 
-DEFAULT_VACF_THRESHOLD = 1.0 / math.e
+# a curve has decorrelated once it drops below 1/e
+VACF_THRESHOLD = 1.0 / math.e
 
 # records per FFT block of the velocity autocorrelation
 _ACF_BLOCK = 256
@@ -66,6 +67,15 @@ def hs_avg_theory(v_tar: float, v_est: float) -> float:
     return 1.0 / v_tar - 1.0 / v_est
 
 
+def _classical_excess(v_f, w, v_tar: float):
+    """z^2 (v_F + v_R) per sample, the classical smoother's extra mean
+    spread about the target; 0 where w = 0, the limit as z ~ w."""
+    w = np.asarray(w, dtype=float)
+    z = z_values(v_f, w, v_tar)
+    w_safe = np.where(w > 0, w, 1.0)
+    return np.where(w > 0, z * z * (v_f + 1.0 / w_safe), 0.0)
+
+
 def hs_avg_theory_classical(v_tar: float, v_f, w, v_s, v_cs):
     """HS average between target states and classical-smoothed ones, per sample.
 
@@ -75,10 +85,7 @@ def hs_avg_theory_classical(v_tar: float, v_f, w, v_s, v_cs):
     """
     if not v_tar > 0:
         raise ValueError("needs a quantum target (v_tar > 0)")
-    w = np.asarray(w, dtype=float)
-    z = z_values(v_f, w, v_tar)
-    w_safe = np.where(w > 0, w, 1.0)
-    gap = np.where(w > 0, z * z * (v_f + 1.0 / w_safe), 0.0)
+    gap = _classical_excess(v_f, w, v_tar)
     return 1.0 / v_cs + 1.0 / v_tar - 4.0 / ((v_s + v_cs) + gap)
 
 
@@ -98,17 +105,9 @@ def std_delta_theory(ep: EffectiveParams, estimator_kind: str,
         arg = v_f - tgt.v_tar
     else:
         w = retro_precision(t, ep.record_duration, ep)
-        zeros = np.zeros(t.shape + (2,))
-        v_s, _ = combine_arrays(np.atleast_1d(v_f), np.atleast_2d(zeros),
-                                np.atleast_1d(w), np.atleast_2d(zeros),
-                                tgt.v_tar)
-        v_s = v_s.reshape(t.shape)
-        arg = v_s - tgt.v_tar
+        arg = smoothed_variance(v_f, w, tgt.v_tar) - tgt.v_tar
         if estimator_kind == "Classical":
-            # z^2 v_R = w a^2 with z = w a, finite at w = 0
-            z = z_values(v_f, w, tgt.v_tar)
-            a = np.divide(z, w, out=np.zeros_like(z + 0.0), where=w > 0)
-            arg = arg + z * z * v_f + w * a * a
+            arg = arg + _classical_excess(v_f, w, tgt.v_tar)
     if np.any(arg < 0):
         raise ValueError("negative variance argument: invalid target")
     return np.sqrt(arg)
@@ -219,13 +218,12 @@ class VacfResult:
     """Normalized velocity autocorrelation per trajectory kind.
 
     ``decorrelation_time`` is the first lag at which the curve drops below
-    the threshold (math.inf if it never does within the window).
+    VACF_THRESHOLD (math.inf if it never does within the window).
     """
 
     lags: np.ndarray
     values: dict
     decorrelation_time: dict
-    threshold: float
 
     def __post_init__(self) -> None:
         for kind, val in self.values.items():
@@ -270,11 +268,11 @@ def _biased(total: np.ndarray, n_records: int, n: int) -> np.ndarray:
     return total / (2 * n_records) / n
 
 
-def vacf_from_sums(sums: dict, n_records: int, n: int, dt: float,
-                   threshold: float = DEFAULT_VACF_THRESHOLD) -> VacfResult:
+def vacf_from_sums(sums: dict, n_records: int, n: int,
+                   dt: float) -> VacfResult:
     """Normalized velocity autocorrelation per kind from the running sums
     of :func:`acov_sums` over ``n_records`` records of n velocities each,
-    with the first lag at which each curve drops below ``threshold``."""
+    with the first lag at which each curve drops below VACF_THRESHOLD."""
     values: dict = {}
     decorr: dict = {}
     for kind, total in sums.items():
@@ -284,15 +282,14 @@ def vacf_from_sums(sums: dict, n_records: int, n: int, dt: float,
         norm = acov / acov[0]
         norm[0] = 1.0
         values[kind] = norm
-        below = norm < threshold
+        below = norm < VACF_THRESHOLD
         decorr[kind] = float(np.flatnonzero(below)[0]) * dt if below.any() \
             else math.inf
     lags = np.arange(next(iter(sums.values())).shape[0]) * dt
-    return VacfResult(lags, values, decorr, threshold)
+    return VacfResult(lags, values, decorr)
 
 
-def vacf(means: dict, dt: float, max_lag: int | None = None,
-         threshold: float = DEFAULT_VACF_THRESHOLD) -> VacfResult:
+def vacf(means: dict, dt: float, max_lag: int | None = None) -> VacfResult:
     """Autocorrelation of finite-difference mean velocities per kind;
     ``means`` maps each kind to its (N, n+1, 2) stack, sampled every dt,
     and every kind has the same N and n."""
@@ -306,5 +303,4 @@ def vacf(means: dict, dt: float, max_lag: int | None = None,
         max_lag = n_v - 1
     if max_lag >= n_v:
         raise ValueError("trajectory too short for requested max lag")
-    return vacf_from_sums(acov_sums(means, dt, max_lag), shape[0], n_v, dt,
-                          threshold)
+    return vacf_from_sums(acov_sums(means, dt, max_lag), shape[0], n_v, dt)

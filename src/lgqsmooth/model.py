@@ -137,45 +137,6 @@ class EffectiveParams:
         return self.eta * self.coop_eff
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """Mean quadrature vector plus symmetric 2x2 covariance.
-
-    ``physical`` marks states required to satisfy the uncertainty bound
-    (min eigenvalue of cov >= 1); classical-smoother outputs carry
-    ``physical = False``.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    physical: bool = True
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (2,):
-            raise ValueError("mean must be a 2-vector")
-        if cov.shape != (2, 2):
-            raise ValueError("cov must be 2x2")
-        if not np.allclose(cov, cov.T, rtol=1e-12, atol=0.0):
-            raise ValueError("cov must be symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def v(self) -> float:
-        """Scalar covariance parameter for isotropic states (V = v I)."""
-        c = self.cov
-        if abs(c[0, 0] - c[1, 1]) > 1e-9 * max(abs(c[0, 0]), 1.0) or abs(c[0, 1]) > 1e-9 * max(abs(c[0, 0]), 1.0):
-            raise ValueError("covariance is not isotropic")
-        return float(c[0, 0])
-
-
-def isotropic_state(mean: np.ndarray, v: float, physical: bool = True) -> GaussianState:
-    """Convenience constructor for states with covariance ``v * I``."""
-    return GaussianState(np.asarray(mean, dtype=float), v * np.eye(2), physical)
-
-
 # ---------------------------------------------------------------------------
 # Parameter operations
 # ---------------------------------------------------------------------------
@@ -197,11 +158,6 @@ def effective_params(p: PhysicalParams) -> EffectiveParams:
     ratio = p.gamma / p.gamma_fb
     return EffectiveParams(p.gamma_fb, p.n_th * ratio, p.coop * ratio, p.eta,
                            p.record_duration, p.dt)
-
-
-def unconditional_state(ep: EffectiveParams) -> GaussianState:
-    """Steady state with no conditioning: zero mean, v = 2 n_tot."""
-    return isotropic_state(np.zeros(2), ep.sigma2_uncon)
 
 
 # ---------------------------------------------------------------------------

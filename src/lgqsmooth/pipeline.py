@@ -88,6 +88,7 @@ from .smooth import (
     TargetSpec,
     combine_arrays,
     smooth_general,
+    smoothed_variance,
 )
 
 
@@ -114,16 +115,6 @@ def effective(cfg: RunConfig) -> EffectiveParams:
     return effective_params(cfg.params)
 
 
-def target_spec(kind: str, ep: EffectiveParams) -> TargetSpec:
-    if kind == "LTLFiltered":
-        return TargetSpec.ltl(ep)
-    if kind == "TrueState":
-        return TargetSpec.true_state()
-    if kind == "Classical":
-        return TargetSpec.classical()
-    raise ValueError(f"unknown target kind {kind!r}")
-
-
 def run_grid(ep: EffectiveParams) -> tuple[np.ndarray, dict]:
     """A run's trajectory time grid, from the configured record length and
     sample period, and kind -> closed-form vw on it: the covariance of each
@@ -131,11 +122,10 @@ def run_grid(ep: EffectiveParams) -> tuple[np.ndarray, dict]:
     n = _n_steps(ep, ep.record_duration)
     times, v_f = filter_grid(ep, n)
     _, w = retro_grid(ep, n)
-    zeros = np.zeros((n + 1, 2))
     closed = {"Filtered": v_f, "Retrofiltered": w}
     for target in TARGET_KINDS:
-        closed[_TRAJ_KIND[target]], _ = combine_arrays(
-            v_f, zeros, w, zeros, target_spec(target, ep).v_tar)
+        closed[_TRAJ_KIND[target]] = smoothed_variance(
+            v_f, w, TargetSpec.of(target, ep).v_tar)
     return times, closed
 
 
@@ -288,9 +278,8 @@ def stage_simulate(cfg: RunConfig, base_dir: Path) -> None:
                    base_dir / "records", cfg.formats)
     truth_dir = base_dir / "truth"
     truth_dir.mkdir(parents=True, exist_ok=True)
-    times = np.arange(ens.means.shape[1]) * ep.dt
     for i in range(cfg.n_records):
-        recordio.write_means_csv(times, ens.means[i],
+        recordio.write_means_csv(ens.times, ens.means[i],
                                  _indexed(truth_dir, "truth", i, "csv"))
     log(f"simulate: wrote {cfg.n_records} records to {base_dir}")
 
@@ -310,8 +299,8 @@ def _estimate_stack(ep: EffectiveParams, currents: np.ndarray):
     return times, v_f, w, m_f, z
 
 
-def _chunks(n: int, jobs: int) -> list[slice]:
-    size = -(-n // jobs)
+def _slices(n: int, size: int) -> list[slice]:
+    """Contiguous slices of at most ``size`` covering range(n), in order."""
     return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
@@ -331,8 +320,7 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
     if jobs < 1:
         raise ValueError(f"estimate: jobs must be at least 1, got {jobs}")
     ep = effective(cfg)
-    times, _ = run_grid(ep)
-    n = times.shape[0] - 1
+    n = _n_steps(ep, ep.record_duration)
     rec_dir = base_dir / "records"
     paths, records = load_records(rec_dir)
     if len(records) != cfg.n_records:
@@ -345,7 +333,8 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
                              f"records have {n}")
     est_dir = base_dir / "estimates"
     est_dir.mkdir(parents=True, exist_ok=True)
-    parts = _chunks(len(records), jobs)
+    # one slice per worker, of ceil(N / jobs) records
+    parts = _slices(len(records), -(-len(records) // jobs))
     if len(parts) == 1:
         _estimate_records(ep, records, est_dir, 0)
     else:
@@ -369,7 +358,7 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
               Trajectory(times, m_r[i], w, "Retrofiltered", info=info[i]))
              for i in range(cfg.n_records)]
     for kind in cfg.targets:
-        tgt = target_spec(kind, ep)
+        tgt = TargetSpec.of(kind, ep)
         out_dir = base_dir / "smoothed" / kind
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, (f, r) in enumerate(pairs):
@@ -506,13 +495,6 @@ class InjectionStudy:
     acov: dict                 # Filtered, SmoothedLTL, ClassicalSmoothed
 
 
-def _record_blocks(n_records: int) -> list[slice]:
-    """Record blocks of the report's ensembles, aligned with the
-    autocorrelation's FFT blocks."""
-    return [slice(lo, min(lo + _ACF_BLOCK, n_records))
-            for lo in range(0, n_records, _ACF_BLOCK)]
-
-
 def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
                         base_seed: int, inject_seed: int,
                         window: float = 1e-3,
@@ -520,12 +502,13 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     """Filter a clean ensemble through a warm-up into its long-time limit,
     then re-estimate the last ``window`` of its records at ``eta_new``.
 
-    Records run in blocks of :func:`_record_blocks`, each from its own
-    generators.  A block's clean ensemble is streamed in record-length
-    warm-up blocks, with the window as the last block; the clean filter
-    runs block by block from the previous block's last mean, so only the
-    window is kept.  After its estimates and smoothing, a block leaves
-    only its probe columns and its velocity autocovariance sums behind."""
+    Records run in blocks of _ACF_BLOCK, aligned with the autocorrelation's
+    FFT blocks, each from its own generators.  A block's clean ensemble is
+    streamed in record-length warm-up blocks, with the window as the last
+    block; the clean filter runs block by block from the previous block's
+    last mean, so only the window is kept.  After its estimates and
+    smoothing, a block leaves only its probe columns and its velocity
+    autocovariance sums behind."""
     ep_new = dataclasses.replace(ep, eta=eta_new)
     total = warmup_records * ep.record_duration + window
     n_total = int(round(total / ep.dt))
@@ -542,7 +525,7 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     kept = {name: np.empty((n_records, 2, 2))
             for name in ("m_ltl", "m_f", "m_s")}
     acov: dict = {}
-    for sl in _record_blocks(n_records):
+    for sl in _slices(n_records, _ACF_BLOCK):
         rngs = [np.random.default_rng(int(s)) for s in seeds[sl]]
         m_ltl, lo = np.zeros((len(rngs), 1, 2)), 0
         for _, truth, win in truth_stream(ep, rngs, steps + [n_win]):
@@ -589,12 +572,6 @@ class CriterionResult:
     detail: str
 
 
-def _smoothed_scalar(v_f: float, w: float, v_tar: float) -> float:
-    v, _ = combine_arrays(np.array([v_f]), np.zeros((1, 2)),
-                          np.array([w]), np.zeros((1, 2)), v_tar)
-    return float(v[0])
-
-
 def _crit_filter_ss(ep: EffectiveParams) -> CriterionResult:
     v = v_filter_ss(ep)
     ok = abs(v / 4.7 - 1.0) <= 0.02
@@ -605,7 +582,7 @@ def _crit_filter_ss(ep: EffectiveParams) -> CriterionResult:
 def _crit_t0_ratios(ep: EffectiveParams) -> CriterionResult:
     _, closed = run_grid(ep)
     v_f, v_sl = closed["Filtered"], closed["SmoothedLTL"]
-    tgt = TargetSpec.ltl(ep)
+    tgt = TargetSpec.of("LTLFiltered", ep)
     t0 = np.array([0.0])
     sd_f = float(std_delta_theory(ep, "Filtered", tgt, t0)[0])
     sd_s = float(std_delta_theory(ep, "Smoothed", tgt, t0)[0])
@@ -622,7 +599,7 @@ def _crit_true_target(ep: EffectiveParams) -> CriterionResult:
     _, closed = run_grid(ep)
     r0 = closed["Filtered"][0] / closed["SmoothedTrue"][0]
     v_ss = v_filter_ss(ep)
-    r_ss = v_ss / _smoothed_scalar(v_ss, retro_precision_ss(ep), 1.0)
+    r_ss = v_ss / smoothed_variance(v_ss, retro_precision_ss(ep), 1.0)
     ok = r0 > 10.0 and abs(r_ss - 1.43) <= 0.02
     return CriterionResult(
         3, "true-state smoothing gain", ok,
@@ -636,7 +613,7 @@ def _crit_injection(study: InjectionStudy) -> CriterionResult:
                   / hs_avg_theory(v_tar, study.v_f[0]))
     ep2 = study.ep_new
     v_fss = v_filter_ss(ep2)
-    v_sss = _smoothed_scalar(v_fss, retro_precision_ss(ep2), v_tar)
+    v_sss = smoothed_variance(v_fss, retro_precision_ss(ep2), v_tar)
     imp_ss = 1.0 - hs_avg_theory(v_tar, v_sss) / hs_avg_theory(v_tar, v_fss)
     ok = abs(imp0 - 0.23) <= 0.01 and abs(imp_ss - 0.13) <= 0.01
 
@@ -665,48 +642,48 @@ def _report_probes(n: int) -> np.ndarray:
 
 
 def _kinds_of(ep: EffectiveParams, v_f, w, m_f, z):
-    """(kind, vw, means) of the five conditioning kinds of one block of
+    """(kind, means) of the five conditioning kinds of one block of
     filtered and retrofiltered records, each made only when asked for, so
     a caller that keeps slices holds at most two means stacks at once."""
-    yield "Filtered", v_f, m_f
+    yield "Filtered", m_f
     for target in TARGET_KINDS:
-        v, m = combine_arrays(v_f, m_f, w, z, target_spec(target, ep).v_tar)
-        yield _TRAJ_KIND[target], v, m
-    yield "Retrofiltered", w, effect_means(w, z, ep)
+        _, m = combine_arrays(v_f, m_f, w, z, TargetSpec.of(target, ep).v_tar)
+        yield _TRAJ_KIND[target], m
+    yield "Retrofiltered", effect_means(w, z, ep)
 
 
 def _main_arrays(ep: EffectiveParams, n_records: int, base_seed: int):
     """What criteria 5 and 6 read of the main ensemble.
 
-    Records run in blocks of :func:`_record_blocks`, each from its own
-    generators.  Returns the grid times at the kept columns (the probes,
-    then the last sample, so the kept times span the record), kind ->
-    (means, vw) at those columns as consistency_check takes them, and for
-    SmoothedTrue and Filtered the late-window squared errors against the
-    truth (N, n+1-lo, 2) with vw[lo:], from lo = round(0.7 n)."""
-    n = _n_steps(ep, ep.record_duration)
+    Records run in blocks of _ACF_BLOCK, each from its own generators, and
+    every kind's vw is its closed form of :func:`run_grid`.  Returns the
+    grid times at the kept columns (the probes, then the last sample, so
+    the kept times span the record), kind -> (means, vw) at those columns
+    as consistency_check takes them, and for SmoothedTrue and Filtered the
+    late-window squared errors against the truth (N, n+1-lo, 2) with
+    vw[lo:], from lo = round(0.7 n)."""
+    times, closed = run_grid(ep)
+    n = times.shape[0] - 1
     cols = np.append(_report_probes(n), n)
     lo = int(round(0.7 * n))
     seeds = derive_record_seeds(base_seed, n_records)
-    kept, vw = {}, {}
+    kept = {}
     late = {kind: np.empty((n_records, n + 1 - lo, 2))
             for kind in ("SmoothedTrue", "Filtered")}
-    for sl in _record_blocks(n_records):
+    for sl in _slices(n_records, _ACF_BLOCK):
         rngs = [np.random.default_rng(int(s)) for s in seeds[sl]]
-        times, truth, currents = next(truth_stream(ep, rngs, [n]))
-        times, v_f, w, m_f, z = _estimate_stack(ep, currents)
+        _, truth, currents = next(truth_stream(ep, rngs, [n]))
+        _, v_f, w, m_f, z = _estimate_stack(ep, currents)
         del currents
-        for kind, v, m in _kinds_of(ep, v_f, w, m_f, z):
-            vw[kind] = v
+        for kind, m in _kinds_of(ep, v_f, w, m_f, z):
             kept.setdefault(kind, np.empty((n_records, cols.shape[0], 2)))
             kept[kind][sl] = m[:, cols]
             if kind in late:
                 np.subtract(m[:, lo:], truth[:, lo:], out=late[kind][sl])
                 late[kind][sl] **= 2
         del truth, m_f, z, m  # before the next block makes its own
-    # the closed-form vw are the same for every block
-    late = {kind: (err, vw[kind][lo:]) for kind, err in late.items()}
-    stacks = {kind: (m, vw[kind][cols]) for kind, m in kept.items()}
+    late = {kind: (err, closed[kind][lo:]) for kind, err in late.items()}
+    stacks = {kind: (m, closed[kind][cols]) for kind, m in kept.items()}
     return times[cols], stacks, late
 
 
@@ -745,10 +722,10 @@ def _relax_rate(ep: EffectiveParams) -> float:
     return ep.gamma_eff * math.sqrt(1.0 + 16.0 * ep.eta_coop * ep.n_tot)
 
 
-def _crit_riccati(n_sets: int = 100, seed: int = 20240707) -> CriterionResult:
+def _crit_riccati() -> CriterionResult:
     from scipy.integrate import solve_ivp
 
-    rng = np.random.default_rng(seed)
+    n_sets, rng = 100, np.random.default_rng(20240707)
     worst = 0.0
     for _ in range(n_sets):
         ep = _random_effective(rng)
@@ -781,9 +758,8 @@ def _crit_riccati(n_sets: int = 100, seed: int = 20240707) -> CriterionResult:
         f"parameter sets (limit 1e-6)")
 
 
-def _crit_physicality(n_sets: int = 1000,
-                      seed: int = 20240808) -> CriterionResult:
-    rng = np.random.default_rng(seed)
+def _crit_physicality() -> CriterionResult:
+    n_sets, rng = 1000, np.random.default_rng(20240808)
     min_vs = math.inf
     for _ in range(n_sets):
         ep = _random_effective(rng)
@@ -801,7 +777,8 @@ def _crit_physicality(n_sets: int = 1000,
         for f in factors:
             ratio = f / (4.0 * eta - 1.0) if eta > 0.25 else f
             ep = EffectiveParams(1.0, 1.0e4, ratio * 1.0e4, float(eta))
-            v_cs = 1.0 / (1.0 / v_filter_ss(ep) + retro_precision_ss(ep))
+            v_cs = smoothed_variance(v_filter_ss(ep), retro_precision_ss(ep),
+                                     0.0)
             if (v_cs < 1.0) != shup_violation_predicted(ep):
                 mismatches += 1
     ok = quantum_ok and mismatches == 0

@@ -96,7 +96,8 @@ def read_record_csv(path) -> MeasurementRecord:
     dt = float(t[1] - t[0])
     if dt <= 0 or np.abs(np.diff(t) - dt).max() > 1e-6 * dt:
         raise ValueError(f"{path}: time column is not uniform")
-    return MeasurementRecord(dt=dt, currents=data[:, 1:])
+    # a copy, so the record does not keep the parsed time column alive
+    return MeasurementRecord(dt=dt, currents=np.ascontiguousarray(data[:, 1:]))
 
 
 def write_record_bin(rec: MeasurementRecord, path) -> None:

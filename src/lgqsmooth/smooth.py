@@ -12,8 +12,9 @@ state, copied verbatim.
 
 Targets: the long-time-limit filtered state (v_tar = v_F_ss), the true
 state (v_tar = 1), and the classical smoother (all target terms zero),
-whose output can dip below the ground-state variance and is therefore
-flagged non-physical.
+whose variance can dip below the ground-state value.  v_S alone, without
+means, is :func:`smoothed_variance`; it and :func:`combine_arrays` share
+one set of terms, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -56,28 +57,17 @@ class TargetSpec:
             raise ValueError("true-state target variance is the ground-state value")
 
     @classmethod
-    def ltl(cls, ep: EffectiveParams) -> "TargetSpec":
-        """Target the long-time-limit filtered state."""
-        return cls("LTLFiltered", v_filter_ss(ep))
-
-    @classmethod
-    def true_state(cls) -> "TargetSpec":
-        return cls("TrueState", 1.0)
-
-    @classmethod
-    def classical(cls) -> "TargetSpec":
-        return cls("Classical", 0.0)
+    def of(cls, kind: str, ep: EffectiveParams) -> "TargetSpec":
+        """The target of a kind at the working parameters: v_tar = v_F_ss
+        for LTLFiltered, 1 for TrueState, 0 for Classical."""
+        if kind == "LTLFiltered":
+            return cls(kind, v_filter_ss(ep))
+        return cls(kind, 1.0 if kind == "TrueState" else 0.0)
 
 
-def combine_arrays(v_f: np.ndarray, m_f: np.ndarray, w: np.ndarray,
-                   z: np.ndarray, v_tar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothing combination on bare arrays (means may be stacked).
-
-    v_f, w: (n,); m_f, z: (..., n, 2).  Samples with w = 0, and samples
-    where the filter has converged onto the target (v_F - v_tar below
-    SINGULARITY_EPS relative), copy the filtered state verbatim: both are
-    the exact limits of the combination.
-    """
+def _terms(v_f, w, v_tar: float):
+    """Per-sample terms of the combination: the copy mask, the filtered
+    weight (v_F - v_tar)^-1, 1 + w v_tar, p_S = v_S - v_tar and v_S."""
     v_f = np.asarray(v_f, dtype=float)
     w = np.asarray(w, dtype=float)
     d = v_f - v_tar
@@ -93,7 +83,27 @@ def combine_arrays(v_f: np.ndarray, m_f: np.ndarray, w: np.ndarray,
     denom = 1.0 + w * v_tar
     info_r = w / denom
     p_s = 1.0 / (info_f + info_r)
-    v_s = np.where(copy, v_f, p_s + v_tar)
+    return copy, info_f, denom, p_s, np.where(copy, v_f, p_s + v_tar)
+
+
+def smoothed_variance(v_f, w, v_tar: float):
+    """Smoothed covariance v_S per sample, the v_S of :func:`combine_arrays`
+    without means; v_f and w are floats or arrays of one shape, and a
+    float pair gives a float."""
+    v_s = _terms(v_f, w, v_tar)[-1]
+    return float(v_s) if v_s.ndim == 0 else v_s
+
+
+def combine_arrays(v_f: np.ndarray, m_f: np.ndarray, w: np.ndarray,
+                   z: np.ndarray, v_tar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothing combination on bare arrays (means may be stacked).
+
+    v_f, w: (n,); m_f, z: (..., n, 2).  Samples with w = 0, and samples
+    where the filter has converged onto the target (v_F - v_tar below
+    SINGULARITY_EPS relative), copy the filtered state verbatim: both are
+    the exact limits of the combination.
+    """
+    copy, info_f, denom, p_s, v_s = _terms(v_f, w, v_tar)
     m_s = p_s[..., :, None] * (info_f[..., :, None] * m_f + z / denom[..., :, None])
     m_s = np.where(copy[..., :, None], m_f, m_s)
     return v_s, m_s
@@ -103,8 +113,9 @@ def smooth_general(filt: Trajectory, retro: Trajectory,
                    tgt: TargetSpec) -> Trajectory:
     """Combine a filtered and a retrofiltered trajectory for a target.
 
-    The trajectories must share one time grid.  Classical targets yield
-    states flagged non-physical; quantum targets always remain physical.
+    The trajectories must share one time grid.  The classical target's
+    variance can fall below the ground-state value; a quantum target's
+    never does.
     """
     if filt.kind not in ("Filtered", "LTL"):
         raise ValueError(f"cannot smooth a trajectory of kind {filt.kind!r}")
@@ -115,7 +126,6 @@ def smooth_general(filt: Trajectory, retro: Trajectory,
     v_s, m_s = combine_arrays(filt.vw, filt.mean, retro.vw, retro.info,
                               tgt.v_tar)
     return Trajectory(filt.times, m_s, v_s, _TRAJ_KIND[tgt.kind],
-                      physical=tgt.kind != "Classical",
                       converged=filt.converged)
 
 

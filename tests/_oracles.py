@@ -31,18 +31,19 @@ from lgqsmooth.estimate import (
     retro_info,
 )
 from lgqsmooth.metrics import _ACF_BLOCK
-from lgqsmooth.model import EffectiveParams, GaussianState, v_filter_ss
+from lgqsmooth.model import EffectiveParams, v_filter_ss
 from lgqsmooth.simulate import derive_record_seeds, simulate_truth_ensemble
 from lgqsmooth.smooth import combine_arrays
 
 
-def gaussian_hs_sq(a: GaussianState, b: GaussianState) -> float:
-    """Squared Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2].
+def gaussian_hs_sq(a: tuple, b: tuple) -> float:
+    """Squared Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2] between two
+    Gaussian states, each a (mean 2-vector, 2x2 covariance) pair.
 
     Purity P = 1/sqrt(det V); overlap O = 2 exp(-r^T (Va+Vb)^-1 r / 2)
     / sqrt(det(Va+Vb)) with r the mean difference.
     """
-    va, vb = a.cov, b.cov
+    (mean_a, va), (mean_b, vb) = a, b
     det_a, det_b = np.linalg.det(va), np.linalg.det(vb)
     if det_a <= 0 or det_b <= 0:
         raise ValueError("covariance matrices must be positive definite")
@@ -50,7 +51,7 @@ def gaussian_hs_sq(a: GaussianState, b: GaussianState) -> float:
     det_s = np.linalg.det(s)
     if det_s <= 1e-300:
         raise ValueError("singular covariance sum")
-    r = a.mean - b.mean
+    r = np.asarray(mean_a, dtype=float) - np.asarray(mean_b, dtype=float)
     overlap = 2.0 * math.exp(-0.5 * float(r @ np.linalg.solve(s, r))) / math.sqrt(det_s)
     # squared norm; tiny negatives are rounding artifacts
     return max(0.0, 1.0 / math.sqrt(det_a) + 1.0 / math.sqrt(det_b) - 2.0 * overlap)

@@ -8,12 +8,10 @@ import pytest
 
 from lgqsmooth import (
     EffectiveParams,
-    GaussianState,
     TargetSpec,
     consistency_check,
     hs_avg_theory,
     hs_avg_theory_classical,
-    isotropic_state,
     run_filter,
     run_retrofilter,
     sev,
@@ -55,28 +53,31 @@ def wigner(xs, ps, mean, cov):
     return np.exp(-0.5 * q) / (2 * math.pi * math.sqrt(np.linalg.det(cov)))
 
 
+def isotropic(mean, v):
+    """A (mean, covariance) pair with covariance v I."""
+    return np.asarray(mean, dtype=float), v * np.eye(2)
+
+
 def test_hs_sq_matches_wigner_grid():
-    a = GaussianState(np.array([0.3, -0.6]),
-                      np.array([[2.3, 0.4], [0.4, 1.7]]))
-    b = GaussianState(np.array([1.8, -1.4]),
-                      np.array([[1.2, -0.3], [-0.3, 3.0]]))
+    a = (np.array([0.3, -0.6]), np.array([[2.3, 0.4], [0.4, 1.7]]))
+    b = (np.array([1.8, -1.4]), np.array([[1.2, -0.3], [-0.3, 3.0]]))
     h = 0.02
     grid = np.arange(-14.0, 14.0 + h / 2, h)
-    wa = wigner(grid, grid, a.mean, a.cov)
-    wb = wigner(grid, grid, b.mean, b.cov)
+    wa = wigner(grid, grid, *a)
+    wb = wigner(grid, grid, *b)
     oracle = 4 * math.pi * np.sum((wa - wb) ** 2) * h * h
     assert gaussian_hs_sq(a, b) == pytest.approx(oracle, rel=1e-5)
 
 
 def test_hs_sq_basic_properties():
-    a = isotropic_state([0.5, 1.0], 2.0)
-    b = isotropic_state([-1.0, 0.0], 3.5)
+    a = isotropic([0.5, 1.0], 2.0)
+    b = isotropic([-1.0, 0.0], 3.5)
     assert gaussian_hs_sq(a, a) == 0.0
     assert gaussian_hs_sq(a, b) == pytest.approx(gaussian_hs_sq(b, a), rel=1e-14)
     assert gaussian_hs_sq(a, b) > 0
     # orthogonal pure states saturate at 2
-    far = isotropic_state([40.0, 0.0], 1.0)
-    ground = isotropic_state([0.0, 0.0], 1.0)
+    far = isotropic([40.0, 0.0], 1.0)
+    ground = isotropic([0.0, 0.0], 1.0)
     assert gaussian_hs_sq(ground, far) == pytest.approx(2.0, abs=1e-12)
     # vectorized isotropic variant agrees with the matrix form
     v = hs_sq_isotropic(2.0, np.array([0.5, 1.0]), 3.5, np.array([-1.0, 0.0]))
@@ -84,9 +85,8 @@ def test_hs_sq_basic_properties():
 
 
 def test_hs_sq_errors():
-    bad = GaussianState(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
-                        physical=False)
-    good = isotropic_state([0, 0], 1.0)
+    bad = (np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    good = isotropic([0, 0], 1.0)
     with pytest.raises(ValueError, match="positive definite"):
         gaussian_hs_sq(bad, good)
 
@@ -160,7 +160,7 @@ def test_hs_classical_steady_matches_pertime(ref_ep):
 # ---------------------------------------------------------------------------
 
 def test_std_delta_frozen_values(ref_ep):
-    tgt = TargetSpec.ltl(ref_ep)
+    tgt = TargetSpec.of("LTLFiltered", ref_ep)
     f0 = float(std_delta_theory(ref_ep, "Filtered", tgt, 0.0))
     s0 = float(std_delta_theory(ref_ep, "Smoothed", tgt, 0.0))
     assert f0 == pytest.approx(8.44, rel=1e-3)
@@ -170,7 +170,8 @@ def test_std_delta_frozen_values(ref_ep):
 
 def test_std_delta_ordering(ref_ep):
     t = np.linspace(0.0, ref_ep.record_duration, 151)
-    for tgt in (TargetSpec.ltl(ref_ep), TargetSpec.true_state()):
+    for kind in ("LTLFiltered", "TrueState"):
+        tgt = TargetSpec.of(kind, ref_ep)
         f = std_delta_theory(ref_ep, "Filtered", tgt, t)
         s = std_delta_theory(ref_ep, "Smoothed", tgt, t)
         c = std_delta_theory(ref_ep, "Classical", tgt, t)
@@ -180,11 +181,12 @@ def test_std_delta_ordering(ref_ep):
 
 def test_std_delta_errors(ref_ep):
     with pytest.raises(ValueError, match="estimator kind"):
-        std_delta_theory(ref_ep, "Other", TargetSpec.true_state(), 0.0)
+        std_delta_theory(ref_ep, "Other", TargetSpec.of("TrueState", ref_ep),
+                         0.0)
     # a target larger than the filtered variance is invalid
     big = EffectiveParams(gamma_eff=1.0, n_th_eff=1e6, coop_eff=1e-3,
                           eta=0.05, record_duration=1.0, dt=1e-3)
-    wide = TargetSpec.ltl(big)
+    wide = TargetSpec.of("LTLFiltered", big)
     assert wide.v_tar > ref_ep.sigma2_uncon
     with pytest.raises(ValueError, match="negative variance"):
         std_delta_theory(ref_ep, "Filtered", wide, 0.0)
@@ -202,7 +204,8 @@ def test_std_delta_empirical_classical(ref_ep, main_truth):
     t = float(k * ref_ep.dt)
     delta = m_cs[:, k] - main_truth.means[:, k]
     emp = math.sqrt(float((delta ** 2).mean()))
-    th = float(std_delta_theory(ref_ep, "Classical", TargetSpec.true_state(), t))
+    th = float(std_delta_theory(ref_ep, "Classical",
+                                TargetSpec.of("TrueState", ref_ep), t))
     n_eff = effective_record_count(ref_ep, main_truth.n_records,
                                    ref_ep.record_duration)
     assert abs(emp - th) < 3.0 * th / math.sqrt(2 * 2 * n_eff)
@@ -278,7 +281,8 @@ def small_traj_ensemble(ref_ep):
         rec = ens.record(i)
         f = run_filter(rec, ref_ep)
         r = run_retrofilter(rec, ref_ep)
-        rows.append((f, r, smooth_general(f, r, TargetSpec.true_state())))
+        s = smooth_general(f, r, TargetSpec.of("TrueState", ref_ep))
+        rows.append((f, r, s))
     stacks = {tr.kind: (np.stack([row[j].mean for row in rows]), tr.vw)
               for j, tr in enumerate(rows[0])}
     return stacks, rows[0][0].times

@@ -21,12 +21,10 @@ from lgqsmooth.model import (
     PhysicalParams,
     effective_params,
     filter_riccati_rhs,
-    isotropic_state,
     retro_precision,
     retro_precision_ss,
     ss_approximations,
     shup_violation_predicted,
-    unconditional_state,
     v_filter,
     v_filter_ss,
     v_retro,
@@ -107,18 +105,11 @@ def test_physical_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_unconditional_state(ref_ep):
-    st_ = unconditional_state(ref_ep)
-    assert np.all(st_.mean == 0.0)
-    assert st_.v == pytest.approx(SIGMA2, rel=1e-12)
+    # zero mean and v = 2 n_tot, where run_filter starts (checked in
+    # test_estimate.test_filter_starts_unconditional)
+    assert ref_ep.sigma2_uncon == pytest.approx(SIGMA2, rel=1e-12)
     ground = EffectiveParams(gamma_eff=1.0, n_th_eff=0.0, coop_eff=0.0, eta=1.0)
-    assert unconditional_state(ground).v == pytest.approx(1.0)
-
-
-def test_isotropic_state_helpers():
-    s = isotropic_state([1.0, 2.0], 3.0)
-    assert s.v == 3.0
-    with pytest.raises(ValueError):
-        isotropic_state([1.0, 2.0, 3.0], 1.0)
+    assert ground.sigma2_uncon == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

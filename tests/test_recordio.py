@@ -38,6 +38,17 @@ def test_record_csv_round_trip(rec, tmp_path):
     assert back.eta_effective is None and back.seed is None
 
 
+def test_record_csv_currents_own_their_bytes(rec, tmp_path):
+    # the currents are a contiguous (n, 2) array, not a view that keeps
+    # the parsed (n, 3) table with its time column alive
+    path = tmp_path / "rec.csv"
+    recordio.write_record_csv(rec, path)
+    cur = recordio.read_record_csv(path).currents
+    assert cur.flags.c_contiguous
+    held = cur if cur.base is None else cur.base
+    assert held.nbytes == cur.nbytes == rec.n * 2 * 8
+
+
 def test_record_bin_round_trip(rec, tmp_path):
     path = tmp_path / "rec.bin"
     recordio.write_record_bin(rec, path)
@@ -305,7 +316,7 @@ def _format_case(name):
                     _line(times[k], kind, rows[kind][0][k], rows[kind][1][k])
                     for kind in kinds for k in range(n)))
     values = {k: np.concatenate([[1.0], cols[k][1][1:]]) for k in kinds}
-    res = VacfResult(times, values, {k: 0.0 for k in kinds}, 0.1)
+    res = VacfResult(times, values, {k: 0.0 for k in kinds})
     return (lambda p: recordio.write_vacf_csv(res, p),
             "lag_s,kind,value\n" + "".join(
                 _line(times[k], kind, values[kind][k])

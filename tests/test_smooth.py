@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgqsmooth import (
     EffectiveParams,
@@ -28,7 +30,12 @@ from lgqsmooth.model import (
     ss_approximations,
 )
 from lgqsmooth.pipeline import _estimate_stack
-from lgqsmooth.smooth import combine_arrays, z_values
+from lgqsmooth.smooth import (
+    SINGULARITY_EPS,
+    combine_arrays,
+    smoothed_variance,
+    z_values,
+)
 from lgqsmooth.simulate import (
     simulate_surrogate_ensemble,
     simulate_true_and_record,
@@ -45,11 +52,17 @@ VCS_SS = 2.4144747593216405
 Z_SS_TRUE = 0.10343725521630703
 
 
-def test_target_spec(ref_ep):
-    t = TargetSpec.ltl(ref_ep)
-    assert t.kind == "LTLFiltered" and t.v_tar == v_filter_ss(ref_ep)
-    assert TargetSpec.true_state().v_tar == 1.0
-    assert TargetSpec.classical().v_tar == 0.0
+def test_target_spec_of(ref_ep):
+    v_tar = {"LTLFiltered": v_filter_ss(ref_ep), "TrueState": 1.0,
+             "Classical": 0.0}
+    for kind, v in v_tar.items():
+        t = TargetSpec.of(kind, ref_ep)
+        assert t.kind == kind and t.v_tar == v
+    with pytest.raises(ValueError, match="unknown target kind"):
+        TargetSpec.of("Other", ref_ep)
+
+
+def test_target_spec():
     with pytest.raises(ValueError, match="kind"):
         TargetSpec("Other", 1.0)
     with pytest.raises(ValueError):
@@ -60,18 +73,51 @@ def test_target_spec(ref_ep):
         TargetSpec("TrueState", 2.0)
 
 
+def _sample(v_tar):
+    """(v_F, w) of one sample: on the target, inside or just outside the
+    SINGULARITY_EPS band, or well above it; w zero or positive."""
+    rel = st.one_of(st.just(0.0),
+                    st.floats(-SINGULARITY_EPS / 2, SINGULARITY_EPS),
+                    st.floats(SINGULARITY_EPS, 4 * SINGULARITY_EPS),
+                    st.floats(1e-6, 1e3))
+    v_f = rel.map(lambda r: v_tar * (1.0 + r)) if v_tar > 0 \
+        else st.floats(1e-3, 1e3)
+    return st.tuples(v_f, st.one_of(st.just(0.0), st.floats(1e-9, 1e3)))
+
+
+@st.composite
+def _samples(draw):
+    v_tar = draw(st.sampled_from([0.0, 1.0, 4.68, 37.9]))
+    return v_tar, draw(st.lists(_sample(v_tar), min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples())
+def test_smoothed_variance_is_combine_arrays_bitwise(case):
+    v_tar, samples = case
+    v_f, w = (np.array(col) for col in zip(*samples))
+    zeros = np.zeros((v_f.shape[0], 2))
+    v_s, _ = combine_arrays(v_f, zeros, w, zeros, v_tar)
+    got = smoothed_variance(v_f, w, v_tar)
+    assert got.tobytes() == v_s.tobytes()
+    for k, (vf_k, w_k) in enumerate(samples):
+        one = smoothed_variance(vf_k, w_k, v_tar)
+        assert type(one) is float
+        assert np.float64(one).tobytes() == v_s[k].tobytes()
+
+
 def test_alignment_and_kind_checks(ref_ep):
     bun = simulate_true_and_record(ref_ep, 50e-6, seed=1)
     filt = run_filter(bun.record, ref_ep)
     retro = run_retrofilter(bun.record, ref_ep)
     with pytest.raises(ValueError, match="kind"):
-        smooth_general(retro, retro, TargetSpec.true_state())
+        smooth_general(retro, retro, TargetSpec.of("TrueState", ref_ep))
     with pytest.raises(ValueError, match="retrofiltered"):
-        smooth_general(filt, filt, TargetSpec.true_state())
+        smooth_general(filt, filt, TargetSpec.of("TrueState", ref_ep))
     short = run_retrofilter(simulate_true_and_record(ref_ep, 40e-6, 1).record,
                             ref_ep)
     with pytest.raises(ValueError, match="grids"):
-        smooth_general(filt, short, TargetSpec.true_state())
+        smooth_general(filt, short, TargetSpec.of("TrueState", ref_ep))
 
 
 def test_singularity_named(ref_ep):
@@ -81,7 +127,7 @@ def test_singularity_named(ref_ep):
     retro = Trajectory(times, np.zeros((n, 2)), np.full(n, 0.1),
                        "Retrofiltered", info=np.zeros((n, 2)))
     with pytest.raises(ValueError, match="sample 0"):
-        smooth_general(filt, retro, TargetSpec.ltl(ref_ep))
+        smooth_general(filt, retro, TargetSpec.of("LTLFiltered", ref_ep))
 
 
 def test_uninformative_future_copies_filtered(ref_ep):
@@ -92,7 +138,7 @@ def test_uninformative_future_copies_filtered(ref_ep):
     filt = run_filter(bun.record, ep0)
     retro = run_retrofilter(bun.record, ep0)
     assert np.all(retro.vw == 0.0)
-    out = smooth_general(filt, retro, TargetSpec.true_state())
+    out = smooth_general(filt, retro, TargetSpec.of("TrueState", ep0))
     assert np.array_equal(out.mean, filt.mean)
     assert np.array_equal(out.vw, filt.vw)
     assert out.kind == "SmoothedTrue"
@@ -100,9 +146,8 @@ def test_uninformative_future_copies_filtered(ref_ep):
     bun2 = simulate_true_and_record(ref_ep, 100e-6, seed=5)
     f2 = run_filter(bun2.record, ref_ep)
     r2 = run_retrofilter(bun2.record, ref_ep)
-    for tgt in (TargetSpec.ltl(ref_ep), TargetSpec.true_state(),
-                TargetSpec.classical()):
-        s2 = smooth_general(f2, r2, tgt)
+    for kind in ("LTLFiltered", "TrueState", "Classical"):
+        s2 = smooth_general(f2, r2, TargetSpec.of(kind, ref_ep))
         assert s2.vw[-1] == f2.vw[-1]
         assert np.array_equal(s2.mean[-1], f2.mean[-1])
 
@@ -117,9 +162,9 @@ def ref_smoothed(ref_ep):
 
 def test_frozen_covariances(ref_ep, ref_smoothed):
     filt, retro = ref_smoothed
-    ltl = smooth_general(filt, retro, TargetSpec.ltl(ref_ep))
-    true = smooth_general(filt, retro, TargetSpec.true_state())
-    cl = smooth_general(filt, retro, TargetSpec.classical())
+    ltl = smooth_general(filt, retro, TargetSpec.of("LTLFiltered", ref_ep))
+    true = smooth_general(filt, retro, TargetSpec.of("TrueState", ref_ep))
+    cl = smooth_general(filt, retro, TargetSpec.of("Classical", ref_ep))
     assert ltl.vw[0] == pytest.approx(VS0_LTL, rel=1e-9)
     assert true.vw[0] == pytest.approx(VS0_TRUE, rel=1e-9)
     # steady-state values need distance from both record ends; a 750 us
@@ -127,8 +172,8 @@ def test_frozen_covariances(ref_ep, ref_smoothed):
     bun = simulate_true_and_record(ref_ep, 2.5e-3, seed=22)
     f2 = run_filter(bun.record, ref_ep)
     r2 = run_retrofilter(bun.record, ref_ep)
-    true = smooth_general(f2, r2, TargetSpec.true_state())
-    cl = smooth_general(f2, r2, TargetSpec.classical())
+    true = smooth_general(f2, r2, TargetSpec.of("TrueState", ref_ep))
+    cl = smooth_general(f2, r2, TargetSpec.of("Classical", ref_ep))
     k = 1250
     assert true.vw[k] == pytest.approx(VSSS_TRUE, rel=1e-6)
     assert cl.vw[k] == pytest.approx(VCS_SS, rel=1e-6)
@@ -143,7 +188,8 @@ def test_frozen_covariances(ref_ep, ref_smoothed):
     # classical steady value against its closed-form approximation
     approx = ss_approximations(ref_ep)
     assert cl.vw[k] == pytest.approx(approx.v_cs, rel=1e-3)
-    assert ltl.physical and true.physical and not cl.physical
+    # the quantum targets' states obey the uncertainty bound v >= 1
+    assert min(ltl.vw.min(), true.vw.min()) >= 1.0
     assert ltl.kind == "SmoothedLTL" and cl.kind == "ClassicalSmoothed"
 
 
@@ -151,7 +197,7 @@ def test_ltl_smoothed_converges_to_filter(ref_ep):
     bun = simulate_true_and_record(ref_ep, 2e-3, seed=8)
     filt = run_filter(bun.record, ref_ep)
     retro = run_retrofilter(bun.record, ref_ep)
-    out = smooth_general(filt, retro, TargetSpec.ltl(ref_ep))
+    out = smooth_general(filt, retro, TargetSpec.of("LTLFiltered", ref_ep))
     vfss = v_filter_ss(ref_ep)
     late = np.abs(filt.vw - vfss) < 1e-6
     late[-1] = False  # final sample has no retrofiltered mean
@@ -221,8 +267,9 @@ def test_z_factor_values(ref_ep):
 
 def test_per_record_mean_identity(ref_ep, ref_smoothed):
     filt, retro = ref_smoothed
-    cl = smooth_general(filt, retro, TargetSpec.classical())
-    for tgt in (TargetSpec.ltl(ref_ep), TargetSpec.true_state()):
+    cl = smooth_general(filt, retro, TargetSpec.of("Classical", ref_ep))
+    for kind in ("LTLFiltered", "TrueState"):
+        tgt = TargetSpec.of(kind, ref_ep)
         out = smooth_general(filt, retro, tgt)
         z = z_values(filt.vw, retro.vw, tgt.v_tar)
         lhs = cl.mean - out.mean
