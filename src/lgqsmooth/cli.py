@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__, pipeline
 from .config import ConfigError, parse_config, parse_formats
 from .estimate import NumericalError
+from .ingest import DEFAULT_BW_3DB, DEFAULT_DISCARD, DEFAULT_ORDER
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -97,16 +98,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--out-dir", required=True, metavar="DIR")
     sp.add_argument("--omega-hz", required=True, type=float,
                     help="carrier frequency in Hz")
-    sp.add_argument("--bw-hz", type=float, default=56.5e3,
-                    help="low-pass 3 dB bandwidth in Hz (default 56500)")
-    sp.add_argument("--order", type=int, default=4,
-                    help="low-pass filter order (default 4)")
+    sp.add_argument("--bw-hz", type=float, default=DEFAULT_BW_3DB,
+                    help="low-pass 3 dB bandwidth in Hz (default %(default)g)")
+    sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                    help="low-pass filter order (default %(default)d)")
     sp.add_argument("--dt-us", type=float, default=1.0,
                     help="output sample spacing in us (default 1)")
     sp.add_argument("--record-us", type=float, default=750.0,
                     help="record length in us (default 750)")
-    sp.add_argument("--discard-us", type=float, default=4000.0,
-                    help="transient to discard in us (default 4000)")
+    sp.add_argument("--discard-us", type=float, default=DEFAULT_DISCARD * 1e6,
+                    help="transient to discard in us (default %(default)g)")
     sp.add_argument("--formats", default="csv",
                     help="output formats, comma list of csv/bin (default "
                          "csv)")

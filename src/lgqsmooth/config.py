@@ -2,7 +2,9 @@
 
 Frequencies are configured in Hz and converted to angular rates; durations
 are configured in microseconds.  Unknown sections or keys are errors, as
-are missing required keys, so a typo never silently changes a run.
+are missing required keys, so a typo never silently changes a run.  An
+absent optional ``[params]`` key takes its ``PhysicalParams`` default,
+so the defaults are written only in ``model``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ from .smooth import TARGET_KINDS
 
 TWO_PI = 2.0 * math.pi
 
-_PARAM_KEYS = {"gamma_hz", "gamma_fb_hz", "n_th", "coop", "eta", "omega_hz",
-               "record_us", "dt_us"}
+# [params] key -> (PhysicalParams field, factor from the configured unit)
+_PARAMS = {"gamma_hz": ("gamma", TWO_PI), "gamma_fb_hz": ("gamma_fb", TWO_PI),
+           "n_th": ("n_th", 1.0), "coop": ("coop", 1.0), "eta": ("eta", 1.0),
+           "omega_hz": ("omega", TWO_PI),
+           "record_us": ("record_duration", 1e-6), "dt_us": ("dt", 1e-6)}
+# the keys of the fields without a default
 _REQUIRED_PARAMS = {"gamma_hz", "n_th", "coop", "eta"}
 _SECTION_KEYS = {
-    "params": _PARAM_KEYS,
+    "params": set(_PARAMS),
     "ensemble": {"n_records", "base_seed"},
     "targets": {"kinds"},
     "noise_injection": {"eta_new"},
@@ -53,12 +59,10 @@ def _get_float(section, key: str, name: str) -> float:
 
 
 def _get_int(section, key: str, name: str) -> int:
-    raw = section[key]
     try:
-        value = int(raw)
+        return int(section[key])
     except ValueError as exc:
         raise ConfigError(f"{name}.{key}: not an integer") from exc
-    return value
 
 
 def parse_formats(text: str) -> tuple[str, ...]:
@@ -94,22 +98,10 @@ def parse_config_text(text: str) -> RunConfig:
     missing = _REQUIRED_PARAMS - set(par)
     if missing:
         raise ConfigError(f"params missing key {sorted(missing)[0]}")
-    gamma_fb = (TWO_PI * _get_float(par, "gamma_fb_hz", "params")
-                if "gamma_fb_hz" in par else None)
+    values = {name: factor * _get_float(par, key, "params")
+              for key, (name, factor) in _PARAMS.items() if key in par}
     try:
-        params = PhysicalParams(
-            gamma=TWO_PI * _get_float(par, "gamma_hz", "params"),
-            n_th=_get_float(par, "n_th", "params"),
-            coop=_get_float(par, "coop", "params"),
-            eta=_get_float(par, "eta", "params"),
-            gamma_fb=gamma_fb,
-            omega=TWO_PI * _get_float(par, "omega_hz", "params")
-            if "omega_hz" in par else 0.0,
-            record_duration=1e-6 * _get_float(par, "record_us", "params")
-            if "record_us" in par else 750e-6,
-            dt=1e-6 * _get_float(par, "dt_us", "params")
-            if "dt_us" in par else 1e-6,
-        )
+        params = PhysicalParams(**values)
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from exc
 

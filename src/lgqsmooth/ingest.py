@@ -60,7 +60,8 @@ class RawTrace:
         if samples.ndim != 1 or samples.shape[0] == 0:
             raise ValueError("samples must be a non-empty 1-d array")
         if not np.isfinite(samples).all():
-            raise ValueError("ingest: non-finite raw sample")
+            first = int(np.flatnonzero(~np.isfinite(samples))[0])
+            raise ValueError(f"ingest: non-finite raw sample at index {first}")
         object.__setattr__(self, "samples", samples)
 
     @property

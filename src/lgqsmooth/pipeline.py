@@ -140,41 +140,55 @@ def _indexed(directory: Path, stem: str, i: int, ext: str) -> Path:
 def _write_records(records, directory: Path, formats) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for i, rec in enumerate(records):
-        if "csv" in formats:
-            recordio.write_record_csv(rec, _indexed(directory, "record", i,
-                                                    "csv"))
-        if "bin" in formats:
-            recordio.write_record_bin(rec, _indexed(directory, "record", i,
-                                                    "bin"))
+        for ext in formats:
+            write = recordio.write_record_bin if ext == "bin" \
+                else recordio.write_record_csv
+            write(rec, _indexed(directory, "record", i, ext))
 
 
-def load_records(directory: Path) -> tuple[list[Path],
-                                           list[MeasurementRecord]]:
-    """Read ``record_00000`` to ``record_<N-1>`` from a directory, the
+def _indexed_paths(directory: Path, stem: str, ext: str,
+                   n: int | None = None) -> list[Path]:
+    """``<stem>_00000.<ext>`` to ``<stem>_<n-1>.<ext>`` in a directory,
+    which must be all of its ``<stem>_*.<ext>`` files; without ``n``, n
+    runs to the largest index present.  An error names the directory and
+    the first missing file, else the first stray one."""
+    names = {p.name for p in directory.glob(f"{stem}_*.{ext}")}
+    if not names:
+        raise FileNotFoundError(f"{directory}: no {stem} files")
+    if n is None:
+        digits = (name[len(stem) + 1:-len(ext) - 1] for name in names)
+        n = 1 + max((int(d) for d in digits
+                     if d.isdecimal() and f"{int(d):05d}" == d), default=-1)
+    paths = [_indexed(directory, stem, i, ext) for i in range(n)]
+    for path in paths:
+        if path.name not in names:
+            raise ValueError(f"{directory}: {path.name} is missing, one of "
+                             f"the {n} {stem} files indexed from 0")
+    stray = names.difference(path.name for path in paths)
+    if stray:
+        raise ValueError(f"{directory}: {min(stray)} is stray, not one of "
+                         f"the {n} {stem} files indexed from 0")
+    return paths
+
+
+def load_records(directory: Path, n: int | None = None
+                 ) -> tuple[list[Path], list[MeasurementRecord]]:
+    """Read ``record_00000`` to ``record_<n-1>`` from a directory, the
     ``.bin`` files where there are any, else the ``.csv`` files.
 
-    Each format present must hold every index from 0 to the largest in
-    either format; a ValueError names the directory and the first missing
-    file.  Returns the paths read and their records, in index order."""
+    Each format present must hold exactly those files; without ``n``, n
+    runs to the largest index in either format.  Returns the paths read
+    and their records, in index order."""
     directory = Path(directory)
-    indices = {}
-    for ext in ("bin", "csv"):
-        stems = (p.stem[len("record_"):]
-                 for p in directory.glob(f"record_*.{ext}"))
-        indices[ext] = {int(s) for s in stems if s.isdigit()}
-    present = [ext for ext in ("bin", "csv") if indices[ext]]
-    if not present:
+    exts = [ext for ext in ("bin", "csv")
+            if next(directory.glob(f"record_*.{ext}"), None)]
+    if not exts:
         raise FileNotFoundError(f"no record files under {directory}")
-    n = 1 + max(max(indices[ext]) for ext in present)
-    for i in range(n):
-        for ext in present:
-            if i not in indices[ext]:
-                raise ValueError(
-                    f"{directory}: record_{i:05d}.{ext} is missing, though "
-                    f"record_{n - 1:05d} exists")
-    read = recordio.read_record_bin if present[0] == "bin" \
+    if n is None:
+        n = max(len(_indexed_paths(directory, "record", ext)) for ext in exts)
+    paths = [_indexed_paths(directory, "record", ext, n) for ext in exts][0]
+    read = recordio.read_record_bin if exts[0] == "bin" \
         else recordio.read_record_csv
-    paths = [_indexed(directory, "record", i, present[0]) for i in range(n)]
     return paths, [read(p) for p in paths]
 
 
@@ -184,15 +198,15 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
 
     Reads estimates/, smoothed/<target>/ for each of ``targets``, and,
     with ``truth``, truth/ where it exists, each into one stack.  Each
-    directory must hold exactly ``n_records`` files, read by index from
-    ``<stem>_00000.csv`` on, so a missing index is an error, not a shifted
-    pairing.  Each file must hold the time grid of :func:`run_grid`, its
-    directory's kind (Filtered, Retrofiltered or the target's smoothed
-    kind) and exactly that kind's closed-form vw.  An error names the
-    file at fault, or the directory when its file count is wrong or all
-    of its files have another kind.  A non-finite mean or information
-    vector is a NumericalError naming the file and sample, except an
-    effect mean where it is not :func:`effect_defined`, NaN by design.
+    directory must hold exactly ``<stem>_00000.csv`` to
+    ``<stem>_<n_records-1>.csv``, so a missing or stray file is an error,
+    not a shifted pairing.  Each file must hold the time grid of
+    :func:`run_grid`, its directory's kind (Filtered, Retrofiltered or the
+    target's smoothed kind) and exactly that kind's closed-form vw.  An
+    error names the file at fault, or the directory when all of its files
+    have another kind.  A non-finite mean or information vector is a
+    NumericalError naming the file and sample, except an effect mean where
+    it is not :func:`effect_defined`, NaN by design.
 
     Returns the :func:`run_grid` grid, kind -> (means (N, n+1, 2), vw),
     the retrofilter's information vectors (N, n+1, 2), and the truth means
@@ -207,18 +221,7 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
         dirs.append((base_dir / "truth", "truth", None))
     stacks, info, truth_means = {}, None, None
     for directory, stem, kind in dirs:
-        count = len(list(directory.glob(f"{stem}_*.csv")))
-        if count == 0:
-            raise FileNotFoundError(f"{directory}: no {stem} files")
-        if count != n_records:
-            raise ValueError(f"{directory}: {count} {stem} files for "
-                             f"{n_records} records")
-        paths = [_indexed(directory, stem, i, "csv")
-                 for i in range(n_records)]
-        for path in paths:
-            if not path.is_file():
-                raise ValueError(f"{path}: missing, though {directory} "
-                                 f"holds {count} {stem} files")
+        paths = _indexed_paths(directory, stem, "csv", n_records)
         means = np.empty((n_records, times.shape[0], 2))
         if kind == "Retrofiltered":
             info = np.empty_like(means)
@@ -321,11 +324,7 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
         raise ValueError(f"estimate: jobs must be at least 1, got {jobs}")
     ep = effective(cfg)
     n = _n_steps(ep, ep.record_duration)
-    rec_dir = base_dir / "records"
-    paths, records = load_records(rec_dir)
-    if len(records) != cfg.n_records:
-        raise ValueError(f"{rec_dir}: {len(records)} record files for "
-                         f"{cfg.n_records} records")
+    paths, records = load_records(base_dir / "records", cfg.n_records)
     for path, rec in zip(paths, records):
         _check_record(rec, ep, str(path))
         if rec.n != n:
@@ -425,12 +424,9 @@ def stage_inject(records_dir: Path, out_dir: Path, eta_old: float,
                  eta_new: float, seed: int, formats=("csv",)) -> int:
     paths, records = load_records(records_dir)
     seeds = derive_record_seeds(seed, len(records))
-    injected = []
-    for path, rec, s in zip(paths, records, seeds):
-        try:
-            injected.append(inject_noise(rec, eta_old, eta_new, seed=int(s)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    injected = [recordio._named(path, inject_noise, rec, eta_old, eta_new,
+                                seed=int(s))
+                for path, rec, s in zip(paths, records, seeds)]
     _write_records(injected, Path(out_dir), formats)
     log(f"inject: wrote {len(injected)} records at eta = {eta_new}")
     return len(injected)
@@ -442,10 +438,9 @@ def stage_demod(trace_path: Path, out_dir: Path, omega: float,
     from .ingest import demodulate, segment
 
     trace_path = Path(trace_path)
-    if trace_path.suffix == ".bin":
-        raw = recordio.read_raw_bin(trace_path)
-    else:
-        raw = recordio.read_raw_csv(trace_path)
+    read = recordio.read_raw_bin if trace_path.suffix == ".bin" \
+        else recordio.read_raw_csv
+    raw = read(trace_path)
     rec = demodulate(raw, omega, bw_3db=bw_3db, order=order, dt_out=dt_out)
     # segment's arithmetic; the trace sample behind each output is stride
     need = int(round(discard / dt_out)) + int(round(record_len / dt_out))
@@ -803,7 +798,8 @@ def _crit_vacf(study: InjectionStudy) -> CriterionResult:
 
 
 def _crit_demod(omega: float) -> CriterionResult:
-    from .ingest import DEFAULT_BW_3DB, Lowpass, demod_filter, demodulate
+    from .ingest import (DEFAULT_BW_3DB, DEFAULT_ORDER, Lowpass, demod_filter,
+                         demodulate)
 
     fs = 5.0e6
     dt = 1.0e-6
@@ -821,7 +817,8 @@ def _crit_demod(omega: float) -> CriterionResult:
 
     imp = np.zeros((1, int(round(600e-6 * fs))))
     imp[0, 0] = 1.0
-    h = np.abs(Lowpass(demod_filter(DEFAULT_BW_3DB, 4, fs), rows=1)(imp)[0])
+    zpk = demod_filter(DEFAULT_BW_3DB, DEFAULT_ORDER, fs)
+    h = np.abs(Lowpass(zpk, rows=1)(imp)[0])
     tail = float(h[int(round(400e-6 * fs)):].max() / h.max())
     ok = err < 0.05 and tail < 1e-3
     return CriterionResult(

@@ -3,10 +3,11 @@
 All text output uses %.17g so float64 values round-trip exactly and two
 writes of the same data are byte-identical.  Text tables are formatted in
 bulk, one ``%`` over all rows of a table block, and the bytes equal those
-of formatting each value with ``format(float(x), ".17g")``.  Text tables
-are parsed with ``np.loadtxt``; a reader requires its writer's header
-line, and a wrong header or malformed rows raise ``ValueError`` naming
-the file.  Binary formats are little-endian float64 throughout.
+of formatting each value with ``format(float(x), ".17g")``.  A text
+reader requires its writer's exact header and column count, a binary
+reader a body of exactly its header's n samples, and every error, the
+read object's constructor's included, is a ``ValueError`` naming the
+file.  Binary formats are little-endian float64 throughout.
 """
 
 from __future__ import annotations
@@ -45,37 +46,64 @@ def _write_table(path, header: str, blocks) -> None:
             fh.write((row * len(columns[0])) % tuple(flat.tolist()))
 
 
-def _split_table(path) -> tuple[str, list[str]]:
-    """Header line and data lines of a text table."""
-    lines = Path(path).read_text().splitlines()
-    return (lines[0] if lines else ""), lines[1:]
-
-
-def _rows(path, header: str) -> list[str]:
-    """Data lines of a text table whose first line must be ``header``."""
-    first, rows = _split_table(path)
+def _table(path, header: str, usecols=None) -> tuple[np.ndarray, list]:
+    """The numbers of a text table whose first line must be ``header``,
+    parsed with ``np.loadtxt`` (only ``usecols`` if given), and its data
+    lines.  Every row holds the header's column count."""
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    first, rows = (lines[0] if lines else ""), lines[1:]
     if first != header:
         raise ValueError(f"{path}: expected header {header!r}, found {first!r}")
-    return rows
-
-
-def _numbers(path, rows: list[str], usecols=None) -> np.ndarray:
-    """Parse comma-separated numeric rows; errors name the file."""
     if not any(rows):
         raise ValueError(f"{path}: no data rows")
     try:
-        return np.loadtxt(rows, delimiter=",", usecols=usecols, ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", usecols=usecols, ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    # after loadtxt's own checks, the comma count fixes every row's width
+    if text.count(",") != header.count(",") * (1 + data.shape[0]):
+        raise ValueError(f"{path}: expected {header} rows")
+    return data, rows
 
 
-def _check_body(path, data: bytes, n: int, size: int) -> None:
-    """The body after a binary header holds n samples of ``size`` bytes."""
+def _step(path, t: np.ndarray) -> float:
+    """The step of a uniform time column of at least two samples."""
+    if t.shape[0] < 2:
+        raise ValueError(f"{path}: expected at least two rows")
+    step = float(t[1] - t[0])
+    if step <= 0 or np.abs(np.diff(t) - step).max() > 1e-6 * step:
+        raise ValueError(f"{path}: time column is not uniform")
+    return step
+
+
+def _binary(path, magic: bytes, fmt: str, size: int) -> tuple:
+    """The header fields and float64 body of a binary file: ``magic``,
+    then a header packed as ``fmt`` whose second field is the sample
+    count n, then exactly n samples of ``size`` bytes."""
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise ValueError(f"{path}: not a record file")
+        header = fh.read(struct.calcsize(fmt))
+        if len(header) != struct.calcsize(fmt):
+            raise ValueError(f"{path}: truncated header")
+        fields = struct.unpack(fmt, header)
+        data = fh.read()
+    n = fields[1]
     if len(data) < n * size:
         raise ValueError(f"{path}: truncated body")
     if len(data) > n * size:
         raise ValueError(f"{path}: body of {len(data)} bytes, but the "
                          f"header's n = {n} requires {n * size}")
+    return fields, np.frombuffer(data, dtype="<f8")
+
+
+def _named(path, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ValueError naming the file."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +117,10 @@ def write_record_csv(rec: MeasurementRecord, path) -> None:
 
 
 def read_record_csv(path) -> MeasurementRecord:
-    data = _numbers(path, _rows(path, "t_s,i1,i2"))
-    if data.shape[1] != 3 or data.shape[0] < 2:
-        raise ValueError(f"{path}: expected t_s,i1,i2 rows")
-    t = data[:, 0]
-    dt = float(t[1] - t[0])
-    if dt <= 0 or np.abs(np.diff(t) - dt).max() > 1e-6 * dt:
-        raise ValueError(f"{path}: time column is not uniform")
+    data, _ = _table(path, "t_s,i1,i2")
     # a copy, so the record does not keep the parsed time column alive
-    return MeasurementRecord(dt=dt, currents=np.ascontiguousarray(data[:, 1:]))
+    return _named(path, MeasurementRecord, dt=_step(path, data[:, 0]),
+                  currents=np.ascontiguousarray(data[:, 1:]))
 
 
 def write_record_bin(rec: MeasurementRecord, path) -> None:
@@ -112,29 +135,19 @@ def write_record_bin(rec: MeasurementRecord, path) -> None:
 
 
 def read_record_bin(path) -> MeasurementRecord:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _RECORD_MAGIC:
-            raise ValueError(f"{path}: not a record file")
-        header = fh.read(32)
-        if len(header) != 32:
-            raise ValueError(f"{path}: truncated header")
-        dt, n, eta, seed = struct.unpack("<dQdq", header)
-        data = fh.read()
-    _check_body(path, data, n, 16)
-    body = np.frombuffer(data, dtype="<f8")
-    try:
-        return MeasurementRecord(
-            dt=dt, currents=body.reshape(-1, 2).copy(),
-            eta_effective=None if np.isnan(eta) else eta,
-            seed=None if seed < 0 else seed)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    (dt, _, eta, seed), body = _binary(path, _RECORD_MAGIC, "<dQdq", 16)
+    return _named(path, MeasurementRecord,
+                  dt=dt, currents=body.reshape(-1, 2).copy(),
+                  eta_effective=None if np.isnan(eta) else eta,
+                  seed=None if seed < 0 else seed)
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
+
+_TRAJECTORY_HEADER = "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2"
+
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Columns t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2.
@@ -150,17 +163,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     else:
         row = "%.17g," + traj.kind + ",%.17g,%.17g,%.17g,%.17g,%.17g\n"
         columns += [traj.info[:, 0], traj.info[:, 1]]
-    _write_table(path, "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2",
-                 [(row, columns)])
+    _write_table(path, _TRAJECTORY_HEADER, [(row, columns)])
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    header, rows = _split_table(path)
-    fields = header.split(",")
-    if fields[0] != "t_s" or len(fields) != 7:
-        raise ValueError(f"{path}: expected trajectory header")
     # every row has at least seven fields once this parse succeeds
-    data = _numbers(path, rows, usecols=(0, 2, 3, 4, 5, 6))
+    data, rows = _table(path, _TRAJECTORY_HEADER, usecols=(0, 2, 3, 4, 5, 6))
     kinds = {row.split(",", 2)[1] for row in rows if row}
     if len(kinds) != 1:
         raise ValueError(f"{path}: expected exactly one trajectory kind")
@@ -168,11 +176,8 @@ def read_trajectory_csv(path) -> Trajectory:
     if kind not in KINDS:
         raise ValueError(f"{path}: unknown trajectory kind {kind!r}")
     info = data[:, 4:6].copy() if kind == "Retrofiltered" else None
-    try:
-        return Trajectory(data[:, 0].copy(), data[:, 1:3].copy(),
-                          data[:, 3].copy(), kind, info=info)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _named(path, Trajectory, data[:, 0].copy(), data[:, 1:3].copy(),
+                  data[:, 3].copy(), kind, info=info)
 
 
 def write_means_csv(times: np.ndarray, means: np.ndarray, path) -> None:
@@ -182,9 +187,7 @@ def write_means_csv(times: np.ndarray, means: np.ndarray, path) -> None:
 
 
 def read_means_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = _numbers(path, _rows(path, "t_s,x1,x2"))
-    if data.shape[1] != 3:
-        raise ValueError(f"{path}: expected t_s,x1,x2 rows")
+    data, _ = _table(path, "t_s,x1,x2")
     return data[:, 0], data[:, 1:]
 
 
@@ -198,14 +201,9 @@ def write_raw_csv(raw: RawTrace, path) -> None:
 
 
 def read_raw_csv(path) -> RawTrace:
-    data = _numbers(path, _rows(path, "t_s,value"))
-    if data.shape[1] != 2 or data.shape[0] < 2:
-        raise ValueError(f"{path}: expected t_s,value rows")
-    t = data[:, 0]
-    step = float(t[1] - t[0])
-    if step <= 0 or np.abs(np.diff(t) - step).max() > 1e-6 * step:
-        raise ValueError(f"{path}: time column is not uniform")
-    return RawTrace(fs=1.0 / step, samples=data[:, 1])
+    data, _ = _table(path, "t_s,value")
+    return _named(path, RawTrace, fs=1.0 / _step(path, data[:, 0]),
+                  samples=data[:, 1])
 
 
 def write_raw_bin(raw: RawTrace, path) -> None:
@@ -216,18 +214,8 @@ def write_raw_bin(raw: RawTrace, path) -> None:
 
 
 def read_raw_bin(path) -> RawTrace:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError(f"{path}: truncated header")
-        fs, n = struct.unpack("<dQ", header)
-        data = fh.read()
-    _check_body(path, data, n, 8)
-    body = np.frombuffer(data, dtype="<f8")
-    try:
-        return RawTrace(fs=fs, samples=body.copy())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    (fs, _), body = _binary(path, b"", "<dQ", 8)
+    return _named(path, RawTrace, fs=fs, samples=body.copy())
 
 
 # ---------------------------------------------------------------------------

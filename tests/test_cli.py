@@ -315,7 +315,38 @@ def test_renamed_trajectory_file_is_exit_one(cfg_path, tmp_path, capsys,
     capsys.readouterr()
     code = main([cmd, "--config", str(cfg_path), "--out-dir", str(out)])
     assert code == 1
-    assert f"lgqsmooth: error: {victim}: missing" in capsys.readouterr().err
+    assert f"lgqsmooth: error: {victim.parent}: {victim.name} is missing" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, rel, stray", [
+    ("estimate", "records/record_00000.csv", "record_old.csv"),
+    ("estimate", "records/record_00000.bin", "record_00004.bin"),
+    ("inject", "records/record_00000.csv", "record_old.csv"),
+    ("smooth", "estimates/filtered_00000.csv", "filtered_old.csv"),
+    ("analyze", "estimates/retro_00000.csv", "retro_00004.csv"),
+    ("analyze", "smoothed/TrueState/smoothed_00000.csv", "smoothed_old.csv"),
+    ("analyze", "truth/truth_00000.csv", "truth_old.csv"),
+])
+def test_stray_file_is_exit_one(clean_run, tmp_path, capsys, cmd, rel,
+                                stray):
+    # a copy of a good file under a name outside the run's indices
+    cfg, clean = clean_run
+    out = tmp_path / "run"
+    shutil.copytree(clean, out)
+    source = out / rel
+    shutil.copy(source, source.with_name(stray))
+    capsys.readouterr()
+    if cmd == "inject":
+        code = main(["inject", "--records", str(out / "records"),
+                     "--out-dir", str(tmp_path / "inj"),
+                     "--eta-old", "0.38", "--eta-new", "0.1"])
+    else:
+        code = main([cmd, "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 1
+    assert f"lgqsmooth: error: {source.parent}: {stray} is stray" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "inj").exists()
 
 
 @pytest.mark.parametrize("defect", ["smoothed file cut by one row",
@@ -625,6 +656,29 @@ def test_demod_too_short_trace_is_exit_one(tmp_path, capsys):
     assert code == 1
     assert f"lgqsmooth: error: {trace}: 20000 samples, one record after " \
         "the discard needs 23746" in capsys.readouterr().err
+    assert not (tmp_path / "records").exists()
+
+
+@pytest.mark.parametrize("ext", ["csv", "bin"])
+def test_nonfinite_trace_is_exit_one(tmp_path, capsys, ext):
+    rng = np.random.default_rng(8)
+    trace = tmp_path / f"trace.{ext}"
+    write = recordio.write_raw_csv if ext == "csv" else recordio.write_raw_bin
+    write(RawTrace(fs=5e6, samples=rng.normal(size=30000)), trace)
+    if ext == "csv":
+        lines = trace.read_text().splitlines()
+        lines[1 + 7] = lines[1 + 7].split(",")[0] + ",nan"
+        trace.write_text("\n".join(lines) + "\n")
+    else:
+        blob = bytearray(trace.read_bytes())
+        blob[16 + 8 * 7:16 + 8 * 8] = struct.pack("<d", math.nan)
+        trace.write_bytes(bytes(blob))
+    code = main(["demod", "--trace", str(trace),
+                 "--out-dir", str(tmp_path / "records"),
+                 "--omega-hz", "1.04e6"])
+    assert code == 1
+    assert f"lgqsmooth: error: {trace}: ingest: non-finite raw sample at " \
+        "index 7" in capsys.readouterr().err
     assert not (tmp_path / "records").exists()
 
 

@@ -1,5 +1,6 @@
 """Config file parsing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -78,6 +79,22 @@ def test_minimal_defaults():
     assert cfg.formats == ("csv",)
 
 
+@pytest.mark.parametrize("text, expected", [
+    (FULL, dict(gamma=TWO_PI * 11.5e-3, n_th=2.45e5, coop=3.16e4, eta=0.38,
+                gamma_fb=TWO_PI * 85.0, omega=TWO_PI * 1.04e6,
+                record_duration=1e-6 * 750.0, dt=1e-6 * 1.0)),
+    (MINIMAL, dict(gamma=TWO_PI * 0.5, n_th=10.0, coop=100.0, eta=0.5,
+                   gamma_fb=None, omega=0.0, record_duration=750e-6,
+                   dt=1e-6)),
+], ids=["full", "minimal"])
+def test_params_field_bits(text, expected):
+    # each configured value times its unit factor, each absent one its
+    # PhysicalParams default, exactly
+    params = parse_config_text(text).params
+    got = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+    assert got == expected
+
+
 def test_inline_comments_stripped():
     cfg = parse_config_text(MINIMAL.replace("eta = 0.5",
                                             "eta = 0.5  # detection"))
@@ -91,6 +108,10 @@ def test_inline_comments_stripped():
     (lambda s: s.replace("n_records = 10", "n_records = 0"), "at least 1"),
     (lambda s: s.replace("base_seed = 1", "base_seed = -4"), "base_seed"),
     (lambda s: s.replace("eta = 0.5", "eta = braid"), "not a number"),
+    (lambda s: s.replace("coop = 100", "coop = many"),
+     r"^params\.coop: not a number$"),
+    (lambda s: s.replace("n_th = 10", "n_th = -1"),
+     r"^params: n_th must be nonnegative$"),
     (lambda s: s.replace("n_records = 10", "n_records = 2.5"),
      "not an integer"),
     (lambda s: s + "\n[targets]\nkinds = Filtered\n", "target"),

@@ -35,7 +35,7 @@ def test_rawtrace_validation():
         RawTrace(fs=FS, samples=np.zeros(0))
     bad = np.ones(10)
     bad[3] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite raw sample at index 3$"):
         RawTrace(fs=FS, samples=bad)
     tr = RawTrace(fs=FS, samples=np.ones(10))
     assert tr.duration == pytest.approx(10 / FS)

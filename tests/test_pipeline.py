@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -137,6 +138,30 @@ def test_load_records_requires_files(tmp_path, ref_ep):
         pipeline.load_records(tmp_path)
     with pytest.raises(FileNotFoundError):
         pipeline._load_stacks(tmp_path, 1, ref_ep)
+
+
+@pytest.mark.parametrize("indices, n, fault", [
+    ([0, 1, 2], None, None),
+    ([0, 1, 2], 3, None),
+    ([0, 2], None, "record_00001.csv is missing"),
+    ([0, 1], 3, "record_00002.csv is missing"),
+    ([0, 1, 2], 2, "record_00002.csv is stray"),
+    ([0, 1, "old"], None, "record_old.csv is stray"),
+    ([0, 1, "5"], None, "record_5.csv is stray"),
+], ids=["all", "all of n", "gap", "short of n", "past n", "other name",
+        "unpadded index"])
+def test_indexed_paths_are_the_whole_file_set(tmp_path, indices, n, fault):
+    for i in indices:
+        (tmp_path / f"record_{i:05d}.csv" if isinstance(i, int)
+         else tmp_path / f"record_{i}.csv").write_text("")
+    (tmp_path / "record_00009.bin").write_text("")  # another format
+    if fault is None:
+        assert pipeline._indexed_paths(tmp_path, "record", "csv", n) == [
+            tmp_path / f"record_{i:05d}.csv" for i in range(3)]
+    else:
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{tmp_path}: {fault}")):
+            pipeline._indexed_paths(tmp_path, "record", "csv", n)
 
 
 def test_stage_inject(run_dir, small_cfg, tmp_path):

@@ -348,11 +348,13 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("defect", ["short row", "non-numeric", "empty"])
+@pytest.mark.parametrize("defect", ["short row", "long row", "non-numeric",
+                                    "empty"])
 @pytest.mark.parametrize("reader", sorted(MALFORMED))
 def test_malformed_csv_error_names_file(reader, defect, tmp_path):
     read, header, good, short = MALFORMED[reader]
     rows = {"short row": good + [short],
+            "long row": [good[0], good[1] + ",1"],
             "non-numeric": [good[0], good[1].replace("1", "x", 1)],
             "empty": []}[defect]
     path = tmp_path / f"{reader}.csv"
@@ -376,10 +378,19 @@ def test_reader_rejects_another_writers_table(tmp_path, rng):
     recordio.write_record_csv(
         MeasurementRecord(1e-6, np.column_stack([np.zeros(4), np.ones(4)])),
         record)
+    trajectory = "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2"
     for read, header in ((recordio.read_means_csv, "t_s,x1,x2"),
-                         (recordio.read_raw_csv, "t_s,value")):
+                         (recordio.read_raw_csv, "t_s,value"),
+                         (recordio.read_trajectory_csv, trajectory)):
         with pytest.raises(ValueError, match=f"expected header '{header}'"):
             read(record)
+
+    # seven columns led by t_s, but not the trajectory writer's names
+    renamed = tmp_path / "filtered_00000.csv"
+    renamed.write_text("t_s,a,b,c,d,e,f\n0,Filtered,1,2,3,nan,nan\n"
+                       "1e-4,Filtered,1,2,3,nan,nan\n")
+    with pytest.raises(ValueError, match=f"expected header '{trajectory}'"):
+        recordio.read_trajectory_csv(renamed)
 
 
 def test_trajectory_time_grid_error_names_file(tmp_path):
