@@ -2,7 +2,6 @@
 monitored linear Gaussian quantum systems."""
 
 from .estimate import (
-    NumericalError,
     Trajectory,
     innovations,
     run_filter,
@@ -39,6 +38,7 @@ from .model import (
 from .smooth import TargetSpec, smooth_general
 from .simulate import (
     MeasurementRecord,
+    NumericalError,
     TruthBundle,
     TruthEnsemble,
     simulate_surrogate_ensemble,

@@ -19,8 +19,9 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .config import ConfigError, parse_config, parse_formats
-from .estimate import NumericalError
 from .ingest import DEFAULT_BW_3DB, DEFAULT_DISCARD, DEFAULT_ORDER
+from .model import PhysicalParams
+from .simulate import NumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -34,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _real(text: str) -> float:
+    """A float flag's value, which must be finite, as a config number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _add_config_args(sp) -> None:
@@ -81,9 +93,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--records", required=True, metavar="DIR",
                     help="directory of input record files")
     sp.add_argument("--out-dir", required=True, metavar="DIR")
-    sp.add_argument("--eta-old", required=True, type=float,
+    sp.add_argument("--eta-old", required=True, type=_real,
                     help="efficiency the records were taken at")
-    sp.add_argument("--eta-new", required=True, type=float,
+    sp.add_argument("--eta-new", required=True, type=_real,
                     help="reduced efficiency to emulate")
     sp.add_argument("--seed", type=int, default=0,
                     help="base seed for the injected noise (default 0)")
@@ -96,17 +108,18 @@ def build_parser() -> _Parser:
     sp.add_argument("--trace", required=True, metavar="PATH",
                     help="raw trace file (.bin or .csv)")
     sp.add_argument("--out-dir", required=True, metavar="DIR")
-    sp.add_argument("--omega-hz", required=True, type=float,
+    sp.add_argument("--omega-hz", required=True, type=_real,
                     help="carrier frequency in Hz")
-    sp.add_argument("--bw-hz", type=float, default=DEFAULT_BW_3DB,
+    sp.add_argument("--bw-hz", type=_real, default=DEFAULT_BW_3DB,
                     help="low-pass 3 dB bandwidth in Hz (default %(default)g)")
     sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
                     help="low-pass filter order (default %(default)d)")
-    sp.add_argument("--dt-us", type=float, default=1.0,
-                    help="output sample spacing in us (default 1)")
-    sp.add_argument("--record-us", type=float, default=750.0,
-                    help="record length in us (default 750)")
-    sp.add_argument("--discard-us", type=float, default=DEFAULT_DISCARD * 1e6,
+    sp.add_argument("--dt-us", type=_real, default=PhysicalParams.dt * 1e6,
+                    help="output sample spacing in us (default %(default)g)")
+    sp.add_argument("--record-us", type=_real,
+                    default=PhysicalParams.record_duration * 1e6,
+                    help="record length in us (default %(default)g)")
+    sp.add_argument("--discard-us", type=_real, default=DEFAULT_DISCARD * 1e6,
                     help="transient to discard in us (default %(default)g)")
     sp.add_argument("--formats", default="csv",
                     help="output formats, comma list of csv/bin (default "

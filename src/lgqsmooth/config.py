@@ -53,9 +53,12 @@ class RunConfig:
 
 def _get_float(section, key: str, name: str) -> float:
     try:
-        return float(section[key])
+        value = float(section[key])
     except ValueError as exc:
         raise ConfigError(f"{name}.{key}: not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}.{key}: not a finite number")
+    return value
 
 
 def _get_int(section, key: str, name: str) -> int:

@@ -57,10 +57,6 @@ STATE_KINDS = tuple(k for k in KINDS if k != "Retrofiltered")
 W_MIN_FRACTION = 1e-12
 
 
-class NumericalError(ValueError):
-    """Numerical failure; the message names the module and sample index."""
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Aligned per-time Gaussian states (or effects) of one conditioning kind.
@@ -109,10 +105,6 @@ def _check_record(rec: MeasurementRecord, ep: EffectiveParams, module: str) -> N
     if abs(rec.dt - ep.dt) > 1e-9 * ep.dt:
         raise ValueError(
             f"{module}: record dt {rec.dt} does not match params dt {ep.dt}")
-    finite = np.isfinite(rec.currents).all(axis=-1)
-    if not finite.all():
-        idx = int(np.flatnonzero(~finite)[0])
-        raise NumericalError(f"{module}: non-finite record value at sample {idx}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +153,7 @@ def filter_grid(ep: EffectiveParams, n: int) -> tuple[np.ndarray, np.ndarray]:
 def retro_grid(ep: EffectiveParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Time grid and closed-form retrofiltered precision for n samples."""
     times = np.arange(n + 1) * ep.dt
-    w = retro_precision(times, n * ep.dt, ep)
-    # closed form is nonnegative; clamp would only mask a real defect
-    assert np.all(w >= 0.0)
-    return times, w
+    return times, retro_precision(times, n * ep.dt, ep)
 
 
 def effect_defined(w: np.ndarray, ep: EffectiveParams) -> np.ndarray:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import MeasurementRecord
+from .model import PhysicalParams
+from .simulate import MeasurementRecord, NumericalError
 
 DEFAULT_BW_3DB = 56.5e3
 DEFAULT_ORDER = 4
@@ -61,7 +62,8 @@ class RawTrace:
             raise ValueError("samples must be a non-empty 1-d array")
         if not np.isfinite(samples).all():
             first = int(np.flatnonzero(~np.isfinite(samples))[0])
-            raise ValueError(f"ingest: non-finite raw sample at index {first}")
+            raise NumericalError(
+                f"ingest: non-finite raw sample at index {first}")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -84,7 +86,7 @@ def demod_filter(bw_3db: float, order: int, fs: float):
     output="zpk")``, so the values match it bit for bit."""
     if not _MIN_ORDER <= order <= _MAX_ORDER:
         raise ValueError(f"order must be in [{_MIN_ORDER}, {_MAX_ORDER}]")
-    if bw_3db <= 0 or bw_3db >= fs / 2:
+    if not 0 < bw_3db < fs / 2:
         raise ValueError("bw_3db must lie below the input Nyquist rate")
     wn = np.float64(bw_3db) / (fs / 2)
     # analog prototype; the middle pole of an odd order is exactly real
@@ -185,7 +187,7 @@ class Lowpass:
 
 def demodulate(raw: RawTrace, omega: float, bw_3db: float = DEFAULT_BW_3DB,
                order: int = DEFAULT_ORDER,
-               dt_out: float = 1e-6) -> MeasurementRecord:
+               dt_out: float = PhysicalParams.dt) -> MeasurementRecord:
     """Mix a trace down from the carrier and low-pass to quadrature records.
 
     Both branches are mixed with sqrt(2) cos/sin references, filtered with
@@ -193,7 +195,7 @@ def demodulate(raw: RawTrace, omega: float, bw_3db: float = DEFAULT_BW_3DB,
     ``dt_out``.  Output currents keep the shot-noise normalization of the
     input within the filter band.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     f_carrier = omega / (2.0 * math.pi)
     if f_carrier < _MIN_CARRIER_TO_BW * bw_3db:

@@ -159,14 +159,6 @@ class EnsembleStats:
     n_eff: float
     hs_mean: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.n_eff > self.n_records + 1e-9:
-            raise ValueError("n_eff cannot exceed n_records")
-        for kind, arr in self.var_ens.items():
-            finite = arr[np.isfinite(arr)]
-            if np.any(finite < 0):
-                raise ValueError(f"negative ensemble variance for {kind}")
-
 
 def consistency_check(stacks: dict, times: np.ndarray,
                       ep: EffectiveParams) -> EnsembleStats:
@@ -224,11 +216,6 @@ class VacfResult:
     lags: np.ndarray
     values: dict
     decorrelation_time: dict
-
-    def __post_init__(self) -> None:
-        for kind, val in self.values.items():
-            if val[0] != 1.0:
-                raise ValueError(f"unnormalized autocorrelation for {kind}")
 
 
 def acov_sums(means: dict, dt: float, max_lag: int,

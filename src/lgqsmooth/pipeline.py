@@ -39,7 +39,6 @@ from . import recordio
 from .config import RunConfig
 from .estimate import (
     STATE_KINDS,
-    NumericalError,
     Trajectory,
     _check_record,
     effect_defined,
@@ -76,6 +75,7 @@ from .model import (
 )
 from .simulate import (
     MeasurementRecord,
+    NumericalError,
     _n_steps,
     derive_record_seeds,
     simulate_truth_ensemble,
@@ -109,10 +109,6 @@ def peak_rss_mb(children: bool = False) -> float:
     who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
     peak = resource.getrusage(who).ru_maxrss
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
-
-
-def effective(cfg: RunConfig) -> EffectiveParams:
-    return effective_params(cfg.params)
 
 
 def run_grid(ep: EffectiveParams) -> tuple[np.ndarray, dict]:
@@ -274,7 +270,7 @@ def stage_simulate(cfg: RunConfig, base_dir: Path) -> None:
             if path.is_file():
                 raise ValueError(f"simulate: {path} exists; simulate needs "
                                  "a run directory without stage outputs")
-    ep = effective(cfg)
+    ep = effective_params(cfg.params)
     ens = simulate_truth_ensemble(ep, ep.record_duration, cfg.n_records,
                                   cfg.base_seed)
     _write_records([ens.record(i) for i in range(cfg.n_records)],
@@ -322,7 +318,7 @@ def _estimate_records(ep: EffectiveParams, records, est_dir: Path,
 def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
     if jobs < 1:
         raise ValueError(f"estimate: jobs must be at least 1, got {jobs}")
-    ep = effective(cfg)
+    ep = effective_params(cfg.params)
     n = _n_steps(ep, ep.record_duration)
     paths, records = load_records(base_dir / "records", cfg.n_records)
     for path, rec in zip(paths, records):
@@ -350,7 +346,7 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
-    ep = effective(cfg)
+    ep = effective_params(cfg.params)
     (times, _), stacks, info, _ = _load_stacks(base_dir, cfg.n_records, ep)
     (m_f, v_f), (m_r, w) = stacks["Filtered"], stacks["Retrofiltered"]
     pairs = [(Trajectory(times, m_f[i], v_f, "Filtered"),
@@ -372,7 +368,7 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
-    ep = effective(cfg)
+    ep = effective_params(cfg.params)
     (times, closed), stacks, _, truth = _load_stacks(
         base_dir, cfg.n_records, ep, cfg.targets, truth=True)
     stats = consistency_check(stacks, times, ep)
@@ -483,10 +479,8 @@ class InjectionStudy:
     m_ltl: np.ndarray          # (N, 2, 2) target means at the probes
     v_f: np.ndarray            # filter covariance at eta_new
     m_f: np.ndarray
-    w: np.ndarray
     v_s: np.ndarray            # smoothed toward the LTL target
     m_s: np.ndarray
-    v_cs: np.ndarray
     acov: dict                 # Filtered, SmoothedLTL, ClassicalSmoothed
 
 
@@ -538,7 +532,7 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
         kept["m_f"][sl] = m_f[:, probes]
         # each kind's autocovariance as soon as it exists, so that at most
         # one smoothed stack is held through a transform
-        v_cs, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
+        _, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
         acov_sums({"ClassicalSmoothed": m_cs}, ep.dt, n_win - 1, acov)
         del m_cs
         v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
@@ -549,8 +543,7 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
         acov_sums({"Filtered": m_f}, ep.dt, n_win - 1, acov)
         del m_f  # before the next block makes its own
     return InjectionStudy(ep_new=ep_new, v_tar=v_tar, times=times,
-                          probes=probes, v_f=v_f, w=w, v_s=v_s, v_cs=v_cs,
-                          acov=acov, **kept)
+                          probes=probes, v_f=v_f, v_s=v_s, acov=acov, **kept)
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +864,7 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     study's efficiency are checked before anything starts.  Seeds derive
     from the configured base seed, so the report is reproducible.
     """
-    ep = effective(cfg)
+    ep = effective_params(cfg.params)
     if cfg.n_records < 2:
         raise ValueError(f"report: ensemble.n_records = {cfg.n_records}, the "
                          "report's ensemble statistics need at least 2")

@@ -7,7 +7,8 @@ of formatting each value with ``format(float(x), ".17g")``.  A text
 reader requires its writer's exact header and column count, a binary
 reader a body of exactly its header's n samples, and every error, the
 read object's constructor's included, is a ``ValueError`` naming the
-file.  Binary formats are little-endian float64 throughout.
+file: a ``NumericalError`` for a non-finite record or trace sample.
+Binary formats are little-endian float64 throughout.
 """
 
 from __future__ import annotations
@@ -99,11 +100,12 @@ def _binary(path, magic: bytes, fmt: str, size: int) -> tuple:
 
 
 def _named(path, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with a ValueError naming the file."""
+    """``fn(*args, **kwargs)``, with its ValueError naming the file and
+    keeping its class."""
     try:
         return fn(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,17 @@ _TRUE_COLS = 6       # observed pair, unobserved optical pair, thermal pair
 _SURR_COLS = 4       # process pair, measurement pair
 
 
+class NumericalError(ValueError):
+    """Numerical failure or non-finite value; the message names the sample."""
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Sampled quadrature currents in shot-noise-normalized units.
 
     ``currents`` (n, 2) holds sample k's pair (I1, I2) in row k, the
-    layout the filters and the ``.bin`` format share.  ``eta_effective``
+    layout the filters and the ``.bin`` format share; every value is
+    finite, so no consumer checks a record again.  ``eta_effective``
     is the detection efficiency the record statistics correspond to (None
     when unknown, e.g. demodulated external data); ``seed`` is the
     generating RNG seed when the record is synthetic.
@@ -67,6 +72,9 @@ class MeasurementRecord:
         if currents.ndim != 2 or currents.shape[1] != 2:
             raise ValueError("currents must be an (n, 2) array, got shape "
                              f"{currents.shape}")
+        if not np.isfinite(currents).all():
+            k = int(np.flatnonzero(~np.isfinite(currents).all(axis=1))[0])
+            raise NumericalError(f"non-finite record value at sample {k}")
         object.__setattr__(self, "currents", currents)
 
     @property

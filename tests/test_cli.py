@@ -97,6 +97,16 @@ def test_invalid_config_is_exit_one(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_nonfinite_config_number_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text(CONFIG.replace("n_th = 2.45e5", "n_th = nan"))
+    assert main(["simulate", "--config", str(path),
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    assert "config error: params.n_th: not a finite number" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_usage_error_is_exit_one(cfg_path):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--config", str(cfg_path), "--jobs"])
@@ -626,6 +636,34 @@ def test_inject_subcommand(cfg_path, tmp_path, capsys):
     assert not (tmp_path / "inj3").exists()
 
 
+@pytest.mark.parametrize("ext", ["csv", "bin"])
+def test_inject_nonfinite_record_is_exit_two(cfg_path, tmp_path, capsys, ext):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out-dir", str(out)]) == 0
+    victim = out / "records" / f"record_00001.{ext}"
+    if ext == "csv":
+        # the .bin files are read where they exist
+        for stale in (out / "records").glob("record_*.bin"):
+            stale.unlink()
+        lines = victim.read_text().splitlines()
+        lines[1 + 17] = lines[1 + 17].rsplit(",", 1)[0] + ",nan"
+        victim.write_text("\n".join(lines) + "\n")
+    else:
+        blob = bytearray(victim.read_bytes())
+        blob[36 + 8 * (2 * 17 + 1):36 + 8 * (2 * 17 + 2)] = \
+            struct.pack("<d", math.nan)
+        victim.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = main(["inject", "--records", str(out / "records"),
+                 "--out-dir", str(tmp_path / "inj"),
+                 "--eta-old", "0.38", "--eta-new", "0.1", "--seed", "9"])
+    assert code == 2
+    assert f"lgqsmooth: numerical error: {victim}: non-finite record value " \
+        "at sample 17" in capsys.readouterr().err
+    assert not (tmp_path / "inj").exists()
+
+
 def test_inject_refuses_a_gap_in_the_records(cfg_path, tmp_path, capsys):
     # the .csv of the deleted .bin stays; neither format may be read
     # around the gap
@@ -660,7 +698,7 @@ def test_demod_too_short_trace_is_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("ext", ["csv", "bin"])
-def test_nonfinite_trace_is_exit_one(tmp_path, capsys, ext):
+def test_nonfinite_trace_is_exit_two(tmp_path, capsys, ext):
     rng = np.random.default_rng(8)
     trace = tmp_path / f"trace.{ext}"
     write = recordio.write_raw_csv if ext == "csv" else recordio.write_raw_bin
@@ -676,10 +714,34 @@ def test_nonfinite_trace_is_exit_one(tmp_path, capsys, ext):
     code = main(["demod", "--trace", str(trace),
                  "--out-dir", str(tmp_path / "records"),
                  "--omega-hz", "1.04e6"])
-    assert code == 1
-    assert f"lgqsmooth: error: {trace}: ingest: non-finite raw sample at " \
-        "index 7" in capsys.readouterr().err
+    assert code == 2
+    assert f"lgqsmooth: numerical error: {trace}: ingest: non-finite raw " \
+        "sample at index 7" in capsys.readouterr().err
     assert not (tmp_path / "records").exists()
+
+
+@pytest.mark.parametrize("flags", [["--omega-hz", "nan"],
+                                   ["--omega-hz", "1.04e6", "--bw-hz", "nan"]],
+                         ids=["--omega-hz", "--bw-hz"])
+def test_nonfinite_demod_flag_is_exit_one(tmp_path, capsys, flags):
+    # rejected while the arguments are parsed, before the trace is read
+    with pytest.raises(SystemExit) as exc:
+        main(["demod", "--trace", str(tmp_path / "trace.bin"),
+              "--out-dir", str(tmp_path / "records"), *flags])
+    assert exc.value.code == 1
+    assert f"argument {flags[-2]}: not a finite number: 'nan'" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "records").exists()
+
+
+def test_demod_grid_defaults_are_the_params_defaults():
+    from lgqsmooth.cli import build_parser
+    from lgqsmooth.model import PhysicalParams
+
+    args = build_parser().parse_args(["demod", "--trace", "t.bin",
+                                      "--out-dir", "o", "--omega-hz", "1e6"])
+    assert args.dt_us * 1e-6 == PhysicalParams.dt
+    assert args.record_us * 1e-6 == PhysicalParams.record_duration
 
 
 def test_demod_subcommand(tmp_path):

@@ -110,6 +110,12 @@ def test_inline_comments_stripped():
     (lambda s: s.replace("eta = 0.5", "eta = braid"), "not a number"),
     (lambda s: s.replace("coop = 100", "coop = many"),
      r"^params\.coop: not a number$"),
+    (lambda s: s.replace("n_th = 10", "n_th = nan"),
+     r"^params\.n_th: not a finite number$"),
+    (lambda s: s.replace("coop = 100", "coop = -inf"),
+     r"^params\.coop: not a finite number$"),
+    (lambda s: s + "\n[noise_injection]\neta_new = nan\n",
+     r"^noise_injection\.eta_new: not a finite number$"),
     (lambda s: s.replace("n_th = 10", "n_th = -1"),
      r"^params: n_th must be nonnegative$"),
     (lambda s: s.replace("n_records = 10", "n_records = 2.5"),

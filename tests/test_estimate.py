@@ -85,14 +85,13 @@ def test_filter_rejects_eta_mismatch(ref_ep):
 
 
 def test_non_finite_sample_reported(ref_ep):
+    # a record is finite by construction, so no filter meets a NaN
     rec = make_record(ref_ep, n=20)
     currents = rec.currents.copy()
     currents[13, 0] = np.nan
-    broken = MeasurementRecord(rec.dt, currents, rec.eta_effective)
-    with pytest.raises(NumericalError, match="sample 13"):
-        run_filter(broken, ref_ep)
-    with pytest.raises(NumericalError, match="sample 13"):
-        run_retrofilter(broken, ref_ep)
+    with pytest.raises(NumericalError,
+                       match="^non-finite record value at sample 13$"):
+        MeasurementRecord(rec.dt, currents, rec.eta_effective)
 
 
 # ---------------------------------------------------------------------------

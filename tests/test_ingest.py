@@ -18,7 +18,8 @@ from lgqsmooth.ingest import (
     inject_noise,
     segment,
 )
-from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
+from lgqsmooth.simulate import (MeasurementRecord, NumericalError,
+                                synthesize_raw)
 
 FS = 5e6
 OMEGA = 2 * math.pi * 1.04e6
@@ -35,7 +36,8 @@ def test_rawtrace_validation():
         RawTrace(fs=FS, samples=np.zeros(0))
     bad = np.ones(10)
     bad[3] = np.inf
-    with pytest.raises(ValueError, match="non-finite raw sample at index 3$"):
+    with pytest.raises(NumericalError,
+                       match="non-finite raw sample at index 3$"):
         RawTrace(fs=FS, samples=bad)
     tr = RawTrace(fs=FS, samples=np.ones(10))
     assert tr.duration == pytest.approx(10 / FS)
@@ -229,6 +231,17 @@ def test_demodulate_preconditions():
         demodulate(tr, OMEGA, dt_out=8e-6)
     with pytest.raises(ValueError, match="transient"):
         demodulate(RawTrace(fs=FS, samples=np.zeros(20)), OMEGA)
+
+
+def test_nan_fails_the_carrier_and_band_bounds():
+    # each bound is written so that NaN fails it, as zero does
+    tr = RawTrace(fs=FS, samples=np.zeros(4000))
+    with pytest.raises(ValueError, match="omega must be positive"):
+        demodulate(tr, math.nan)
+    with pytest.raises(ValueError, match="below the input Nyquist rate"):
+        ingest.demod_filter(math.nan, 4, FS)
+    with pytest.raises(ValueError, match="below the input Nyquist rate"):
+        demodulate(tr, OMEGA, bw_3db=math.nan)
 
 
 # ---------------------------------------------------------------------------

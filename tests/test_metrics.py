@@ -27,7 +27,6 @@ from lgqsmooth.estimate import (
     retro_info,
 )
 from lgqsmooth.metrics import (
-    EnsembleStats,
     _biased,
     acov_sums,
     effective_record_count,
@@ -261,15 +260,6 @@ def test_sev_calibrated_on_correlated_ensemble(ref_ep):
 # ---------------------------------------------------------------------------
 # ensemble consistency
 # ---------------------------------------------------------------------------
-
-def test_ensemble_stats_invariants():
-    t = np.arange(3) * 1e-6
-    with pytest.raises(ValueError, match="n_eff"):
-        EnsembleStats(t, {}, {}, {}, {}, 1.0, 10, 11.0)
-    with pytest.raises(ValueError, match="negative"):
-        EnsembleStats(t, {"Filtered": np.array([-1.0, 0, 0])}, {}, {}, {},
-                      1.0, 10, 5.0)
-
 
 @pytest.fixture(scope="module")
 def small_traj_ensemble(ref_ep):

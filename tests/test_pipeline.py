@@ -15,7 +15,7 @@ from lgqsmooth import pipeline, recordio
 from lgqsmooth.config import RunConfig
 from lgqsmooth.ingest import RawTrace
 from lgqsmooth.metrics import consistency_check
-from lgqsmooth.model import PhysicalParams, v_filter_ss
+from lgqsmooth.model import PhysicalParams, effective_params, v_filter_ss
 from lgqsmooth.simulate import MeasurementRecord, simulate_truth_ensemble, synthesize_raw
 
 from _oracles import (
@@ -63,7 +63,7 @@ def test_layout(run_dir, small_cfg):
 
 
 def test_records_match_direct_simulation(run_dir, small_cfg):
-    ep = pipeline.effective(small_cfg)
+    ep = effective_params(small_cfg.params)
     ens = simulate_truth_ensemble(ep, ep.record_duration,
                                   small_cfg.n_records, small_cfg.base_seed)
     _, records = pipeline.load_records(run_dir / "records")
@@ -76,7 +76,7 @@ def test_records_match_direct_simulation(run_dir, small_cfg):
 
 
 def test_smoothed_outputs_valid(run_dir, small_cfg):
-    ep = pipeline.effective(small_cfg)
+    ep = effective_params(small_cfg.params)
     # the reader checks each file's kind and its vw against the closed form
     _, stacks, _, _ = pipeline._load_stacks(run_dir, small_cfg.n_records,
                                             ep, ("TrueState",))
@@ -247,7 +247,7 @@ def test_injection_study_matches_whole_array_oracle(ref_ep, window,
     probes = list(study.probes)
     for name in ("m_ltl", "m_f", "m_s"):
         assert _same_bits(getattr(study, name), whole[name][:, probes]), name
-    for name in ("times", "v_f", "w", "v_s", "v_cs"):
+    for name in ("times", "v_f", "v_s"):
         assert _same_bits(getattr(study, name), whole[name]), name
     n_win = whole["v_f"].shape[0] - 1
     for kind, name in (("Filtered", "m_f"), ("SmoothedLTL", "m_s"),

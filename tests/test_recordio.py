@@ -272,6 +272,8 @@ def _format_case(name):
     a, b, c = SPECIALS, np.roll(SPECIALS, 3), np.roll(SPECIALS, 7)
     times = TIMES
     if name == "record":
+        # a record holds only finite samples; the other cases cover nan/inf
+        a, b = TIMES, np.roll(TIMES, 3)
         rec = MeasurementRecord(1e-6, np.column_stack([a, b]))
         return (lambda p: recordio.write_record_csv(rec, p),
                 "t_s,i1,i2\n" + "".join(
