@@ -202,8 +202,8 @@ def demodulate(raw: RawTrace, omega: float, bw_3db: float = DEFAULT_BW_3DB,
         raise ValueError("carrier frequency must sit well above bw_3db")
     if raw.fs <= 4.0 * f_carrier:
         raise ValueError("sample rate must exceed four times the carrier")
-    if dt_out <= 0:
-        raise ValueError("dt_out must be positive")
+    if not dt_out > 0:
+        raise ValueError(f"dt_out must be positive, got {dt_out}")
     stride_f = raw.fs * dt_out
     stride = int(round(stride_f))
     if stride < 1 or abs(stride_f - stride) > 1e-9 * stride_f:
@@ -236,10 +236,10 @@ def segment(rec: MeasurementRecord, record_len: float,
     window is dropped.  Returns an empty list (with a warning) when the
     input is too short for a single record.
     """
-    if record_len <= 0:
-        raise ValueError("record_len must be positive")
-    if discard < 0:
-        raise ValueError("discard must be non-negative")
+    if not record_len > 0:
+        raise ValueError(f"record_len must be positive, got {record_len}")
+    if not discard >= 0:
+        raise ValueError(f"discard must be non-negative, got {discard}")
     n_skip = int(round(discard / rec.dt))
     n_win = int(round(record_len / rec.dt))
     if n_win < 1:
@@ -254,41 +254,31 @@ def segment(rec: MeasurementRecord, record_len: float,
             for lo in range(n_skip, n_skip + n_rec * n_win, n_win)]
 
 
-def injection_noise(eta_old: float, eta_new: float,
-                    dt: float) -> tuple[float, float]:
-    """The noise-injection protocol from efficiency eta_old down to eta_new
-    at sample period dt: the standard deviation sqrt(sigma2/dt) of the white
-    noise added to each current sample, with sigma2 = eta_old/eta_new - 1,
-    and the factor 1/sqrt(1 + sigma2) that then rescales the sum."""
-    if not 0 < eta_new <= eta_old <= 1:
-        raise ValueError("requires 0 < eta_new <= eta_old <= 1")
-    sigma2 = eta_old / eta_new - 1.0
-    return math.sqrt(sigma2 / dt), 1.0 / math.sqrt(1.0 + sigma2)
-
-
 def inject_noise(rec: MeasurementRecord, eta_old: float, eta_new: float,
-                 seed: int | None = None) -> MeasurementRecord:
+                 seed: int) -> MeasurementRecord:
     """Reduce the effective detection efficiency by adding white noise.
 
     Adds independent Gaussian noise of per-sample variance sigma2/dt with
     sigma2 = eta_old/eta_new - 1 to each current, then rescales by
     1/sqrt(1 + sigma2) so the white floor stays at the shot-noise level.
     The signal component shrinks accordingly, exactly as a detector of
-    efficiency eta_new would record it.
+    efficiency eta_new would record it.  The noise is one
+    ``default_rng(seed)`` normal draw in the record's (n, 2) shape: sample
+    by sample, I1's value and then I2's.
     """
-    sig, scale = injection_noise(eta_old, eta_new, rec.dt)
+    if not 0 < eta_new <= eta_old <= 1:
+        raise ValueError("requires 0 < eta_new <= eta_old <= 1")
     if rec.eta_effective is not None and \
             abs(rec.eta_effective - eta_old) > 1e-9:
         raise ValueError(f"eta_old {eta_old} does not match the record's "
                          f"efficiency {rec.eta_effective}")
-    if sig == 0.0:
+    sigma2 = eta_old / eta_new - 1.0
+    if sigma2 == 0.0:
         return MeasurementRecord(dt=rec.dt, currents=rec.currents.copy(),
                                  eta_effective=eta_new, seed=rec.seed)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed) if seed is not None
-        else np.random.SeedSequence())
-    # all of I1's noise, then I2's: a seed's draw order fixes the output
-    noise = rng.normal(0.0, sig, (2, rec.n)).T
+    sig = math.sqrt(sigma2 / rec.dt)
+    scale = 1.0 / math.sqrt(1.0 + sigma2)
+    noise = np.random.default_rng(seed).normal(0.0, sig, rec.currents.shape)
     # the parent seed no longer reproduces the record on its own
     return MeasurementRecord(rec.dt, (rec.currents + noise) * scale,
                              eta_effective=eta_new)

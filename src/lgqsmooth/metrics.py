@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimate import effect_defined
 from .model import EffectiveParams, retro_precision, v_filter
 from .smooth import TargetSpec, smoothed_variance, z_values
 
@@ -55,14 +56,15 @@ def hs_sq_isotropic(v_a, m_a, v_b, m_b) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def hs_avg_theory(v_tar: float, v_est: float) -> float:
-    """Closed-form ensemble average of the squared HS distance.
+def hs_avg_theory(v_tar, v_est):
+    """Closed-form ensemble average of the squared HS distance, for floats
+    or arrays (a curve of v_est per sample).
 
     Valid when the estimator is consistent with the target (the mean error
     carries variance v_est - v_tar per component); the average then reduces
     to the purity difference 1/v_tar - 1/v_est.
     """
-    if not 0 < v_tar <= v_est:
+    if not np.all((0 < v_tar) & (v_tar <= v_est)):
         raise ValueError("need v_est >= v_tar > 0")
     return 1.0 / v_tar - 1.0 / v_est
 
@@ -168,8 +170,9 @@ def consistency_check(stacks: dict, times: np.ndarray,
     ``times`` and the shared covariance (precision for "Retrofiltered").
     State kinds satisfy Var_ens[m_C(t)] = sigma2_uncon - v_C(t); the
     retrofiltered effect satisfies Var_ens[m_R(t)] = sigma2_uncon + v_R(t)
-    (samples without a defined effect mean are skipped).  Variances are
-    pooled over the two mean components with the unbiased estimator.
+    where the effect mean is defined (:func:`estimate.effect_defined`).
+    Variances are pooled over the two mean components with the unbiased
+    estimator.
     """
     if not stacks:
         raise ValueError("empty ensemble")
@@ -185,8 +188,10 @@ def consistency_check(stacks: dict, times: np.ndarray,
             raise ValueError(f"need at least two records per kind ({kind})")
         v = means.var(axis=0, ddof=1).mean(axis=-1)
         if kind == "Retrofiltered":
-            th = np.where(vw > 0, sig2 + 1.0 / np.where(vw > 0, vw, 1.0), np.nan)
-            v = np.where(vw > 0, v, np.nan)
+            defined = effect_defined(vw, ep)
+            th = np.where(defined, sig2 + 1.0 / np.where(defined, vw, 1.0),
+                          np.nan)
+            v = np.where(defined, v, np.nan)
         else:
             th = sig2 - vw
         n_records = max(n_records, means.shape[0])

@@ -73,15 +73,15 @@ class PhysicalParams:
     def __post_init__(self) -> None:
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.gamma_fb is not None and self.gamma_fb < self.gamma:
+        if self.gamma_fb is not None and not self.gamma_fb >= self.gamma:
             raise ValueError("gamma_fb must be >= gamma")
-        if self.n_th < 0:
+        if not self.n_th >= 0:
             raise ValueError("n_th must be nonnegative")
-        if self.coop < 0:
+        if not self.coop >= 0:
             raise ValueError("coop must be nonnegative")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must be in (0, 1]")
-        if self.omega < 0:
+        if not self.omega >= 0:
             raise ValueError("omega must be nonnegative")
         if not 0 < self.dt < self.record_duration:
             raise ValueError("need 0 < dt < record_duration")
@@ -111,9 +111,9 @@ class EffectiveParams:
     def __post_init__(self) -> None:
         if not self.gamma_eff > 0:
             raise ValueError("gamma_eff must be positive")
-        if self.n_th_eff < 0:
+        if not self.n_th_eff >= 0:
             raise ValueError("n_th_eff must be nonnegative")
-        if self.coop_eff < 0:
+        if not self.coop_eff >= 0:
             raise ValueError("coop_eff must be nonnegative")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must be in (0, 1]")

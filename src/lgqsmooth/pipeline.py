@@ -50,7 +50,7 @@ from .estimate import (
     run_filter,
     run_retrofilter,
 )
-from .ingest import inject_noise, injection_noise
+from .ingest import inject_noise
 from .metrics import (
     _ACF_BLOCK,
     acov_sums,
@@ -393,7 +393,7 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
                     1.0, closed["Filtered"], closed["Retrofiltered"],
                     closed["SmoothedTrue"], vw)
             else:
-                theory = 1.0 - 1.0 / vw
+                theory = hs_avg_theory(1.0, vw)
             hs_rows[kind] = (emp_mean, theory)
             # record average; the final sample alone degenerates to the
             # filter for every estimator because w(T) = 0
@@ -509,7 +509,6 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     inject_seeds = derive_record_seeds(inject_seed, n_records)
     _, v_clean = filter_grid(ep, n_total)
     v_tar = v_filter_ss(ep)
-    sig, scale = injection_noise(ep.eta, eta_new, ep.dt)
     probes = (0, n_win // 2)
     kept = {name: np.empty((n_records, 2, 2))
             for name in ("m_ltl", "m_f", "m_s")}
@@ -523,8 +522,8 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
         del truth  # only the window's currents and clean means are used
         # in place: the clean window is not needed once its noise is added
         for row, s in zip(win, inject_seeds[sl]):
-            row += np.random.default_rng(int(s)).normal(0.0, sig, row.shape)
-            row *= scale
+            row[...] = inject_noise(MeasurementRecord(ep.dt, row, ep.eta),
+                                    ep.eta, eta_new, seed=int(s)).currents
         kept["m_ltl"][sl] = m_ltl[:, probes]
         del m_ltl
         times, v_f, w, m_f, z = _estimate_stack(ep_new, win)

@@ -327,16 +327,15 @@ def simulate_surrogate_ensemble(ep: EffectiveParams, duration: float,
 # ---------------------------------------------------------------------------
 
 def synthesize_raw(record: MeasurementRecord, omega: float, fs: float,
-                   seed: int | None = None):
+                   seed: int):
     """Modulate a quadrature record onto a carrier plus unit shot noise.
 
     raw(t) = I1(t) sqrt(2) cos(omega t) + I2(t) sqrt(2) sin(omega t) + xi(t),
     sampled at fs with the record held zero-order; xi is white with
     per-sample variance fs (unit spectral density), matching the
     shot-noise normalization the demodulator expects.  The amplitude
-    convention makes demodulation recover I1, I2 at unit gain.
-
-    The noise seed defaults to a value derived from the record's own seed.
+    convention makes demodulation recover I1, I2 at unit gain.  ``seed``
+    seeds the noise generator.
     """
     if fs <= 4.0 * omega / (2.0 * math.pi):
         raise ValueError("fs must exceed four times the carrier frequency")
@@ -350,10 +349,5 @@ def synthesize_raw(record: MeasurementRecord, omega: float, fs: float,
     idx = np.minimum((t / record.dt + 1e-9).astype(int), record.n - 1)
     signal = (record.currents[idx, 0] * math.sqrt(2.0) * np.cos(omega * t)
               + record.currents[idx, 1] * math.sqrt(2.0) * np.sin(omega * t))
-    if seed is None and record.seed is not None:
-        entropy = np.random.SeedSequence((record.seed, 0x7261))
-    else:
-        entropy = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(entropy)
-    noise = rng.normal(0.0, math.sqrt(fs), n_raw)
+    noise = np.random.default_rng(seed).normal(0.0, math.sqrt(fs), n_raw)
     return RawTrace(fs=fs, samples=signal + noise)

@@ -134,14 +134,11 @@ def z_values(v_f: np.ndarray, w: np.ndarray, v_tar: float) -> np.ndarray:
 
         m_cS - m_S = z (m_R - m_F)
 
-    z = v_cS / v_R - (v_S - v_tar) / (v_R + v_tar), in precision form.
-    Requires v_f >= v_tar; at the convergence boundary the limit is taken.
+    z = v_cS / v_R - (v_S - v_tar) / (v_R + v_tar), in precision form, with
+    the terms of :func:`combine_arrays`.  Requires v_f >= v_tar; where the
+    combination copies the filtered state, the limit v_S = v_tar is taken.
     """
-    v_f = np.asarray(v_f, dtype=float)
-    w = np.asarray(w, dtype=float)
-    d = v_f - v_tar
-    info_f = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), np.inf)
-    denom = 1.0 + w * v_tar
-    p_s = 1.0 / (info_f + w / denom)
+    copy, _, denom, p_s, _ = _terms(v_f, w, v_tar)
+    p_s = np.where(copy, 0.0, p_s)
     v_cs_w = w * v_f / (1.0 + w * v_f)
     return v_cs_w - w * p_s / denom

@@ -242,6 +242,8 @@ def test_nan_fails_the_carrier_and_band_bounds():
         ingest.demod_filter(math.nan, 4, FS)
     with pytest.raises(ValueError, match="below the input Nyquist rate"):
         demodulate(tr, OMEGA, bw_3db=math.nan)
+    with pytest.raises(ValueError, match="dt_out must be positive, got nan"):
+        demodulate(tr, OMEGA, dt_out=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +279,17 @@ def test_segment_too_short_warns():
     assert parts == []
     with pytest.raises(ValueError, match="record_len"):
         segment(rec, 1e-8)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(record_len=math.nan), "record_len must be positive, got nan"),
+    (dict(record_len=10e-6, discard=math.nan),
+     "discard must be non-negative, got nan"),
+])
+def test_segment_names_a_nan_argument(kwargs, message):
+    rec = MeasurementRecord(dt=1e-6, currents=np.zeros((100, 2)))
+    with pytest.raises(ValueError, match=message):
+        segment(rec, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +332,21 @@ def test_inject_noise_variance_and_determinism():
     assert np.array_equal(again.currents, out.currents)
     other = inject_noise(rec, 0.38, 0.10, seed=12)
     assert not np.array_equal(other.currents[:, 0], out.currents[:, 0])
+
+
+def test_inject_noise_draws_in_record_order():
+    # one (n, 2) draw, the order criterion 4's injection study uses
+    # (tests/_oracles.injection_study_whole), so the study and the inject
+    # stage give one seed the same record
+    rng = np.random.default_rng(5)
+    rec = MeasurementRecord(dt=1e-6, currents=rng.normal(size=(300, 2)),
+                            eta_effective=0.38)
+    out = inject_noise(rec, 0.38, 0.10, seed=77)
+    sigma2 = 0.38 / 0.10 - 1.0
+    noise = np.random.default_rng(77).normal(
+        0.0, math.sqrt(sigma2 / 1e-6), (300, 2))
+    want = (rec.currents + noise) * (1.0 / math.sqrt(1.0 + sigma2))
+    assert np.array_equal(out.currents, want)
 
 
 def test_injected_records_match_reduced_efficiency(ref_ep, ref_ep_injected,

@@ -97,6 +97,13 @@ def test_hs_avg_theory():
         hs_avg_theory(4.0, 2.0)
     with pytest.raises(ValueError):
         hs_avg_theory(0.0, 2.0)
+    # a curve of v_est: every sample must satisfy the bound
+    curve = np.array([1.0, 2.0, 4.0])
+    assert np.array_equal(hs_avg_theory(1.0, curve), 1.0 - 1.0 / curve)
+    with pytest.raises(ValueError):
+        hs_avg_theory(1.0, np.array([2.0, 0.5]))
+    with pytest.raises(ValueError):
+        hs_avg_theory(1.0, np.array([2.0, np.nan]))
 
 
 def test_hs_empirical_matches_theory(ref_ep, main_truth):

@@ -100,6 +100,26 @@ def test_physical_params_validation():
                        record_duration=1e-6, dt=1e-6)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n_th=math.nan), "n_th"),
+    (dict(coop=math.nan), "coop"),
+    (dict(gamma_fb=math.nan), "gamma_fb"),
+    (dict(omega=math.nan), "omega"),
+])
+def test_physical_params_reject_nan(kwargs, name):
+    # each bound is written so that NaN fails it
+    args = dict(gamma=1.0, n_th=1.0, coop=1.0, eta=0.5) | kwargs
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        PhysicalParams(**args)
+
+
+@pytest.mark.parametrize("name", ["n_th_eff", "coop_eff"])
+def test_effective_params_reject_nan(name):
+    args = dict(gamma_eff=1.0, n_th_eff=1.0, coop_eff=1.0, eta=0.5)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        EffectiveParams(**(args | {name: math.nan}))
+
+
 # ---------------------------------------------------------------------------
 # The unconditional state
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from lgqsmooth.ingest import RawTrace
 from lgqsmooth.metrics import consistency_check
 from lgqsmooth.model import PhysicalParams, effective_params, v_filter_ss
 from lgqsmooth.simulate import MeasurementRecord, simulate_truth_ensemble, synthesize_raw
+from lgqsmooth.smooth import TARGET_KINDS
 
 from _oracles import (
     injection_study_whole,
@@ -205,6 +206,26 @@ def _same_bits(a, b) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
+
+
+def test_file_stages_match_stacked_kernels(run_dir, small_cfg):
+    # the per-record file stages and the report's stacked kernels are two
+    # paths to the same trajectories; on one config's seeds they agree bit
+    # for bit, means, information vectors and truth alike
+    ep = effective_params(small_cfg.params)
+    n = small_cfg.n_records
+    (times, _), stacks, info, truth = pipeline._load_stacks(
+        run_dir, n, ep, TARGET_KINDS, truth=True)
+    ens = simulate_truth_ensemble(ep, ep.record_duration, n,
+                                  small_cfg.base_seed)
+    s_times, v_f, w, m_f, z = pipeline._estimate_stack(ep, ens.currents)
+    assert _same_bits(times, s_times)
+    stacked = dict(pipeline._kinds_of(ep, v_f, w, m_f, z))
+    assert set(stacks) == set(stacked) and len(stacked) == 5
+    for kind, means in stacked.items():
+        assert _same_bits(stacks[kind][0], means), kind
+    assert _same_bits(info, z)
+    assert _same_bits(truth, ens.means)
 
 
 def test_injection_study_structure(ref_ep):
