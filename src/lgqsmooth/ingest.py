@@ -254,6 +254,19 @@ def segment(rec: MeasurementRecord, record_len: float,
             for lo in range(n_skip, n_skip + n_rec * n_win, n_win)]
 
 
+def _injected(currents: np.ndarray, dt: float, eta_old: float,
+              eta_new: float, seed: int) -> np.ndarray:
+    """The injection protocol on one record's (n, 2) currents, unchecked:
+    a new array, and an exact copy when the efficiencies are equal."""
+    sigma2 = eta_old / eta_new - 1.0
+    if sigma2 == 0.0:
+        return currents.copy()
+    sig = math.sqrt(sigma2 / dt)
+    scale = 1.0 / math.sqrt(1.0 + sigma2)
+    noise = np.random.default_rng(seed).normal(0.0, sig, currents.shape)
+    return (currents + noise) * scale
+
+
 def inject_noise(rec: MeasurementRecord, eta_old: float, eta_new: float,
                  seed: int) -> MeasurementRecord:
     """Reduce the effective detection efficiency by adding white noise.
@@ -272,13 +285,7 @@ def inject_noise(rec: MeasurementRecord, eta_old: float, eta_new: float,
             abs(rec.eta_effective - eta_old) > 1e-9:
         raise ValueError(f"eta_old {eta_old} does not match the record's "
                          f"efficiency {rec.eta_effective}")
-    sigma2 = eta_old / eta_new - 1.0
-    if sigma2 == 0.0:
-        return MeasurementRecord(dt=rec.dt, currents=rec.currents.copy(),
-                                 eta_effective=eta_new, seed=rec.seed)
-    sig = math.sqrt(sigma2 / rec.dt)
-    scale = 1.0 / math.sqrt(1.0 + sigma2)
-    noise = np.random.default_rng(seed).normal(0.0, sig, rec.currents.shape)
-    # the parent seed no longer reproduces the record on its own
-    return MeasurementRecord(rec.dt, (rec.currents + noise) * scale,
-                             eta_effective=eta_new)
+    currents = _injected(rec.currents, rec.dt, eta_old, eta_new, seed)
+    # with noise added, the parent seed no longer reproduces the record
+    return MeasurementRecord(rec.dt, currents, eta_effective=eta_new,
+                             seed=rec.seed if eta_new == eta_old else None)

@@ -9,8 +9,9 @@ records on a shared grid of n+1 samples.  The autocorrelation transforms
 its records in blocks of 256 and adds each record's autocovariance to one
 running sum per kind, in record order, so its work space stays under
 30 MB at 1000 samples however many records a kind holds.  The acceptance
-report runs its ensembles in the same 256-record blocks and feeds each
-block to the running sums (:func:`acov_sums`, then
+report runs its ensembles in the same 256-record blocks, each block's
+records transformed in one batch (:func:`acov_rows`), and adds the rows
+to the running sums in record order (:func:`add_rows`, then
 :func:`vacf_from_sums`), so it never holds a whole stack and gets the bits
 of one call on the whole ensemble.
 
@@ -223,35 +224,47 @@ class VacfResult:
     decorrelation_time: dict
 
 
+def acov_rows(batch: np.ndarray, dt: float, max_lag: int) -> np.ndarray:
+    """Each record's biased velocity autocovariance at lags 0..max_lag,
+    summed over the two components: (N, max_lag+1) for a batch of N means
+    (N, n+1, 2) sampled every dt, transformed in one FFT call, so a batch
+    holds at most _ACF_BLOCK records."""
+    n = batch.shape[1] - 1
+    size = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(np.diff(batch, axis=1) / dt, size, axis=1)
+    f = f * np.conj(f)  # not in place: that rounds differently
+    acov = np.fft.irfft(f, size, axis=1)[:, :max_lag + 1]
+    # each transform freed before the next array is made
+    del f
+    return acov[..., 0] + acov[..., 1]
+
+
+def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
+    """Add per-record rows to a running sum in record order, one row at a
+    time: the order in which the sum over a blocked ensemble has the bits
+    of the sum over the whole one."""
+    for row in rows:
+        total += row
+
+
 def acov_sums(means: dict, dt: float, max_lag: int,
               sums: dict | None = None) -> dict:
     """Add each record's velocity autocovariance to its kind's running sum.
 
-    ``means`` maps each kind to an (N, n+1, 2) stack; its finite-difference
-    velocities are transformed _ACF_BLOCK records at a time, so the FFT
-    work space is bounded by the block, not the ensemble.  Each record's
-    biased autocovariance at lags 0..max_lag, summed over the two
-    components, is added to ``sums[kind]`` (started at zero) in record
-    order.  A caller that feeds an ensemble block by block, in order and
-    at multiples of _ACF_BLOCK, gets the sums of one call on the whole
-    stack.  Returns ``sums`` (a new dict when None)."""
+    ``means`` maps each kind to an (N, n+1, 2) stack, transformed
+    _ACF_BLOCK records at a time (:func:`acov_rows`), so the FFT work space
+    is bounded by the block, not the ensemble.  The rows are added to
+    ``sums[kind]`` (started at zero) in record order (:func:`add_rows`).
+    A caller that feeds an ensemble block by block, in order and at
+    multiples of _ACF_BLOCK, gets the sums of one call on the whole stack.
+    Returns ``sums`` (a new dict when None)."""
     sums = {} if sums is None else sums
     for kind, stack in means.items():
         if not np.all(np.isfinite(stack)):
             raise ValueError(f"non-finite means in kind {kind}")
         total = sums.setdefault(kind, np.zeros(max_lag + 1))
-        n = stack.shape[1] - 1
-        size = 1 << (2 * n - 1).bit_length()
         for lo in range(0, stack.shape[0], _ACF_BLOCK):
-            f = np.fft.rfft(np.diff(stack[lo:lo + _ACF_BLOCK], axis=1) / dt,
-                            size, axis=1)
-            f = f * np.conj(f)  # not in place: that rounds differently
-            acov = np.fft.irfft(f, size, axis=1)[:, :max_lag + 1]
-            # each transform freed before the next array is made
-            del f
-            acov = acov[..., 0] + acov[..., 1]
-            for row in acov:
-                total += row
+            add_rows(total, acov_rows(stack[lo:lo + _ACF_BLOCK], dt, max_lag))
     return sums
 
 

@@ -17,19 +17,27 @@ the worker count, so the artifacts are identical for any worker count.
 
 The acceptance report writes no run directory.  It generates, filters and
 smooths its two ensembles (the injection study and the main ensemble) in
-blocks of 256 records, the autocorrelation's FFT batch, and keeps of each
-block only what its criteria read: probe columns, late-window squared
-errors and running autocovariance sums.  Its memory is then flat in the
-record count apart from those slices, and every reduction over records
-runs on them with the operations a whole stack would see, so the report
-text is the same bits as a whole-stack computation.
+blocks of 256 records, the autocorrelation's FFT batch.  Each block is one
+call of a module-level block function, which returns only what its
+criteria read: probe columns, late-window squared errors and each
+record's velocity autocovariance.  The report runs the blocks on a pool of
+two ensemble workers, after criterion 11, and criteria 7, 8 and 10 in a
+side process beside the pool; the tests also run the blocks in-process.
+The report's own process fills its arrays from the block results in
+record order and adds the autocovariances to running sums in that order,
+so its memory is flat in the record count apart from those slices, every
+reduction over records sees the operations a whole stack would, and the
+report text is the same bits as a whole-stack computation in any process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import multiprocessing
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -50,10 +58,20 @@ from .estimate import (
     run_filter,
     run_retrofilter,
 )
-from .ingest import inject_noise
+from .ingest import (
+    DEFAULT_BW_3DB,
+    DEFAULT_ORDER,
+    Lowpass,
+    _injected,
+    demod_filter,
+    demodulate,
+    inject_noise,
+    segment,
+)
 from .metrics import (
     _ACF_BLOCK,
-    acov_sums,
+    acov_rows,
+    add_rows,
     consistency_check,
     hs_avg_theory,
     hs_avg_theory_classical,
@@ -431,8 +449,6 @@ def stage_inject(records_dir: Path, out_dir: Path, eta_old: float,
 def stage_demod(trace_path: Path, out_dir: Path, omega: float,
                 bw_3db: float, order: int, dt_out: float, record_len: float,
                 discard: float, formats=("csv",)) -> int:
-    from .ingest import demodulate, segment
-
     trace_path = Path(trace_path)
     read = recordio.read_raw_bin if trace_path.suffix == ".bin" \
         else recordio.read_raw_csv
@@ -452,13 +468,39 @@ def stage_demod(trace_path: Path, out_dir: Path, omega: float,
 
 
 # ---------------------------------------------------------------------------
-# noise-injection study (report criteria 4 and 9)
+# the report's ensembles (criteria 4, 5, 6 and 9)
 #
-# The report's two ensembles run in record blocks aligned with the
-# autocorrelation's FFT batches; each block's records come from their own
-# generators, and every recursion is row by row, so no record's bits
-# depend on its block.
+# Both ensembles run in record blocks aligned with the autocorrelation's
+# FFT batches.  Each block's records come from their own generators and
+# every recursion is row by row, so no record's bits depend on its block
+# or on the process that runs it.  A block is one call of a module-level
+# block function, handed to ``submit(fn, *args)``, which returns a function
+# that gives the block's result: _inline runs the block then, in this
+# process, and _pooled in a worker of a process pool.  The parent fills its
+# arrays from the results in record order.
 # ---------------------------------------------------------------------------
+
+def _inline(fn, *args):
+    """Submit in this process: the block runs when its result is asked for,
+    so one block's work space is alive at a time."""
+    return functools.partial(fn, *args)
+
+
+def _pooled(pool: ProcessPoolExecutor):
+    """Submit to ``pool``: asking for a block's result waits for it."""
+    return lambda fn, *args: pool.submit(fn, *args).result
+
+
+def _in_order(tasks: list):
+    """(slice, result) of each submitted block, in record order.  Each task
+    leaves the list as its result is asked for, so a pool's future and its
+    result are freed once the caller drops the result and asks for the
+    next one."""
+    tasks.reverse()
+    while tasks:
+        sl, task = tasks.pop()
+        yield sl, task()
+
 
 @dataclasses.dataclass(frozen=True)
 class InjectionStudy:
@@ -468,8 +510,8 @@ class InjectionStudy:
     window is re-estimated at the reduced efficiency.  Of the means, only
     the two ``probes`` columns are kept: ``m_ltl``, ``m_f`` and ``m_s`` are
     (N, 2, 2).  The closed-form curves cover the whole window, and
-    ``acov`` holds each kind's running velocity autocovariance sum
-    (:func:`metrics.acov_sums`) over all N records.
+    ``acov`` holds each kind's sum of the N records' velocity
+    autocovariances (:func:`metrics.acov_rows`), added in record order.
     """
 
     ep_new: EffectiveParams
@@ -481,23 +523,58 @@ class InjectionStudy:
     m_f: np.ndarray
     v_s: np.ndarray            # smoothed toward the LTL target
     m_s: np.ndarray
-    acov: dict                 # Filtered, SmoothedLTL, ClassicalSmoothed
+    acov: dict                 # ClassicalSmoothed, SmoothedLTL, Filtered
 
 
-def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
-                        base_seed: int, inject_seed: int,
-                        window: float = 1e-3,
-                        warmup_records: int = 3) -> InjectionStudy:
-    """Filter a clean ensemble through a warm-up into its long-time limit,
-    then re-estimate the last ``window`` of its records at ``eta_new``.
+def _study_block(ep: EffectiveParams, eta_new: float, steps: list,
+                 v_clean: np.ndarray, v_tar: float, probes: tuple,
+                 seeds: np.ndarray, inject_seeds: np.ndarray
+                 ) -> tuple[dict, dict]:
+    """One block of the injection study, a record per seed.
 
-    Records run in blocks of _ACF_BLOCK, aligned with the autocorrelation's
-    FFT blocks, each from its own generators.  A block's clean ensemble is
-    streamed in record-length warm-up blocks, with the window as the last
-    block; the clean filter runs block by block from the previous block's
-    last mean, so only the window is kept.  After its estimates and
-    smoothing, a block leaves only its probe columns and its velocity
-    autocovariance sums behind."""
+    The clean ensemble is streamed in the time blocks ``steps``, warm-up
+    blocks and then the window, and the clean filter runs block by block
+    from the previous block's last mean, so only the window is kept.  The
+    window is injected down to ``eta_new`` with each record's inject seed,
+    then filtered, retrofiltered and smoothed at ``eta_new``.  Returns the
+    clean, filtered and LTL-smoothed means at the probe columns (m_ltl,
+    m_f, m_s) and, under acov, kind -> each record's velocity
+    autocovariance (:func:`metrics.acov_rows`), as two dicts."""
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    m_ltl, lo = np.zeros((len(rngs), 1, 2)), 0
+    for _, truth, win in truth_stream(ep, rngs, steps):
+        m_ltl = filter_means(win, ep, v_clean[lo:], m_ltl[:, -1])
+        lo += win.shape[1]
+    del truth  # only the window's currents and clean means are used
+    # in place: the clean window is not needed once its noise is added
+    for row, s in zip(win, inject_seeds):
+        row[...] = _injected(row, ep.dt, ep.eta, eta_new, int(s))
+    kept = {"m_ltl": m_ltl[:, probes]}
+    del m_ltl
+    _, v_f, w, m_f, z = _estimate_stack(
+        dataclasses.replace(ep, eta=eta_new), win)
+    del win
+    max_lag = steps[-1] - 1
+    kept["m_f"] = m_f[:, probes]
+    # each kind's autocovariance as soon as it exists, so that at most one
+    # smoothed stack is held through a transform
+    _, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
+    acov = {"ClassicalSmoothed": acov_rows(m_cs, ep.dt, max_lag)}
+    del m_cs
+    _, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
+    del z
+    kept["m_s"] = m_s[:, probes]
+    acov["SmoothedLTL"] = acov_rows(m_s, ep.dt, max_lag)
+    del m_s
+    acov["Filtered"] = acov_rows(m_f, ep.dt, max_lag)
+    return kept, acov
+
+
+def _submit_study(submit, ep: EffectiveParams, eta_new: float,
+                  n_records: int, base_seed: int, inject_seed: int,
+                  window: float = 1e-3, warmup_records: int = 3):
+    """Submit the blocks of :func:`run_injection_study` and return the
+    function that collects them into its InjectionStudy."""
     ep_new = dataclasses.replace(ep, eta=eta_new)
     total = warmup_records * ep.record_duration + window
     n_total = int(round(total / ep.dt))
@@ -510,39 +587,44 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     _, v_clean = filter_grid(ep, n_total)
     v_tar = v_filter_ss(ep)
     probes = (0, n_win // 2)
-    kept = {name: np.empty((n_records, 2, 2))
-            for name in ("m_ltl", "m_f", "m_s")}
-    acov: dict = {}
-    for sl in _slices(n_records, _ACF_BLOCK):
-        rngs = [np.random.default_rng(int(s)) for s in seeds[sl]]
-        m_ltl, lo = np.zeros((len(rngs), 1, 2)), 0
-        for _, truth, win in truth_stream(ep, rngs, steps + [n_win]):
-            m_ltl = filter_means(win, ep, v_clean[lo:], m_ltl[:, -1])
-            lo += win.shape[1]
-        del truth  # only the window's currents and clean means are used
-        # in place: the clean window is not needed once its noise is added
-        for row, s in zip(win, inject_seeds[sl]):
-            row[...] = inject_noise(MeasurementRecord(ep.dt, row, ep.eta),
-                                    ep.eta, eta_new, seed=int(s)).currents
-        kept["m_ltl"][sl] = m_ltl[:, probes]
-        del m_ltl
-        times, v_f, w, m_f, z = _estimate_stack(ep_new, win)
-        del win
-        kept["m_f"][sl] = m_f[:, probes]
-        # each kind's autocovariance as soon as it exists, so that at most
-        # one smoothed stack is held through a transform
-        _, m_cs = combine_arrays(v_f, m_f, w, z, 0.0)
-        acov_sums({"ClassicalSmoothed": m_cs}, ep.dt, n_win - 1, acov)
-        del m_cs
-        v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
-        del z
-        kept["m_s"][sl] = m_s[:, probes]
-        acov_sums({"SmoothedLTL": m_s}, ep.dt, n_win - 1, acov)
-        del m_s
-        acov_sums({"Filtered": m_f}, ep.dt, n_win - 1, acov)
-        del m_f  # before the next block makes its own
-    return InjectionStudy(ep_new=ep_new, v_tar=v_tar, times=times,
-                          probes=probes, v_f=v_f, v_s=v_s, acov=acov, **kept)
+    tasks = [(sl, submit(_study_block, ep, eta_new, steps + [n_win], v_clean,
+                         v_tar, probes, seeds[sl], inject_seeds[sl]))
+             for sl in _slices(n_records, _ACF_BLOCK)]
+
+    def collect() -> InjectionStudy:
+        kept = {name: np.empty((n_records, 2, 2))
+                for name in ("m_ltl", "m_f", "m_s")}
+        acov: dict = {}
+        for sl, (block_kept, block_acov) in _in_order(tasks):
+            for name in block_kept:
+                kept[name][sl] = block_kept[name]
+            for kind in block_acov:
+                add_rows(acov.setdefault(kind, np.zeros(n_win)),
+                         block_acov[kind])
+            # freed before the next block is asked for
+            del block_kept, block_acov
+        times, v_f = filter_grid(ep_new, n_win)
+        _, w = retro_grid(ep_new, n_win)
+        return InjectionStudy(ep_new=ep_new, v_tar=v_tar, times=times,
+                              probes=probes, v_f=v_f,
+                              v_s=smoothed_variance(v_f, w, v_tar),
+                              acov=acov, **kept)
+    return collect
+
+
+def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
+                        base_seed: int, inject_seed: int,
+                        window: float = 1e-3,
+                        warmup_records: int = 3) -> InjectionStudy:
+    """Filter a clean ensemble through a warm-up into its long-time limit,
+    then re-estimate the last ``window`` of its records at ``eta_new``.
+
+    Records run in blocks of _ACF_BLOCK (:func:`_study_block`), in this
+    process, one block at a time; each block leaves only its probe columns
+    and its velocity autocovariance rows behind, and the rows are added to
+    each kind's running sum in record order."""
+    return _submit_study(_inline, ep, eta_new, n_records, base_seed,
+                         inject_seed, window, warmup_records)()
 
 
 # ---------------------------------------------------------------------------
@@ -639,39 +721,60 @@ def _kinds_of(ep: EffectiveParams, v_f, w, m_f, z):
     yield "Retrofiltered", effect_means(w, z, ep)
 
 
-def _main_arrays(ep: EffectiveParams, n_records: int, base_seed: int):
-    """What criteria 5 and 6 read of the main ensemble.
+def _main_block(ep: EffectiveParams, cols: np.ndarray, lo: int,
+                seeds: np.ndarray) -> tuple[dict, dict]:
+    """One block of the main ensemble, a record per seed: kind -> means at
+    the columns ``cols`` for the five kinds, and for SmoothedTrue and
+    Filtered the squared errors against the truth from sample ``lo``."""
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    _, truth, currents = next(truth_stream(
+        ep, rngs, [_n_steps(ep, ep.record_duration)]))
+    _, v_f, w, m_f, z = _estimate_stack(ep, currents)
+    del currents
+    kept, late = {}, {}
+    for kind, m in _kinds_of(ep, v_f, w, m_f, z):
+        kept[kind] = m[:, cols]
+        if kind in ("SmoothedTrue", "Filtered"):
+            late[kind] = np.subtract(m[:, lo:], truth[:, lo:])
+            late[kind] **= 2
+    return kept, late
 
-    Records run in blocks of _ACF_BLOCK, each from its own generators, and
-    every kind's vw is its closed form of :func:`run_grid`.  Returns the
-    grid times at the kept columns (the probes, then the last sample, so
-    the kept times span the record), kind -> (means, vw) at those columns
-    as consistency_check takes them, and for SmoothedTrue and Filtered the
-    late-window squared errors against the truth (N, n+1-lo, 2) with
-    vw[lo:], from lo = round(0.7 n)."""
+
+def _submit_main(submit, ep: EffectiveParams, n_records: int,
+                 base_seed: int):
+    """Submit the main ensemble's blocks (:func:`_main_block`) and return
+    the function that collects what criteria 5 and 6 read of it.
+
+    Every kind's vw is its closed form of :func:`run_grid`.  The collected
+    arrays are the grid times at the kept columns (the probes, then the
+    last sample, so the kept times span the record), kind -> (means, vw)
+    at those columns as consistency_check takes them, and for SmoothedTrue
+    and Filtered the late-window squared errors against the truth
+    (N, n+1-lo, 2) with vw[lo:], from lo = round(0.7 n)."""
     times, closed = run_grid(ep)
     n = times.shape[0] - 1
     cols = np.append(_report_probes(n), n)
     lo = int(round(0.7 * n))
     seeds = derive_record_seeds(base_seed, n_records)
-    kept = {}
-    late = {kind: np.empty((n_records, n + 1 - lo, 2))
-            for kind in ("SmoothedTrue", "Filtered")}
-    for sl in _slices(n_records, _ACF_BLOCK):
-        rngs = [np.random.default_rng(int(s)) for s in seeds[sl]]
-        _, truth, currents = next(truth_stream(ep, rngs, [n]))
-        _, v_f, w, m_f, z = _estimate_stack(ep, currents)
-        del currents
-        for kind, m in _kinds_of(ep, v_f, w, m_f, z):
-            kept.setdefault(kind, np.empty((n_records, cols.shape[0], 2)))
-            kept[kind][sl] = m[:, cols]
-            if kind in late:
-                np.subtract(m[:, lo:], truth[:, lo:], out=late[kind][sl])
-                late[kind][sl] **= 2
-        del truth, m_f, z, m  # before the next block makes its own
-    late = {kind: (err, closed[kind][lo:]) for kind, err in late.items()}
-    stacks = {kind: (m, closed[kind][cols]) for kind, m in kept.items()}
-    return times[cols], stacks, late
+    tasks = [(sl, submit(_main_block, ep, cols, lo, seeds[sl]))
+             for sl in _slices(n_records, _ACF_BLOCK)]
+
+    def collect():
+        kept = {kind: np.empty((n_records, cols.shape[0], 2))
+                for kind in closed}
+        late = {kind: np.empty((n_records, n + 1 - lo, 2))
+                for kind in ("SmoothedTrue", "Filtered")}
+        for sl, (block_kept, block_late) in _in_order(tasks):
+            for kind in block_kept:
+                kept[kind][sl] = block_kept[kind]
+            for kind in block_late:
+                late[kind][sl] = block_late[kind]
+            # freed before the next block is asked for
+            del block_kept, block_late
+        late = {kind: (err, closed[kind][lo:]) for kind, err in late.items()}
+        stacks = {kind: (m, closed[kind][cols]) for kind, m in kept.items()}
+        return times[cols], stacks, late
+    return collect
 
 
 def _crit_consistency(ep, arrays) -> CriterionResult:
@@ -790,9 +893,6 @@ def _crit_vacf(study: InjectionStudy) -> CriterionResult:
 
 
 def _crit_demod(omega: float) -> CriterionResult:
-    from .ingest import (DEFAULT_BW_3DB, DEFAULT_ORDER, Lowpass, demod_filter,
-                         demodulate)
-
     fs = 5.0e6
     dt = 1.0e-6
     n = 4000
@@ -851,15 +951,52 @@ def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
 DEFAULT_ETA_NEW = 0.10
 
 
+def _cross_checks(omega: float, conn) -> None:
+    """Criteria 7, 8 and 10, the report's cross-checks that read no
+    ensemble, in their own process.  Sends (results, None) through
+    ``conn``, or (None, (exception, its traceback text)) for the report's
+    process to raise."""
+    try:
+        out = [_crit_riccati(), _crit_physicality(), _crit_demod(omega)], None
+    except Exception as exc:
+        out = None, (exc, traceback.format_exc())
+    conn.send(out)
+    conn.close()
+
+
+def _side_results(receive, side) -> list[CriterionResult]:
+    """The side process's results, once it has sent them and exited; its
+    exception is raised here, from its traceback."""
+    try:
+        cross, error = receive.recv()
+    except EOFError:
+        side.join()
+        raise RuntimeError(f"the side process exited with code "
+                           f"{side.exitcode} before sending its "
+                           f"results") from None
+    side.join()
+    if error is not None:
+        exc, trace = error
+        raise exc from RuntimeError(f"in the side process:\n{trace}")
+    return cross
+
+
 def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     """Run the full validation suite and return one result per criterion.
 
     Statistical checks reuse two shared ensembles: the main truth ensemble
     at the configured parameters and the reduced-efficiency injection
     study, each run in record blocks that leave only the slices their
-    criteria read.  Criteria 7, 8 and 10 read neither, so one side process
-    runs them meanwhile; it starts before the ensembles exist and is joined
-    before criterion 11 starts its own pool.  The record count and the
+    criteria read.  Three processes share the work.  A side process runs
+    criteria 7, 8 and 10, which read neither ensemble.  A pool of two
+    ensemble workers runs criterion 11 first, then every block of the
+    study and of the main ensemble, all submitted up front so that neither
+    worker idles while the other finishes; this process collects the
+    blocks in record order and computes the rest.  No process forks while
+    it runs a second thread: the side process is a plain process started
+    first, the pool forks its workers at the first submit, before its own
+    threads start, and criterion 11's 2-worker pool starts inside an
+    ensemble worker, which runs one thread.  The record count and the
     study's efficiency are checked before anything starts.  Seeds derive
     from the configured base seed, so the report is reproducible.
     """
@@ -876,45 +1013,59 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     omega = cfg.params.omega if cfg.params.omega > 0 else 2.0 * math.pi * 1.04e6
     log("report: cross-checking closed forms, physicality bounds and "
         "demodulation in a side process")
-    with ProcessPoolExecutor(max_workers=1) as side:
-        cross = [side.submit(_crit_riccati), side.submit(_crit_physicality),
-                 side.submit(_crit_demod, omega)]
+    receive, send = multiprocessing.Pipe(duplex=False)
+    side = multiprocessing.Process(target=_cross_checks, args=(omega, send))
+    side.start()
+    send.close()
+    pool = ProcessPoolExecutor(max_workers=2)
+    try:
         results = [_crit_filter_ss(ep), _crit_t0_ratios(ep),
                    _crit_true_target(ep)]
+        log("report: running the reduced-efficiency injection study, the "
+            "main ensemble and the reproducibility runs on 2 ensemble "
+            "workers")
+        submit = _pooled(pool)
+        reproducible = submit(_crit_reproducible, cfg)
+        collect_study = _submit_study(submit, ep, eta_new, cfg.n_records,
+                                      cfg.base_seed + 1_000_003,
+                                      cfg.base_seed + 2_000_003)
+        collect_main = _submit_main(submit, ep, cfg.n_records,
+                                    cfg.base_seed)
 
-        log("report: running the reduced-efficiency injection study")
-        study = run_injection_study(ep, eta_new, cfg.n_records,
-                                    cfg.base_seed + 1_000_003,
-                                    cfg.base_seed + 2_000_003)
+        study = collect_study()
         results.append(_crit_injection(study))
         # criterion 9 also reads the study; computed now, so the study is
-        # freed before the main ensemble exists, and listed in its place
+        # freed before the main ensemble is collected, and listed in its
+        # place
         crit_vacf = _crit_vacf(study)
         del study
         _log_peak_rss("injection study")
 
-        log("report: running the main ensemble consistency checks")
-        arrays = _main_arrays(ep, cfg.n_records, cfg.base_seed)
+        arrays = collect_main()
         results.append(_crit_consistency(ep, arrays))
         results.append(_crit_mse(ep, arrays))
         del arrays
         _log_peak_rss("main ensemble")
 
-        riccati, physicality, demod = (f.result() for f in cross)
-    _log_peak_rss("cross-checks", side=True)
-    results += [riccati, physicality, crit_vacf, demod]
-
-    log("report: checking run reproducibility")
-    results.append(_crit_reproducible(cfg))
-    _log_peak_rss("reproducibility")
+        riccati, physicality, demod = _side_results(receive, side)
+        _log_peak_rss("cross-checks", children="side process")
+        results += [riccati, physicality, crit_vacf, demod,
+                    reproducible()]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if side.is_alive():
+            side.terminate()
+        side.join()
+        receive.close()
+    _log_peak_rss("reproducibility", children="largest child process")
     return results
 
 
-def _log_peak_rss(phase: str, side: bool = False) -> None:
-    # side: also the peak of the joined side process, read from the
-    # largest child this process has waited for
-    extra = f", side process {peak_rss_mb(children=True):.1f} MB" if side \
-        else ""
+def _log_peak_rss(phase: str, children: str = "") -> None:
+    # children: a label for the largest peak among the child processes
+    # joined so far, each counted with the processes it joined
+    extra = f", {children} {peak_rss_mb(children=True):.1f} MB" \
+        if children else ""
     log(f"report: {phase} done, peak RSS {peak_rss_mb():.1f} MB{extra}")
 
 

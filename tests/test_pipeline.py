@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -282,7 +285,8 @@ def test_main_arrays_match_whole_stack_oracle(ref_ep):
     # read, bit for bit: variances and their error bars at the probes, and
     # the late-window MSE ratios
     n_records = 300
-    times, stacks, late = pipeline._main_arrays(ref_ep, n_records, 4242)
+    times, stacks, late = pipeline._submit_main(pipeline._inline, ref_ep,
+                                                 n_records, 4242)()
     truth, w_times, w_stacks = main_arrays_whole(ref_ep, n_records, 4242)
     n = w_times.shape[0] - 1
     probes = pipeline._report_probes(n)
@@ -328,11 +332,67 @@ def test_report_ensembles_memory_is_flat_in_records(ref_ep):
                                                     window=3e-4,
                                                     warmup_records=1),
              3 * 2 * 16),
-            ("main ensemble", lambda n: pipeline._main_arrays(ep, n, 7),
+            ("main ensemble",
+             lambda n: pipeline._submit_main(pipeline._inline, ep, n, 7)(),
              (5 * 21 + 2 * 76) * 16)):
         small = _traced_peak(run, 256)
         large = _traced_peak(run, 1024)
         assert large <= small + kept * 768 + 1e6, (name, small, large)
+
+
+def test_pooled_ensembles_match_in_process_bits(ref_ep):
+    # 300 records: a full 256-record block and a short one.  Run on two
+    # worker processes and collected in record order, both ensembles keep
+    # the bits of the in-process run: every kept array, every curve and
+    # the three autocovariance sums
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        submit = pipeline._pooled(pool)
+        study = pipeline._submit_study(submit, ref_ep, 0.10, 300, 777, 888)
+        arrays = pipeline._submit_main(submit, ref_ep, 300, 4242)
+        study, arrays = study(), arrays()
+    inline = pipeline.run_injection_study(ref_ep, 0.10, 300, 777, 888)
+    for name in ("times", "m_ltl", "m_f", "m_s", "v_f", "v_s"):
+        assert _same_bits(getattr(study, name), getattr(inline, name)), name
+    assert (study.ep_new, study.v_tar, study.probes) == \
+        (inline.ep_new, inline.v_tar, inline.probes)
+    assert list(study.acov) == list(inline.acov) == [
+        "ClassicalSmoothed", "SmoothedLTL", "Filtered"]
+    for kind, total in inline.acov.items():
+        assert _same_bits(study.acov[kind], total), kind
+    times, stacks, late = arrays
+    i_times, i_stacks, i_late = pipeline._submit_main(
+        pipeline._inline, ref_ep, 300, 4242)()
+    assert _same_bits(times, i_times)
+    for got, expected in ((stacks, i_stacks), (late, i_late)):
+        assert set(got) == set(expected)
+        for kind, (values, vw) in expected.items():
+            assert _same_bits(got[kind][0], values), kind
+            assert _same_bits(got[kind][1], vw), kind
+
+
+def test_report_forks_only_single_threaded_processes(small_cfg, monkeypatch):
+    # a process that forks while another of its threads holds a lock can
+    # hand the child a lock nobody releases; Python 3.12 warns about such a
+    # fork.  The report's side process and its ensemble pool's workers fork
+    # from the report's one thread, and criterion 11's pool from a worker.
+    # os.fork swallows its warning even under an "error" filter, so the
+    # warnings are recorded, and each fork, in this process or a worker,
+    # first checks that its process runs one thread
+    real_fork = os.fork
+
+    def fork():
+        assert threading.active_count() == 1, \
+            f"fork from a process with {threading.active_count()} threads"
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DeprecationWarning)
+        results = pipeline.acceptance_report(small_cfg)
+    assert [r.index for r in results] == list(range(1, 12))
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, DeprecationWarning)
+            and "fork" in str(w.message)] == []
 
 
 def test_undefined_pull_fails_criterion_4(ref_ep):
@@ -381,7 +441,7 @@ def test_report_phase_logs_peak_rss(capsys):
 
 
 def test_cross_check_phase_logs_side_process_peak_rss(capsys):
-    pipeline._log_peak_rss("cross-checks", side=True)
+    pipeline._log_peak_rss("cross-checks", children="side process")
     line = capsys.readouterr().err.strip()
     assert line.startswith("report: cross-checks done, peak RSS ")
     own, side = line.split(", side process ")

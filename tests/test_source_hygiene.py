@@ -76,3 +76,31 @@ def test_every_private_function_is_referenced():
             if not seen:
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     assert orphans == []
+
+
+def _relative_sources(node: ast.ImportFrom) -> set[str]:
+    """The package modules a relative ``from`` import reads: ``.x`` for
+    ``from .x import a`` and for ``from . import x``."""
+    if not node.level:
+        return set()
+    if node.module:
+        return {"." * node.level + node.module}
+    return {"." * node.level + alias.name for alias in node.names}
+
+
+def test_no_function_defers_an_import_made_at_top_level():
+    # a module imported at the top avoids no import cycle when a function
+    # imports from it again, and the benchmark tracer rebinds only
+    # module-level names
+    deferred = []
+    for name, tree in _modules().items():
+        top = set().union(*(_relative_sources(node) for node in tree.body
+                            if isinstance(node, ast.ImportFrom)))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) \
+                        and _relative_sources(node) & top:
+                    deferred.append(f"{name}:{node.lineno} {func.name}")
+    assert deferred == []
