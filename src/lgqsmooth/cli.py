@@ -48,6 +48,19 @@ def _real(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value, which must be a nonnegative integer, as
+    ensemble.base_seed in a config."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"not a nonnegative integer: {text!r}")
+    return value
+
+
 def _add_config_args(sp) -> None:
     sp.add_argument("--config", required=True, metavar="PATH",
                     help="run configuration file")
@@ -97,7 +110,7 @@ def build_parser() -> _Parser:
                     help="efficiency the records were taken at")
     sp.add_argument("--eta-new", required=True, type=_real,
                     help="reduced efficiency to emulate")
-    sp.add_argument("--seed", type=int, default=0,
+    sp.add_argument("--seed", type=_seed, default=0,
                     help="base seed for the injected noise (default 0)")
     sp.add_argument("--formats", default="csv",
                     help="output formats, comma list of csv/bin (default "

@@ -87,7 +87,9 @@ def demod_filter(bw_3db: float, order: int, fs: float):
     if not _MIN_ORDER <= order <= _MAX_ORDER:
         raise ValueError(f"order must be in [{_MIN_ORDER}, {_MAX_ORDER}]")
     if not 0 < bw_3db < fs / 2:
-        raise ValueError("bw_3db must lie below the input Nyquist rate")
+        raise ValueError(f"bw_3db = {bw_3db:g} must lie in (0, "
+                         f"{fs / 2:g}): above zero and below the input "
+                         f"Nyquist rate")
     wn = np.float64(bw_3db) / (fs / 2)
     # analog prototype; the middle pole of an odd order is exactly real
     m = np.arange(-order + 1, order, 2, dtype=float)

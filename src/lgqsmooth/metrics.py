@@ -6,14 +6,13 @@ self-consistency check with its standard-error-of-variance bars, and the
 velocity autocorrelation of trajectory means.  The two ensemble statistics
 take one stack per trajectory kind: means of shape (N, n+1, 2) for N
 records on a shared grid of n+1 samples.  The autocorrelation transforms
-its records in blocks of 256 and adds each record's autocovariance to one
-running sum per kind, in record order, so its work space stays under
-30 MB at 1000 samples however many records a kind holds.  The acceptance
-report runs its ensembles in the same 256-record blocks, each block's
-records transformed in one batch (:func:`acov_rows`), and adds the rows
-to the running sums in record order (:func:`add_rows`, then
-:func:`vacf_from_sums`), so it never holds a whole stack and gets the bits
-of one call on the whole ensemble.
+its records in blocks of 256 (:func:`acov_rows`) and adds each record's
+autocovariance to one running sum per kind, in record order
+(:func:`add_rows`), so its work space stays under 30 MB at 1000 samples
+however many records a kind holds.  The acceptance report runs its
+ensembles in the same 256-record blocks and feeds them through the same
+two functions and :func:`vacf_from_sums`, so it never holds a whole stack
+and gets the bits of one :func:`vacf` call on the whole ensemble.
 
 The standard error of an ensemble variance uses an effective record count
 that discounts temporal correlation between consecutive records of length
@@ -247,27 +246,6 @@ def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
         total += row
 
 
-def acov_sums(means: dict, dt: float, max_lag: int,
-              sums: dict | None = None) -> dict:
-    """Add each record's velocity autocovariance to its kind's running sum.
-
-    ``means`` maps each kind to an (N, n+1, 2) stack, transformed
-    _ACF_BLOCK records at a time (:func:`acov_rows`), so the FFT work space
-    is bounded by the block, not the ensemble.  The rows are added to
-    ``sums[kind]`` (started at zero) in record order (:func:`add_rows`).
-    A caller that feeds an ensemble block by block, in order and at
-    multiples of _ACF_BLOCK, gets the sums of one call on the whole stack.
-    Returns ``sums`` (a new dict when None)."""
-    sums = {} if sums is None else sums
-    for kind, stack in means.items():
-        if not np.all(np.isfinite(stack)):
-            raise ValueError(f"non-finite means in kind {kind}")
-        total = sums.setdefault(kind, np.zeros(max_lag + 1))
-        for lo in range(0, stack.shape[0], _ACF_BLOCK):
-            add_rows(total, acov_rows(stack[lo:lo + _ACF_BLOCK], dt, max_lag))
-    return sums
-
-
 def _biased(total: np.ndarray, n_records: int, n: int) -> np.ndarray:
     # the mean over records and components, per velocity sample
     return total / (2 * n_records) / n
@@ -276,8 +254,9 @@ def _biased(total: np.ndarray, n_records: int, n: int) -> np.ndarray:
 def vacf_from_sums(sums: dict, n_records: int, n: int,
                    dt: float) -> VacfResult:
     """Normalized velocity autocorrelation per kind from the running sums
-    of :func:`acov_sums` over ``n_records`` records of n velocities each,
-    with the first lag at which each curve drops below VACF_THRESHOLD."""
+    (:func:`add_rows` of :func:`acov_rows`) over ``n_records`` records of
+    n velocities each, with the first lag at which each curve drops below
+    VACF_THRESHOLD."""
     values: dict = {}
     decorr: dict = {}
     for kind, total in sums.items():
@@ -297,7 +276,9 @@ def vacf_from_sums(sums: dict, n_records: int, n: int,
 def vacf(means: dict, dt: float, max_lag: int | None = None) -> VacfResult:
     """Autocorrelation of finite-difference mean velocities per kind;
     ``means`` maps each kind to its (N, n+1, 2) stack, sampled every dt,
-    and every kind has the same N and n."""
+    and every kind has the same N and n.  Each stack is transformed in
+    _ACF_BLOCK-record batches (:func:`acov_rows`) and summed in record
+    order (:func:`add_rows`), as the report does."""
     if not means:
         raise ValueError("empty ensemble")
     shape = next(iter(means.values())).shape
@@ -308,4 +289,11 @@ def vacf(means: dict, dt: float, max_lag: int | None = None) -> VacfResult:
         max_lag = n_v - 1
     if max_lag >= n_v:
         raise ValueError("trajectory too short for requested max lag")
-    return vacf_from_sums(acov_sums(means, dt, max_lag), shape[0], n_v, dt)
+    sums = {}
+    for kind, stack in means.items():
+        if not np.all(np.isfinite(stack)):
+            raise ValueError(f"non-finite means in kind {kind}")
+        total = sums[kind] = np.zeros(max_lag + 1)
+        for lo in range(0, shape[0], _ACF_BLOCK):
+            add_rows(total, acov_rows(stack[lo:lo + _ACF_BLOCK], dt, max_lag))
+    return vacf_from_sums(sums, shape[0], n_v, dt)

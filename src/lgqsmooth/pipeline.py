@@ -20,9 +20,11 @@ smooths its two ensembles (the injection study and the main ensemble) in
 blocks of 256 records, the autocorrelation's FFT batch.  Each block is one
 call of a module-level block function, which returns only what its
 criteria read: probe columns, late-window squared errors and each
-record's velocity autocovariance.  The report runs the blocks on a pool of
-two ensemble workers, after criterion 11, and criteria 7, 8 and 10 in a
-side process beside the pool; the tests also run the blocks in-process.
+record's velocity autocovariance.  The block function is mapped over the
+blocks' seeds: the report maps it with ``pool.map`` on a pool of two
+ensemble workers, after criterion 11, and runs criteria 7, 8 and 10 in a
+side process beside the pool; ``run_injection_study`` and the tests map
+it with the builtin ``map``, one block at a time in-process.
 The report's own process fills its arrays from the block results in
 record order and adds the autocovariances to running sums in that order,
 so its memory is flat in the record count apart from those slices, every
@@ -474,33 +476,13 @@ def stage_demod(trace_path: Path, out_dir: Path, omega: float,
 # FFT batches.  Each block's records come from their own generators and
 # every recursion is row by row, so no record's bits depend on its block
 # or on the process that runs it.  A block is one call of a module-level
-# block function, handed to ``submit(fn, *args)``, which returns a function
-# that gives the block's result: _inline runs the block then, in this
-# process, and _pooled in a worker of a process pool.  The parent fills its
-# arrays from the results in record order.
+# block function, mapped over the blocks' seed slices by ``map_``: the
+# builtin map runs each block in this process when its result is read, and
+# a process pool's map submits every block at once and yields the results
+# in record order.  The parent fills its arrays from the results in record
+# order, reading each block with next() so that no earlier result is held
+# while the next block runs.
 # ---------------------------------------------------------------------------
-
-def _inline(fn, *args):
-    """Submit in this process: the block runs when its result is asked for,
-    so one block's work space is alive at a time."""
-    return functools.partial(fn, *args)
-
-
-def _pooled(pool: ProcessPoolExecutor):
-    """Submit to ``pool``: asking for a block's result waits for it."""
-    return lambda fn, *args: pool.submit(fn, *args).result
-
-
-def _in_order(tasks: list):
-    """(slice, result) of each submitted block, in record order.  Each task
-    leaves the list as its result is asked for, so a pool's future and its
-    result are freed once the caller drops the result and asks for the
-    next one."""
-    tasks.reverse()
-    while tasks:
-        sl, task = tasks.pop()
-        yield sl, task()
-
 
 @dataclasses.dataclass(frozen=True)
 class InjectionStudy:
@@ -570,11 +552,12 @@ def _study_block(ep: EffectiveParams, eta_new: float, steps: list,
     return kept, acov
 
 
-def _submit_study(submit, ep: EffectiveParams, eta_new: float,
+def _submit_study(map_, ep: EffectiveParams, eta_new: float,
                   n_records: int, base_seed: int, inject_seed: int,
                   window: float = 1e-3, warmup_records: int = 3):
-    """Submit the blocks of :func:`run_injection_study` and return the
-    function that collects them into its InjectionStudy."""
+    """Map :func:`_study_block` over the blocks of
+    :func:`run_injection_study` with ``map_`` and return the function that
+    collects them into its InjectionStudy."""
     ep_new = dataclasses.replace(ep, eta=eta_new)
     total = warmup_records * ep.record_duration + window
     n_total = int(round(total / ep.dt))
@@ -587,15 +570,18 @@ def _submit_study(submit, ep: EffectiveParams, eta_new: float,
     _, v_clean = filter_grid(ep, n_total)
     v_tar = v_filter_ss(ep)
     probes = (0, n_win // 2)
-    tasks = [(sl, submit(_study_block, ep, eta_new, steps + [n_win], v_clean,
-                         v_tar, probes, seeds[sl], inject_seeds[sl]))
-             for sl in _slices(n_records, _ACF_BLOCK)]
+    slices = _slices(n_records, _ACF_BLOCK)
+    blocks = map_(functools.partial(_study_block, ep, eta_new, steps + [n_win],
+                                    v_clean, v_tar, probes),
+                  [seeds[sl] for sl in slices],
+                  [inject_seeds[sl] for sl in slices])
 
     def collect() -> InjectionStudy:
         kept = {name: np.empty((n_records, 2, 2))
                 for name in ("m_ltl", "m_f", "m_s")}
         acov: dict = {}
-        for sl, (block_kept, block_acov) in _in_order(tasks):
+        for sl in slices:
+            block_kept, block_acov = next(blocks)
             for name in block_kept:
                 kept[name][sl] = block_kept[name]
             for kind in block_acov:
@@ -623,7 +609,7 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     process, one block at a time; each block leaves only its probe columns
     and its velocity autocovariance rows behind, and the rows are added to
     each kind's running sum in record order."""
-    return _submit_study(_inline, ep, eta_new, n_records, base_seed,
+    return _submit_study(map, ep, eta_new, n_records, base_seed,
                          inject_seed, window, warmup_records)()
 
 
@@ -740,10 +726,11 @@ def _main_block(ep: EffectiveParams, cols: np.ndarray, lo: int,
     return kept, late
 
 
-def _submit_main(submit, ep: EffectiveParams, n_records: int,
+def _submit_main(map_, ep: EffectiveParams, n_records: int,
                  base_seed: int):
-    """Submit the main ensemble's blocks (:func:`_main_block`) and return
-    the function that collects what criteria 5 and 6 read of it.
+    """Map :func:`_main_block` over the main ensemble's blocks with
+    ``map_`` and return the function that collects what criteria 5 and 6
+    read of it.
 
     Every kind's vw is its closed form of :func:`run_grid`.  The collected
     arrays are the grid times at the kept columns (the probes, then the
@@ -756,15 +743,17 @@ def _submit_main(submit, ep: EffectiveParams, n_records: int,
     cols = np.append(_report_probes(n), n)
     lo = int(round(0.7 * n))
     seeds = derive_record_seeds(base_seed, n_records)
-    tasks = [(sl, submit(_main_block, ep, cols, lo, seeds[sl]))
-             for sl in _slices(n_records, _ACF_BLOCK)]
+    slices = _slices(n_records, _ACF_BLOCK)
+    blocks = map_(functools.partial(_main_block, ep, cols, lo),
+                  [seeds[sl] for sl in slices])
 
     def collect():
         kept = {kind: np.empty((n_records, cols.shape[0], 2))
                 for kind in closed}
         late = {kind: np.empty((n_records, n + 1 - lo, 2))
                 for kind in ("SmoothedTrue", "Filtered")}
-        for sl, (block_kept, block_late) in _in_order(tasks):
+        for sl in slices:
+            block_kept, block_late = next(blocks)
             for kind in block_kept:
                 kept[kind][sl] = block_kept[kind]
             for kind in block_late:
@@ -989,14 +978,15 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     study, each run in record blocks that leave only the slices their
     criteria read.  Three processes share the work.  A side process runs
     criteria 7, 8 and 10, which read neither ensemble.  A pool of two
-    ensemble workers runs criterion 11 first, then every block of the
-    study and of the main ensemble, all submitted up front so that neither
-    worker idles while the other finishes; this process collects the
-    blocks in record order and computes the rest.  No process forks while
-    it runs a second thread: the side process is a plain process started
-    first, the pool forks its workers at the first submit, before its own
-    threads start, and criterion 11's 2-worker pool starts inside an
-    ensemble worker, which runs one thread.  The record count and the
+    ensemble workers runs criterion 11, its first task (``pool.submit``),
+    then every block of the study and of the main ensemble: each
+    ``pool.map`` submits all of its blocks at once, so that neither worker
+    idles while the other finishes, and this process reads the blocks in
+    record order and computes the rest.  No process forks while it runs a
+    second thread: the side process is a plain process started first, the
+    pool forks its workers at the first submit, before its own threads
+    start, and criterion 11's 2-worker pool starts inside an ensemble
+    worker, which runs one thread.  The record count and the
     study's efficiency are checked before anything starts.  Seeds derive
     from the configured base seed, so the report is reproducible.
     """
@@ -1024,12 +1014,11 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
         log("report: running the reduced-efficiency injection study, the "
             "main ensemble and the reproducibility runs on 2 ensemble "
             "workers")
-        submit = _pooled(pool)
-        reproducible = submit(_crit_reproducible, cfg)
-        collect_study = _submit_study(submit, ep, eta_new, cfg.n_records,
+        reproducible = pool.submit(_crit_reproducible, cfg)
+        collect_study = _submit_study(pool.map, ep, eta_new, cfg.n_records,
                                       cfg.base_seed + 1_000_003,
                                       cfg.base_seed + 2_000_003)
-        collect_main = _submit_main(submit, ep, cfg.n_records,
+        collect_main = _submit_main(pool.map, ep, cfg.n_records,
                                     cfg.base_seed)
 
         study = collect_study()
@@ -1050,7 +1039,7 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
         riccati, physicality, demod = _side_results(receive, side)
         _log_peak_rss("cross-checks", children="side process")
         results += [riccati, physicality, crit_vacf, demod,
-                    reproducible()]
+                    reproducible.result()]
     finally:
         pool.shutdown(cancel_futures=True)
         if side.is_alive():

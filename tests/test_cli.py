@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import multiprocessing
 import shutil
 import struct
 import tempfile
@@ -19,7 +20,8 @@ from lgqsmooth.cli import main
 from lgqsmooth.estimate import KINDS
 from lgqsmooth.ingest import RawTrace
 from lgqsmooth.smooth import TARGET_KINDS
-from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
+from lgqsmooth.simulate import (MeasurementRecord, NumericalError,
+                                synthesize_raw)
 
 TWO_PI = 2.0 * math.pi
 
@@ -734,6 +736,21 @@ def test_nonfinite_demod_flag_is_exit_one(tmp_path, capsys, flags):
     assert not (tmp_path / "records").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_bad_inject_seed_is_exit_one(tmp_path, capsys, seed):
+    # a seed is a nonnegative integer, as ensemble.base_seed in a config;
+    # rejected while the arguments are parsed, before a record is read
+    with pytest.raises(SystemExit) as exc:
+        main(["inject", "--records", str(tmp_path / "records"),
+              "--out-dir", str(tmp_path / "inj"), "--eta-old", "0.38",
+              "--eta-new", "0.1", "--seed", seed])
+    assert exc.value.code == 1
+    kind = "a nonnegative integer" if seed == "-1" else "an integer"
+    assert f"argument --seed: not {kind}: {seed!r}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "inj").exists()
+
+
 def test_demod_grid_defaults_are_the_params_defaults():
     from lgqsmooth.cli import build_parser
     from lgqsmooth.model import PhysicalParams
@@ -857,6 +874,26 @@ def test_side_criterion_error_is_exit_one(cfg_path, tmp_path, capsys):
     assert captured.out == ""
     assert "lgqsmooth: error: fs must exceed four times the carrier " \
         "frequency" in captured.err
+
+
+def _failing_block(*args):
+    # module level, so the report's pool can pickle it by name
+    raise NumericalError("block failed")
+
+
+def test_failing_pooled_block_is_exit_two(cfg_path, tmp_path, capsys,
+                                          monkeypatch):
+    # a main-ensemble block that raises in a pool worker fails the report
+    # as a numerical error, prints no table, and leaves no child process:
+    # the pool and the side process are both joined
+    monkeypatch.setattr(pipeline, "_main_block", _failing_block)
+    code = main(["report", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "rep")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lgqsmooth: numerical error: block failed" in captured.err
+    assert multiprocessing.active_children() == []
 
 
 def test_report_checks_default_injection_efficiency_first(cfg_path, tmp_path,

@@ -1,6 +1,7 @@
 """Demodulation, segmentation and noise-injection checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ def test_nan_fails_the_carrier_and_band_bounds():
         demodulate(tr, OMEGA, bw_3db=math.nan)
     with pytest.raises(ValueError, match="dt_out must be positive, got nan"):
         demodulate(tr, OMEGA, dt_out=math.nan)
+
+
+@pytest.mark.parametrize("bw", [0.0, -5.0])
+def test_band_at_or_below_zero_names_value_and_interval(bw):
+    # the bound has two sides; the message names both and the value
+    message = (f"bw_3db = {bw:g} must lie in (0, 2.5e+06): above zero and "
+               "below the input Nyquist rate")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ingest.demod_filter(bw, 4, FS)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        demodulate(RawTrace(fs=FS, samples=np.zeros(4000)), OMEGA,
+                   bw_3db=bw)
 
 
 # ---------------------------------------------------------------------------

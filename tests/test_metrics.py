@@ -28,7 +28,8 @@ from lgqsmooth.estimate import (
 )
 from lgqsmooth.metrics import (
     _biased,
-    acov_sums,
+    acov_rows,
+    add_rows,
     effective_record_count,
     hs_sq_isotropic,
     vacf_from_sums,
@@ -324,41 +325,54 @@ def test_consistency_check_errors(ref_ep):
 # velocity autocorrelation
 # ---------------------------------------------------------------------------
 
+def _blocked_sum(means, dt, max_lag):
+    """The report's path: each 256 records transformed in one batch, their
+    rows added to one running sum in record order."""
+    total = np.zeros(max_lag + 1)
+    for lo in range(0, means.shape[0], 256):
+        add_rows(total, acov_rows(means[lo:lo + 256], dt, max_lag))
+    return total
+
+
 @pytest.mark.parametrize("n_records", [8, 100, 256, 257, 1000])
 def test_acf_blocked_matches_whole_transform(n_records):
     # up to one 256-record block the transform is the whole-array one, so
     # the bits match; past it pocketfft may round a row differently by its
-    # place in the batch, within the declared 1e-12 of the zero lag
+    # place in the batch, within the declared 1e-12 of the zero lag.  vacf
+    # normalizes the same sum
     rng = np.random.default_rng(n_records)
     dt = 1e-6
     means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
-    got = _biased(acov_sums({None: means}, dt, 999)[None], n_records, 1000)
+    got = _biased(_blocked_sum(means, dt, 999), n_records, 1000)
     expected = acf_biased_whole(means, dt, 999)
     if n_records <= 256:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     else:
         assert np.max(np.abs(got - expected)) <= 1e-12 * expected[0]
+    norm = got / got[0]
+    norm[0] = 1.0
+    values = vacf({None: means}, dt).values[None]
+    assert np.array_equal(values.view(np.uint64), norm.view(np.uint64))
 
 
 @pytest.mark.parametrize("n_records", [8, 256, 257, 1000])
 def test_acf_running_sum_matches_whole_mean(n_records):
-    # the record-order running sum over per-record autocovariances gives
-    # the bits of numpy's mean over the whole (N, max_lag+1, 2) array, and
-    # so does feeding it in record blocks at multiples of the FFT batch
+    # the record-order running sum over per-record autocovariances, fed in
+    # the report's 256-record blocks, gives the bits of numpy's mean over
+    # the whole (N, max_lag+1, 2) array, and its curve is vacf's on the
+    # whole stack
     rng = np.random.default_rng(n_records)
     dt = 1e-6
     means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
     acov = velocity_acov_batched(means, dt, 999)
     expected = acov.mean(axis=(0, 2)) / 1000
-    got = _biased(acov_sums({None: means}, dt, 999)[None], n_records, 1000)
+    total = _blocked_sum(means, dt, 999)
+    got = _biased(total, n_records, 1000)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-    sums: dict = {}
-    for lo in range(0, n_records, 256):
-        acov_sums({"Filtered": means[lo:lo + 256]}, dt, 999, sums)
-    res = vacf_from_sums(sums, n_records, 1000, dt)
+    res = vacf_from_sums({"Filtered": total}, n_records, 1000, dt)
     whole = vacf({"Filtered": means}, dt)
     assert np.array_equal(res.values["Filtered"], whole.values["Filtered"])
-    assert np.array_equal(sums["Filtered"].view(np.uint64),
+    assert np.array_equal(total.view(np.uint64),
                           acov.sum(axis=(0, 2)).view(np.uint64))
 
 

@@ -17,7 +17,8 @@ import pytest
 from lgqsmooth import pipeline, recordio
 from lgqsmooth.config import RunConfig
 from lgqsmooth.ingest import RawTrace
-from lgqsmooth.metrics import consistency_check
+from lgqsmooth.estimate import STATE_KINDS
+from lgqsmooth.metrics import consistency_check, vacf
 from lgqsmooth.model import PhysicalParams, effective_params, v_filter_ss
 from lgqsmooth.simulate import MeasurementRecord, simulate_truth_ensemble, synthesize_raw
 from lgqsmooth.smooth import TARGET_KINDS
@@ -231,6 +232,45 @@ def test_file_stages_match_stacked_kernels(run_dir, small_cfg):
     assert _same_bits(truth, ens.means)
 
 
+def _table(path) -> dict:
+    """kind -> the float columns of an analysis CSV whose second column is
+    the kind, parsed back from their %.17g text."""
+    rows: dict = {}
+    for line in path.read_text().splitlines()[1:]:
+        fields = line.split(",")
+        rows.setdefault(fields[1], []).append(
+            [float(x) for x in fields[:1] + fields[2:]])
+    return {kind: np.array(cols) for kind, cols in rows.items()}
+
+
+def test_analysis_tables_match_stacked_path(run_dir, small_cfg):
+    # analyze's consistency and autocorrelation tables hold the bits of
+    # consistency_check and vacf on the report's stacked kernels at the
+    # same seeds, so the file path and the stacked path cannot drift apart
+    ep = effective_params(small_cfg.params)
+    ens = simulate_truth_ensemble(ep, ep.record_duration,
+                                  small_cfg.n_records, small_cfg.base_seed)
+    times, v_f, w, m_f, z = pipeline._estimate_stack(ep, ens.currents)
+    _, closed = pipeline.run_grid(ep)
+    means = dict(pipeline._kinds_of(ep, v_f, w, m_f, z))
+    stats = consistency_check({kind: (m, closed[kind])
+                               for kind, m in means.items()}, times, ep)
+    table = _table(run_dir / "analysis" / "consistency.csv")
+    assert sorted(table) == sorted(stats.var_ens)
+    for kind, cols in table.items():
+        expected = np.column_stack([stats.times, stats.var_ens[kind],
+                                    stats.theory[kind], stats.sev[kind],
+                                    stats.outside[kind]])
+        assert _same_bits(cols, expected), kind
+    res = vacf({kind: m for kind, m in means.items() if kind in STATE_KINDS},
+               times[1] - times[0])
+    table = _table(run_dir / "analysis" / "vacf.csv")
+    assert sorted(table) == sorted(res.values) and len(table) == 4
+    for kind, cols in table.items():
+        assert _same_bits(cols, np.column_stack([res.lags,
+                                                 res.values[kind]])), kind
+
+
 def test_injection_study_structure(ref_ep):
     # 300 records: one full 256-record block and a partial one
     study = pipeline.run_injection_study(ref_ep, 0.10, 300, 777, 888,
@@ -285,8 +325,8 @@ def test_main_arrays_match_whole_stack_oracle(ref_ep):
     # read, bit for bit: variances and their error bars at the probes, and
     # the late-window MSE ratios
     n_records = 300
-    times, stacks, late = pipeline._submit_main(pipeline._inline, ref_ep,
-                                                 n_records, 4242)()
+    times, stacks, late = pipeline._submit_main(map, ref_ep, n_records,
+                                                 4242)()
     truth, w_times, w_stacks = main_arrays_whole(ref_ep, n_records, 4242)
     n = w_times.shape[0] - 1
     probes = pipeline._report_probes(n)
@@ -333,7 +373,7 @@ def test_report_ensembles_memory_is_flat_in_records(ref_ep):
                                                     warmup_records=1),
              3 * 2 * 16),
             ("main ensemble",
-             lambda n: pipeline._submit_main(pipeline._inline, ep, n, 7)(),
+             lambda n: pipeline._submit_main(map, ep, n, 7)(),
              (5 * 21 + 2 * 76) * 16)):
         small = _traced_peak(run, 256)
         large = _traced_peak(run, 1024)
@@ -346,9 +386,8 @@ def test_pooled_ensembles_match_in_process_bits(ref_ep):
     # the bits of the in-process run: every kept array, every curve and
     # the three autocovariance sums
     with ProcessPoolExecutor(max_workers=2) as pool:
-        submit = pipeline._pooled(pool)
-        study = pipeline._submit_study(submit, ref_ep, 0.10, 300, 777, 888)
-        arrays = pipeline._submit_main(submit, ref_ep, 300, 4242)
+        study = pipeline._submit_study(pool.map, ref_ep, 0.10, 300, 777, 888)
+        arrays = pipeline._submit_main(pool.map, ref_ep, 300, 4242)
         study, arrays = study(), arrays()
     inline = pipeline.run_injection_study(ref_ep, 0.10, 300, 777, 888)
     for name in ("times", "m_ltl", "m_f", "m_s", "v_f", "v_s"):
@@ -360,8 +399,8 @@ def test_pooled_ensembles_match_in_process_bits(ref_ep):
     for kind, total in inline.acov.items():
         assert _same_bits(study.acov[kind], total), kind
     times, stacks, late = arrays
-    i_times, i_stacks, i_late = pipeline._submit_main(
-        pipeline._inline, ref_ep, 300, 4242)()
+    i_times, i_stacks, i_late = pipeline._submit_main(map, ref_ep, 300,
+                                                      4242)()
     assert _same_bits(times, i_times)
     for got, expected in ((stacks, i_stacks), (late, i_late)):
         assert set(got) == set(expected)
