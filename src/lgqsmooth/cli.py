@@ -19,7 +19,13 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .config import ConfigError, parse_config, parse_formats
-from .ingest import DEFAULT_BW_3DB, DEFAULT_DISCARD, DEFAULT_ORDER
+from .ingest import (
+    _MAX_ORDER,
+    _MIN_ORDER,
+    DEFAULT_BW_3DB,
+    DEFAULT_DISCARD,
+    DEFAULT_ORDER,
+)
 from .model import PhysicalParams
 from .simulate import NumericalError
 
@@ -37,6 +43,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+# Each flag's type checks its value's range while the arguments are
+# parsed, so an error names the flag and the value as typed, exits 1 and
+# leaves nothing written; the library keeps its own checks for other
+# callers.
+
 def _real(text: str) -> float:
     """A float flag's value, which must be finite, as a config number."""
     try:
@@ -48,16 +59,54 @@ def _real(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """A finite float flag's value above zero: a frequency or a time."""
+    value = _real(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    """A finite float flag's value of at least zero."""
+    value = _real(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(
+            f"not a nonnegative number: {text!r}")
+    return value
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _seed(text: str) -> int:
     """A seed flag's value, which must be a nonnegative integer, as
     ensemble.base_seed in a config."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"not a nonnegative integer: {text!r}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """A worker count, an integer of at least 1."""
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
+def _order(text: str) -> int:
+    """A low-pass filter order, an integer the filter design takes."""
+    value = _int(text)
+    if not _MIN_ORDER <= value <= _MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"not an integer from {_MIN_ORDER} to {_MAX_ORDER}: {text!r}")
     return value
 
 
@@ -85,7 +134,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("estimate",
                         help="run the filter and retrofilter over records")
     _add_config_args(sp)
-    sp.add_argument("--jobs", type=int, default=1, metavar="N",
+    sp.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                     help="worker processes (default 1)")
 
     sp = sub.add_parser("smooth",
@@ -121,18 +170,20 @@ def build_parser() -> _Parser:
     sp.add_argument("--trace", required=True, metavar="PATH",
                     help="raw trace file (.bin or .csv)")
     sp.add_argument("--out-dir", required=True, metavar="DIR")
-    sp.add_argument("--omega-hz", required=True, type=_real,
+    sp.add_argument("--omega-hz", required=True, type=_positive,
                     help="carrier frequency in Hz")
-    sp.add_argument("--bw-hz", type=_real, default=DEFAULT_BW_3DB,
+    sp.add_argument("--bw-hz", type=_positive, default=DEFAULT_BW_3DB,
                     help="low-pass 3 dB bandwidth in Hz (default %(default)g)")
-    sp.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    sp.add_argument("--order", type=_order, default=DEFAULT_ORDER,
                     help="low-pass filter order (default %(default)d)")
-    sp.add_argument("--dt-us", type=_real, default=PhysicalParams.dt * 1e6,
+    sp.add_argument("--dt-us", type=_positive,
+                    default=PhysicalParams.dt * 1e6,
                     help="output sample spacing in us (default %(default)g)")
-    sp.add_argument("--record-us", type=_real,
+    sp.add_argument("--record-us", type=_positive,
                     default=PhysicalParams.record_duration * 1e6,
                     help="record length in us (default %(default)g)")
-    sp.add_argument("--discard-us", type=_real, default=DEFAULT_DISCARD * 1e6,
+    sp.add_argument("--discard-us", type=_nonnegative,
+                    default=DEFAULT_DISCARD * 1e6,
                     help="transient to discard in us (default %(default)g)")
     sp.add_argument("--formats", default="csv",
                     help="output formats, comma list of csv/bin (default "

@@ -27,9 +27,14 @@ side process beside the pool; ``run_injection_study`` and the tests map
 it with the builtin ``map``, one block at a time in-process.
 The report's own process fills its arrays from the block results in
 record order and adds the autocovariances to running sums in that order,
-so its memory is flat in the record count apart from those slices, every
-reduction over records sees the operations a whole stack would, and the
-report text is the same bits as a whole-stack computation in any process.
+so its memory is flat in the record count apart from those slices, and
+every reduction over records sees the operations a whole stack would.
+A record's autocovariance row is not independent of its batch: numpy's
+complex product inside :func:`metrics.acov_rows` gives an element
+computed in a small batch other bits than the same element in a large
+one.  So every caller batches at _ACF_BLOCK boundaries from record 0, as
+:func:`metrics.vacf` does, and the report text is then the same bits in
+any process and for any worker count.
 """
 
 from __future__ import annotations
@@ -37,10 +42,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import multiprocessing
 import sys
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -239,28 +241,39 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
     for directory, stem, kind in dirs:
         paths = _indexed_paths(directory, stem, "csv", n_records)
         means = np.empty((n_records, times.shape[0], 2))
-        if kind == "Retrofiltered":
+        retro = kind == "Retrofiltered"
+        if retro:
             info = np.empty_like(means)
         vw = closed.get(kind)
-        name = "precision" if kind == "Retrofiltered" else "covariance"
+        name = "precision" if retro else "covariance"
+        # the text this run's writer gives the directory's shared columns
+        layout = recordio.means_layout(times) if kind is None \
+            else recordio.trajectory_layout(times, kind, vw, retro)
         other = []  # files of another kind, named once all are read
         for i, path in enumerate(paths):
-            if kind is None:
-                t, m = recordio.read_means_csv(path)
-                k = v = z = None
+            own = recordio.read_own_columns(layout, path)
+            if own is not None:
+                m, z = own[:, :2], (own[:, 2:] if retro else None)
             else:
-                tr = recordio.read_trajectory_csv(path)
-                t, m, k, v, z = tr.times, tr.mean, tr.kind, tr.vw, tr.info
-            if not np.array_equal(t, times):
-                raise ValueError(f"{path}: time grid of {t.shape[0]} points "
-                                 f"differs from the config's "
-                                 f"{times.shape[0]}-point grid")
-            if k != kind:
-                other.append((path, k))
-                continue
-            if vw is not None and not np.array_equal(v, vw):
-                raise ValueError(f"{path}: {name} differs from its closed "
-                                 f"form at the configured parameters")
+                # any other file, valid or not: the generic reader and
+                # the checks whose errors name what is wrong
+                if kind is None:
+                    t, m = recordio.read_means_csv(path)
+                    k = v = z = None
+                else:
+                    tr = recordio.read_trajectory_csv(path)
+                    t, m, k, v, z = tr.times, tr.mean, tr.kind, tr.vw, tr.info
+                if not np.array_equal(t, times):
+                    raise ValueError(f"{path}: time grid of {t.shape[0]} "
+                                     f"points differs from the config's "
+                                     f"{times.shape[0]}-point grid")
+                if k != kind:
+                    other.append((path, k))
+                    continue
+                if vw is not None and not np.array_equal(v, vw):
+                    raise ValueError(f"{path}: {name} differs from its "
+                                     f"closed form at the configured "
+                                     f"parameters")
             bad = ~np.isfinite(m).all(axis=1)
             if z is not None:
                 bad = bad & defined | ~np.isfinite(z).all(axis=1)
@@ -353,6 +366,8 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
     if len(parts) == 1:
         _estimate_records(ep, records, est_dir, 0)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(parts)) as pool:
             tasks = [pool.submit(_estimate_records, ep, records[sl], est_dir,
                                  sl.start) for sl in parts]
@@ -389,8 +404,12 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
 
 def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective_params(cfg.params)
-    (times, closed), stacks, _, truth = _load_stacks(
+    (times, closed), stacks, info, truth = _load_stacks(
         base_dir, cfg.n_records, ep, cfg.targets, truth=True)
+    # analyze only checks the information vectors; they, the truth and the
+    # Retrofiltered means are freed before the autocorrelation's transforms,
+    # which set the stage's peak memory
+    del info
     stats = consistency_check(stacks, times, ep)
 
     analysis = base_dir / "analysis"
@@ -405,9 +424,9 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
                 # the LTL-targeted state is not a truth-consistent
                 # estimator, so the closed-form average does not apply
                 continue
-            emp = hs_sq_isotropic(1.0, truth.transpose(1, 0, 2),
-                                  vw[:, None], means.transpose(1, 0, 2))
-            emp_mean = emp.mean(axis=1)
+            emp_mean = hs_sq_isotropic(
+                1.0, truth.transpose(1, 0, 2), vw[:, None],
+                means.transpose(1, 0, 2)).mean(axis=1)
             if kind == "ClassicalSmoothed":
                 theory = hs_avg_theory_classical(
                     1.0, closed["Filtered"], closed["Retrofiltered"],
@@ -426,8 +445,10 @@ def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
     recordio.write_consistency_csv(stats, analysis / "consistency.csv")
     recordio.write_stats_json(stats, analysis / "stats.json")
 
-    res = vacf({kind: means for kind, (means, _) in stacks.items()
-                if kind in STATE_KINDS}, times[1] - times[0])
+    state_means = {kind: m for kind, (m, _) in stacks.items()
+                   if kind in STATE_KINDS}
+    del stacks, truth
+    res = vacf(state_means, times[1] - times[0])
     recordio.write_vacf_csv(res, analysis / "vacf.csv")
     log(f"analyze: wrote {analysis}")
 
@@ -474,14 +495,16 @@ def stage_demod(trace_path: Path, out_dir: Path, omega: float,
 #
 # Both ensembles run in record blocks aligned with the autocorrelation's
 # FFT batches.  Each block's records come from their own generators and
-# every recursion is row by row, so no record's bits depend on its block
-# or on the process that runs it.  A block is one call of a module-level
-# block function, mapped over the blocks' seed slices by ``map_``: the
-# builtin map runs each block in this process when its result is read, and
-# a process pool's map submits every block at once and yields the results
-# in record order.  The parent fills its arrays from the results in record
-# order, reading each block with next() so that no earlier result is held
-# while the next block runs.
+# every recursion is row by row, so no record's draws or means depend on
+# its block or on the process that runs it.  Its autocovariance row does
+# depend on the batch it is transformed in (metrics.acov_rows), so blocks
+# are _ACF_BLOCK records from record 0, as vacf batches.  A block is one
+# call of a module-level block function, mapped over the blocks' seed
+# slices by ``map_``: the builtin map runs each block in this process when
+# its result is read, and a process pool's map submits every block at once
+# and yields the results in record order.  The parent fills its arrays
+# from the results in record order, reading each block with next() so
+# that no earlier result is held while the next block runs.
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -945,6 +968,8 @@ def _cross_checks(omega: float, conn) -> None:
     ensemble, in their own process.  Sends (results, None) through
     ``conn``, or (None, (exception, its traceback text)) for the report's
     process to raise."""
+    import traceback
+
     try:
         out = [_crit_riccati(), _crit_physicality(), _crit_demod(omega)], None
     except Exception as exc:
@@ -990,6 +1015,9 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     study's efficiency are checked before anything starts.  Seeds derive
     from the configured base seed, so the report is reproducible.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     ep = effective_params(cfg.params)
     if cfg.n_records < 2:
         raise ValueError(f"report: ensemble.n_records = {cfg.n_records}, the "

@@ -9,12 +9,21 @@ reader a body of exactly its header's n samples, and every error, the
 read object's constructor's included, is a ``ValueError`` naming the
 file: a ``NumericalError`` for a non-finite record or trace sample.
 Binary formats are little-endian float64 throughout.
+
+Records, trajectories and truth dumps share most of their text between
+the files of a run: the time grid, the kind, the closed-form vw and the
+NaN info columns.  Their writers print those columns once per
+:class:`Layout` and each file's own values into it with one ``%``, and
+:func:`read_own_columns` parses only the own columns of a file that is
+byte for byte what its writer makes at a layout, and leaves any other
+file to the generic readers and their checks.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -109,13 +118,131 @@ def _named(path, fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
+# tables whose shared columns are printed once
+# ---------------------------------------------------------------------------
+
+def _fields(body: str) -> list[str]:
+    """A table body's fields, each line end a field of its own, so a row
+    of w columns is w + 1 fields and a final line end leaves ""."""
+    return body.replace("\n", ",\n,").split(",")
+
+
+@dataclass(frozen=True)
+class Layout:
+    """One shape of text table as its writer prints it, but for each
+    file's own values.
+
+    ``template`` is the data rows with the shared columns already printed
+    and ``%.17g`` in each own field, so a file is ``header``, a line end
+    and ``template % own``.  ``width`` is the fields of a row split by
+    :func:`_fields`, its line end counted, and ``own`` the indices of the
+    own columns."""
+
+    header: str
+    template: str
+    width: int
+    own: tuple
+
+    @functools.cached_property
+    def shared(self) -> tuple[int, tuple]:
+        """The template's field count under :func:`_fields`, and each
+        shared column's index and fields, the line ends' column and
+        column 0's final "" included; made when a file is first read."""
+        fields = _fields(self.template)
+        return len(fields), tuple(
+            (col, fields[col::self.width]) for col in range(self.width)
+            if col not in self.own)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(header: str, row: str, n: int, *columns: bytes) -> Layout:
+    """n rows of ``row``, whose ``%.17g`` fields take the float64
+    ``columns`` in order and whose ``%%.17g`` fields are each file's own.
+
+    Columns come as their bytes, so that two columns differing only in
+    the sign of a zero, which print differently, are two layouts."""
+    shared = np.column_stack([np.frombuffer(c) for c in columns]).ravel()
+    template = (row * n) % tuple(shared.tolist())
+    cells = row[:-1].split(",")
+    return Layout(header, template, len(cells) + 1,
+                  tuple(i for i, cell in enumerate(cells)
+                        if cell == "%%.17g"))
+
+
+def _bytes(column) -> bytes:
+    return np.ascontiguousarray(column, dtype=float).tobytes()
+
+
+def trajectory_layout(times: np.ndarray, kind: str, vw: np.ndarray,
+                      info: bool) -> Layout:
+    """The layout of a trajectory file of ``kind`` on ``times`` with
+    ``vw``: its own columns are the means, and with ``info`` the
+    information vector, else the info columns are nan."""
+    tail = "%%.17g,%%.17g" if info else "nan,nan"
+    return _layout(_TRAJECTORY_HEADER,
+                   "%.17g," + kind + ",%%.17g,%%.17g,%.17g," + tail + "\n",
+                   len(times), _bytes(times), _bytes(vw))
+
+
+def means_layout(times: np.ndarray) -> Layout:
+    """The layout of a truth dump (:func:`write_means_csv`) on ``times``."""
+    return _layout("t_s,x1,x2", "%.17g,%%.17g,%%.17g\n", len(times),
+                   _bytes(times))
+
+
+def _write_rows(path, layout: Layout, own) -> None:
+    """Write a file of ``layout`` whose own columns are the columns of
+    ``own``, 1-d or 2-d arrays of one length, in order."""
+    flat = np.column_stack(own).astype(float, copy=False).ravel()
+    with _open_w(path) as fh:
+        fh.write(layout.header + "\n")
+        fh.write(layout.template % tuple(flat.tolist()))
+
+
+# what float() reads in a field but np.loadtxt or str.splitlines reads
+# otherwise: digit-group underscores and every white space but "\n"
+_FOREIGN = ("_", " ", "\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def read_own_columns(layout: Layout, path) -> np.ndarray | None:
+    """The own columns, (rows, len(layout.own)), of a file that is exactly
+    what its writer makes at ``layout``: the same header, and every
+    shared field and line end as the layout prints it.  Returns None for
+    any other file, valid or not, so that the caller reads it with its
+    generic reader, which checks it and names what is wrong.
+
+    The own fields are parsed with float(), which gives the bits of
+    np.loadtxt on an ASCII field with neither underscores nor white
+    space; a file holding any of those is another file."""
+    header, _, body = Path(path).read_text().partition("\n")
+    if header != layout.header or not body.isascii() \
+            or any(c in body for c in _FOREIGN):
+        return None
+    fields = _fields(body)
+    width = layout.width
+    size, shared = layout.shared
+    if len(fields) != size or any(fields[col::width] != text
+                                  for col, text in shared):
+        return None
+    own: list = []
+    for col in layout.own:
+        own += fields[col::width]
+    try:
+        values = np.fromiter(map(float, own), float, len(own))
+    except ValueError:
+        return None
+    return values.reshape(len(layout.own), -1).T
+
+
+# ---------------------------------------------------------------------------
 # measurement records
 # ---------------------------------------------------------------------------
 
 def write_record_csv(rec: MeasurementRecord, path) -> None:
     """Columns t_s,i1,i2; efficiency and seed metadata are not stored."""
-    _write_table(path, "t_s,i1,i2", [
-        ("%.17g,%.17g,%.17g\n", (np.arange(rec.n) * rec.dt, *rec.currents.T))])
+    _write_rows(path, _layout("t_s,i1,i2", "%.17g,%%.17g,%%.17g\n", rec.n,
+                              _bytes(np.arange(rec.n) * rec.dt)),
+                (rec.currents,))
 
 
 def read_record_csv(path) -> MeasurementRecord:
@@ -158,14 +285,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     the retrofilter; the info columns carry the retrofilter's information
     vector and are nan otherwise.
     """
-    columns = [traj.times, traj.mean[:, 0], traj.mean[:, 1], traj.vw]
-    if traj.info is None:
-        # the all-NaN info columns, as %.17g would print them
-        row = "%.17g," + traj.kind + ",%.17g,%.17g,%.17g,nan,nan\n"
-    else:
-        row = "%.17g," + traj.kind + ",%.17g,%.17g,%.17g,%.17g,%.17g\n"
-        columns += [traj.info[:, 0], traj.info[:, 1]]
-    _write_table(path, _TRAJECTORY_HEADER, [(row, columns)])
+    info = traj.info is not None
+    own = (traj.mean, traj.info) if info else (traj.mean,)
+    _write_rows(path, trajectory_layout(traj.times, traj.kind, traj.vw, info),
+                own)
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -184,8 +307,7 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def write_means_csv(times: np.ndarray, means: np.ndarray, path) -> None:
     """Plain mean trajectories (ground truth dumps): t_s,x1,x2."""
-    _write_table(path, "t_s,x1,x2", [
-        ("%.17g,%.17g,%.17g\n", (times, means[:, 0], means[:, 1]))])
+    _write_rows(path, means_layout(times), (means,))
 
 
 def read_means_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -234,6 +356,9 @@ def write_consistency_csv(stats: EnsembleStats, path) -> None:
 
 
 def write_stats_json(stats: EnsembleStats, path) -> None:
+    # imported here: no other file stage writes JSON
+    import json
+
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n_records": stats.n_records,

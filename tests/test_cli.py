@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output routing, reproducibility."""
 
+import concurrent.futures
 import contextlib
 import io
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from lgqsmooth import pipeline, recordio
 from lgqsmooth.cli import main
+from lgqsmooth.config import parse_config
 from lgqsmooth.estimate import KINDS
 from lgqsmooth.ingest import RawTrace
 from lgqsmooth.smooth import TARGET_KINDS
@@ -176,15 +178,21 @@ def test_short_record_in_worker_pool_is_exit_one(cfg_path, tmp_path,
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_jobs_below_one_is_exit_one(cfg_path, tmp_path, capsys, jobs):
+    # the flag is rejected while the arguments are parsed; the library
+    # keeps its own check for other callers
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    code = main(["estimate", "--config", str(cfg_path),
-                 "--out-dir", str(out), "--jobs", jobs])
-    assert code == 1
-    assert f"lgqsmooth: error: estimate: jobs must be at least 1, got " \
-        f"{jobs}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--config", str(cfg_path),
+              "--out-dir", str(out), "--jobs", jobs])
+    assert exc.value.code == 1
+    assert f"argument --jobs: not a positive integer: {jobs!r}" \
+        in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"estimate: jobs must be at least "
+                                         f"1, got {jobs}"):
+        pipeline.stage_estimate(parse_config(cfg_path), out, jobs=int(jobs))
     assert not (out / "estimates").exists()
 
 
@@ -213,7 +221,8 @@ def test_worker_pool_never_exceeds_the_chunks(cfg_path, tmp_path,
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    # stage_estimate imports the executor only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert main(["estimate", "--config", str(cfg_path),
                  "--out-dir", str(out), "--jobs", "8"]) == 0
     assert asked == [3]
@@ -578,6 +587,85 @@ def test_corrupt_record_or_truth_is_exit_one(clean_run, rel, defect, cut, row,
     assert f"lgqsmooth: error: {victim}: " in err.getvalue(), err.getvalue()
 
 
+def _set_field(row: int, column: int, value: str):
+    """An edit of one field of a table's text; row 0 is the header."""
+    def edit(text: str) -> str:
+        lines = text.split("\n")
+        fields = lines[row].split(",")
+        fields[column] = value
+        lines[row] = ",".join(fields)
+        return "\n".join(lines)
+    return edit
+
+
+def _ulp_up(row: int, column: int):
+    def edit(text: str) -> str:
+        value = float(text.split("\n")[row].split(",")[column])
+        return _set_field(row, column,
+                          repr(float(np.nextafter(value, math.inf))))(text)
+    return edit
+
+
+def _wrap_row(row: int):
+    """Row ``row`` takes the next row's first field: 8 fields, then 6."""
+    def edit(text: str) -> str:
+        lines = text.split("\n")
+        first, rest = lines[row + 1].split(",", 1)
+        lines[row] += "," + first
+        lines[row + 1] = rest
+        return "\n".join(lines)
+    return edit
+
+
+# file -> an edit that makes it a file its writer never makes
+_UNWRITTEN = {
+    "truth/truth_00001.csv": _set_field(2, 0, "1e-06"),
+    "estimates/filtered_00001.csv":
+        lambda text: text.replace(",Filtered,", ",SmoothedTrue,"),
+    "smoothed/TrueState/smoothed_00002.csv": _ulp_up(10, 4),
+    "estimates/filtered_00003.csv": _set_field(3, 5, "0"),
+    "estimates/retro_00001.csv": _wrap_row(20),
+    "smoothed/Classical/smoothed_00000.csv": _set_field(7, 2, "1.5\n"),
+    "estimates/retro_00002.csv": _set_field(7, 6, "1_5"),
+    "estimates/retro_00003.csv": lambda text: text.replace("\n", "\r\n"),
+    "truth/truth_00002.csv": lambda text: text[:-1],
+}
+
+
+@pytest.mark.parametrize("rel", sorted(_UNWRITTEN))
+def test_unwritten_table_reads_as_the_generic_reader_reads_it(
+        clean_run, tmp_path, monkeypatch, rel):
+    # another spelling of a shared field, another kind, vw one ulp off, a
+    # number in a nan info column, a row boundary moved by one field, a
+    # line end or an underscore inside a number, CRLF line ends and no
+    # final line end: each stage gives the exit code, the error and the
+    # outputs of the generic readers alone
+    cfg, clean = clean_run
+    outcomes = []
+    for fast in (True, False):
+        if not fast:
+            monkeypatch.setattr(recordio, "read_own_columns",
+                                lambda layout, path: None)
+        out = tmp_path / f"run-{fast}"
+        shutil.copytree(clean, out)
+        shutil.rmtree(out / "analysis")
+        victim = out / rel
+        victim.write_bytes(
+            _UNWRITTEN[rel](victim.read_text()).encode())
+        for stage in ("smooth", "analyze") if rel.startswith("estimates") \
+                else ("analyze",):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([stage, "--config", str(cfg), "--out-dir",
+                             str(out)])
+            outcomes.append((stage, code, err.getvalue().replace(
+                str(out), "RUN")))
+        outcomes.append({str(p.relative_to(out)): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()})
+    half = len(outcomes) // 2
+    assert outcomes[:half] == outcomes[half:]
+
+
 def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
@@ -736,6 +824,36 @@ def test_nonfinite_demod_flag_is_exit_one(tmp_path, capsys, flags):
     assert not (tmp_path / "records").exists()
 
 
+BAD_FLAGS = {
+    # flag: (value, what the value is not)
+    "--order": ("0", "an integer from 2 to 8"),
+    "--omega-hz": ("-1", "a positive number"),
+    "--bw-hz": ("0", "a positive number"),
+    "--dt-us": ("-1", "a positive number"),
+    "--record-us": ("-5", "a positive number"),
+    "--discard-us": ("-0.5", "a nonnegative number"),
+    "--jobs": ("0", "a positive integer"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(BAD_FLAGS))
+def test_out_of_range_flag_is_exit_one(cfg_path, tmp_path, capsys, flag):
+    # rejected while the arguments are parsed, naming the flag and the
+    # value as typed, before any input is read or output written
+    value, what = BAD_FLAGS[flag]
+    if flag == "--jobs":
+        argv = ["estimate", "--config", str(cfg_path)]
+    else:
+        argv = ["demod", "--trace", str(tmp_path / "trace.bin"),
+                "--omega-hz", "1.04e6"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == 1
+    assert f"argument {flag}: not {what}: {value!r}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", "1.5"])
 def test_bad_inject_seed_is_exit_one(tmp_path, capsys, seed):
     # a seed is a nonnegative integer, as ensemble.base_seed in a config;
@@ -834,6 +952,24 @@ print(json.dumps({"loaded": loaded, "n": out.n,
     doc = json.loads(proc.stdout)
     assert doc == {"loaded": [], "n": 1500, "finite": True,
                    "after_demod": [], "crit_passed": True, "after_crit": []}
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # a file stage runs in one process: only estimate --jobs > 1 and the
+    # report import the modules that start and talk to other processes
+    import subprocess
+    import sys
+
+    script = """
+import sys
+import lgqsmooth.cli
+print(",".join(m for m in ("multiprocessing", "concurrent.futures")
+               if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_report_leaves_scipy_to_the_side_process(tmp_path):

@@ -336,9 +336,11 @@ def _blocked_sum(means, dt, max_lag):
 
 @pytest.mark.parametrize("n_records", [8, 100, 256, 257, 1000])
 def test_acf_blocked_matches_whole_transform(n_records):
-    # up to one 256-record block the transform is the whole-array one, so
-    # the bits match; past it pocketfft may round a row differently by its
-    # place in the batch, within the declared 1e-12 of the zero lag.  vacf
+    # up to one 256-record block the batch is the whole array, so the bits
+    # match; past it the whole-array reference multiplies the spectra in
+    # one larger batch, and numpy's complex product can round an element
+    # otherwise by its batch (the transforms themselves agree lane for
+    # lane), within the declared 1e-12 of the zero lag.  vacf batches and
     # normalizes the same sum
     rng = np.random.default_rng(n_records)
     dt = 1e-6

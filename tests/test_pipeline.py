@@ -232,6 +232,49 @@ def test_file_stages_match_stacked_kernels(run_dir, small_cfg):
     assert _same_bits(truth, ens.means)
 
 
+def test_own_columns_are_the_generic_readers_bits(run_dir, small_cfg):
+    # every trajectory and truth file of the run, read as its writer made
+    # it at the run's layout, gives the generic reader's arrays bit for bit
+    ep = effective_params(small_cfg.params)
+    times, closed = pipeline.run_grid(ep)
+    n_read = 0
+    for path in sorted(run_dir.rglob("*.csv")):
+        if path.parent.name == "truth":
+            own = recordio.read_own_columns(recordio.means_layout(times), path)
+            expected = recordio.read_means_csv(path)[1]
+        elif path.parent.name not in ("records", "analysis"):
+            traj = recordio.read_trajectory_csv(path)
+            retro = traj.kind == "Retrofiltered"
+            own = recordio.read_own_columns(recordio.trajectory_layout(
+                times, traj.kind, closed[traj.kind], retro), path)
+            expected = np.hstack([traj.mean, traj.info]) if retro \
+                else traj.mean
+        else:
+            continue
+        assert own is not None, path
+        assert _same_bits(own, expected), path
+        n_read += 1
+    assert n_read == small_cfg.n_records * 6
+
+
+def test_stacks_are_the_generic_readers_stacks(run_dir, small_cfg,
+                                              monkeypatch):
+    # the run's stacks read through the own columns and through the
+    # generic readers alone are the same bits
+    ep = effective_params(small_cfg.params)
+    args = (run_dir, small_cfg.n_records, ep, TARGET_KINDS)
+    fast = pipeline._load_stacks(*args, truth=True)
+    monkeypatch.setattr(recordio, "read_own_columns",
+                        lambda layout, path: None)
+    generic = pipeline._load_stacks(*args, truth=True)
+    assert fast[1].keys() == generic[1].keys()
+    for kind, (means, vw) in fast[1].items():
+        assert _same_bits(means, generic[1][kind][0]), kind
+        assert _same_bits(vw, generic[1][kind][1]), kind
+    assert _same_bits(fast[2], generic[2])
+    assert _same_bits(fast[3], generic[3])
+
+
 def _table(path) -> dict:
     """kind -> the float columns of an analysis CSV whose second column is
     the kind, parsed back from their %.17g text."""

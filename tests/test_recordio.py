@@ -335,6 +335,26 @@ def test_text_format_matches_per_value_reference(name, tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("first_zero", [0.0, -0.0])
+def test_shared_columns_differing_in_a_zeros_sign_print_apart(first_zero,
+                                                             tmp_path):
+    # vw arrays equal under == but not in their bytes print "0" and "-0";
+    # each file, whichever is written first, has its own vw's text
+    times = np.arange(4) * 1e-6
+    mean = np.arange(8.0).reshape(4, 2)
+    for zero in (first_zero, -first_zero):
+        vw = np.array([4.7, zero, 2.5, 1.0])
+        path = tmp_path / f"traj_{zero!r}.csv"
+        recordio.write_trajectory_csv(
+            Trajectory(times, mean, vw, "Filtered"), path)
+        assert path.read_text() == \
+            "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2\n" + "".join(
+                _line(times[k], "Filtered", *mean[k], vw[k], "nan", "nan")
+                for k in range(4))
+        assert path.read_text().split("\n")[2].split(",")[4] == \
+            format(zero, ".17g")
+
+
 MALFORMED = {
     # reader, header, good rows, a row cut short
     "trajectory": (recordio.read_trajectory_csv,
