@@ -22,9 +22,9 @@ call of a module-level block function, which returns only what its
 criteria read: probe columns, late-window squared errors and each
 record's velocity autocovariance.  The block function is mapped over the
 blocks' seeds: the report maps it with ``pool.map`` on a pool of two
-ensemble workers, after criterion 11, and runs criteria 7, 8 and 10 in a
-side process beside the pool; ``run_injection_study`` and the tests map
-it with the builtin ``map``, one block at a time in-process.
+ensemble workers, after criterion 11, and runs criteria 7 and 8 in its
+own process while the workers run; ``run_injection_study`` and the tests
+map it with the builtin ``map``, one block at a time in-process.
 The report's own process fills its arrays from the block results in
 record order and adds the autocovariances to running sums in that order,
 so its memory is flat in the record count apart from those slices, and
@@ -44,6 +44,7 @@ import functools
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -824,40 +825,73 @@ def _relax_rate(ep: EffectiveParams) -> float:
     return ep.gamma_eff * math.sqrt(1.0 + 16.0 * ep.eta_coop * ep.n_tot)
 
 
+def _rk4(rhs, y0: np.ndarray, h: np.ndarray, n_out: int,
+         steps: int) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta for the autonomous y' = rhs(y),
+    one fixed step h per element of y0: y at the start and after each of
+    n_out intervals of ``steps`` steps, stacked (n_out + 1, len(y0))
+    (Hairer, Norsett & Wanner, Solving ODEs I, 1993)."""
+    y, out = y0, [y0]
+    for _ in range(n_out):
+        for _ in range(steps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
 def _crit_riccati() -> CriterionResult:
-    from scipy.integrate import solve_ivp
-
     n_sets, rng = 100, np.random.default_rng(20240707)
-    worst = 0.0
-    for _ in range(n_sets):
-        ep = _random_effective(rng)
-        horizon = 6.0 / _relax_rate(ep)
-        ts = np.linspace(0.0, horizon, 41)
-        sol = solve_ivp(lambda t, y: [filter_riccati_rhs(y[0], ep)],
-                        (0.0, horizon), [ep.sigma2_uncon], t_eval=ts,
-                        method="LSODA", rtol=1e-10,
-                        atol=1e-12 * ep.sigma2_uncon)
-        ref = v_filter(ts, ep)
-        worst = max(worst, float(np.max(np.abs(sol.y[0] - ref) / ref)))
+    eps = [_random_effective(rng) for _ in range(n_sets)]
+    # the right-hand sides read only these, so arrays of them stack the sets
+    sets = SimpleNamespace(**{name: np.array([getattr(ep, name) for ep in eps])
+                              for name in ("gamma_eff", "n_tot", "eta_coop")})
+    horizon = np.array([6.0 / _relax_rate(ep) for ep in eps])
+    n_out, steps = 40, 10
 
-        # integrate the retro precision; its rate stays finite at w = 0
-        def w_rhs(t, y, ep=ep):
-            w = y[0]
-            if w <= 0.0:
-                return [2.0 * ep.gamma_eff * ep.eta_coop]
-            return [-(w * w) * retro_riccati_rhs(1.0 / w, ep)]
+    # both flows in precision form, where they relax at the Riccati rate
+    # with no fast transient; the retro precision's rate stays finite at
+    # w = 0
+    def p_rhs(p):
+        return -(p * p) * filter_riccati_rhs(1.0 / p, sets)
 
-        w_ss = retro_precision_ss(ep)
-        sol = solve_ivp(w_rhs, (0.0, horizon), [0.0], t_eval=ts,
-                        method="LSODA", rtol=1e-10, atol=1e-12 * w_ss)
-        ref = retro_precision(horizon - ts, horizon, ep)
-        err = np.abs(sol.y[0][1:] - ref[1:]) / ref[1:]
-        worst = max(worst, float(np.max(err)))
+    def w_rhs(w):
+        pos = w > 0.0
+        inv = 1.0 / np.where(pos, w, 1.0)
+        return np.where(pos, -(w * w) * retro_riccati_rhs(inv, sets),
+                        2.0 * sets.gamma_eff * sets.eta_coop)
+
+    p0 = 1.0 / np.array([ep.sigma2_uncon for ep in eps])
+
+    def flows(per_interval):
+        h = horizon / (n_out * per_interval)
+        v = 1.0 / _rk4(p_rhs, p0, h, n_out, per_interval)
+        w = _rk4(w_rhs, np.zeros(n_sets), h, n_out, per_interval)
+        # w(T) = 0 is exact, so the relative deviation starts one sample on
+        return v, w[1:]
+
+    def deviation(got, ref):
+        return max(float(np.max(np.abs(g - r) / r)) for g, r in zip(got, ref))
+
+    ts = np.linspace(0.0, horizon, n_out + 1)
+    v_ref = np.column_stack([v_filter(ts[:, j], ep)
+                             for j, ep in enumerate(eps)])
+    w_ref = np.column_stack([retro_precision(horizon[j] - ts[:, j],
+                                             horizon[j], ep)
+                             for j, ep in enumerate(eps)])[1:]
+    v, w = flows(steps)
+    worst = deviation((v, w), (v_ref, w_ref))
+    # RK4's error falls 16-fold when its step halves, so the change from
+    # a run at half the steps is 15 times the error of the finer run
+    est = deviation(flows(steps // 2), (v, w)) / 15.0
     ok = worst < 1e-6
     return CriterionResult(
         7, "closed forms against direct integration", ok,
         f"worst relative deviation {worst:.2e} over {n_sets} "
-        f"parameter sets (limit 1e-6)")
+        f"parameter sets (limit 1e-6); RK4 error estimate {est:.2e}")
 
 
 def _crit_physicality() -> CriterionResult:
@@ -963,59 +997,25 @@ def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
 DEFAULT_ETA_NEW = 0.10
 
 
-def _cross_checks(omega: float, conn) -> None:
-    """Criteria 7, 8 and 10, the report's cross-checks that read no
-    ensemble, in their own process.  Sends (results, None) through
-    ``conn``, or (None, (exception, its traceback text)) for the report's
-    process to raise."""
-    import traceback
-
-    try:
-        out = [_crit_riccati(), _crit_physicality(), _crit_demod(omega)], None
-    except Exception as exc:
-        out = None, (exc, traceback.format_exc())
-    conn.send(out)
-    conn.close()
-
-
-def _side_results(receive, side) -> list[CriterionResult]:
-    """The side process's results, once it has sent them and exited; its
-    exception is raised here, from its traceback."""
-    try:
-        cross, error = receive.recv()
-    except EOFError:
-        side.join()
-        raise RuntimeError(f"the side process exited with code "
-                           f"{side.exitcode} before sending its "
-                           f"results") from None
-    side.join()
-    if error is not None:
-        exc, trace = error
-        raise exc from RuntimeError(f"in the side process:\n{trace}")
-    return cross
-
-
 def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     """Run the full validation suite and return one result per criterion.
 
     Statistical checks reuse two shared ensembles: the main truth ensemble
     at the configured parameters and the reduced-efficiency injection
     study, each run in record blocks that leave only the slices their
-    criteria read.  Three processes share the work.  A side process runs
-    criteria 7, 8 and 10, which read neither ensemble.  A pool of two
-    ensemble workers runs criterion 11, its first task (``pool.submit``),
-    then every block of the study and of the main ensemble: each
-    ``pool.map`` submits all of its blocks at once, so that neither worker
-    idles while the other finishes, and this process reads the blocks in
-    record order and computes the rest.  No process forks while it runs a
-    second thread: the side process is a plain process started first, the
-    pool forks its workers at the first submit, before its own threads
-    start, and criterion 11's 2-worker pool starts inside an ensemble
-    worker, which runs one thread.  The record count and the
-    study's efficiency are checked before anything starts.  Seeds derive
-    from the configured base seed, so the report is reproducible.
+    criteria read.  A pool of two ensemble workers runs criterion 11, its
+    first task (``pool.submit``), then every block of the study and of the
+    main ensemble: each ``pool.map`` submits all of its blocks at once, so
+    that neither worker idles while the other finishes.  Meanwhile this
+    process runs criteria 7 and 8, which read neither ensemble, then reads
+    the blocks in record order and computes the rest.  No process forks
+    while it runs a second thread: the pool forks its workers at its first
+    submit, before its own threads start, and criterion 11's 2-worker pool
+    starts inside an ensemble worker, which runs one thread.  The record
+    count, the study's efficiency and the carrier, through criterion 10,
+    are checked before the pool starts.  Seeds derive from the configured
+    base seed, so the report is reproducible.
     """
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     ep = effective_params(cfg.params)
@@ -1029,12 +1029,7 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
                          f"{given} must be in (0, params.eta = "
                          f"{cfg.params.eta:g}]")
     omega = cfg.params.omega if cfg.params.omega > 0 else 2.0 * math.pi * 1.04e6
-    log("report: cross-checking closed forms, physicality bounds and "
-        "demodulation in a side process")
-    receive, send = multiprocessing.Pipe(duplex=False)
-    side = multiprocessing.Process(target=_cross_checks, args=(omega, send))
-    side.start()
-    send.close()
+    demod = _crit_demod(omega)
     pool = ProcessPoolExecutor(max_workers=2)
     try:
         results = [_crit_filter_ss(ep), _crit_t0_ratios(ep),
@@ -1048,6 +1043,9 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
                                       cfg.base_seed + 2_000_003)
         collect_main = _submit_main(pool.map, ep, cfg.n_records,
                                     cfg.base_seed)
+        log("report: cross-checking closed forms and physicality bounds "
+            "while the workers run")
+        riccati, physicality = _crit_riccati(), _crit_physicality()
 
         study = collect_study()
         results.append(_crit_injection(study))
@@ -1064,16 +1062,10 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
         del arrays
         _log_peak_rss("main ensemble")
 
-        riccati, physicality, demod = _side_results(receive, side)
-        _log_peak_rss("cross-checks", children="side process")
         results += [riccati, physicality, crit_vacf, demod,
                     reproducible.result()]
     finally:
         pool.shutdown(cancel_futures=True)
-        if side.is_alive():
-            side.terminate()
-        side.join()
-        receive.close()
     _log_peak_rss("reproducibility", children="largest child process")
     return results
 

@@ -92,15 +92,6 @@ def test_report_criterion(report, index):
     _line(index, r.passed, f"{r.title}: {r.detail}")
 
 
-def test_side_process_criteria_equal_direct_calls(report, ref_params):
-    # criteria 7, 8 and 10 come back from the report's side process; the
-    # same functions called here give the same result, field for field
-    direct = {7: pipeline._crit_riccati(), 8: pipeline._crit_physicality(),
-              10: pipeline._crit_demod(ref_params.omega)}
-    for index, r in direct.items():
-        assert dataclasses.asdict(report[index]) == dataclasses.asdict(r)
-
-
 # ---------------------------------------------------------------------------
 # independent cross-checks
 # ---------------------------------------------------------------------------

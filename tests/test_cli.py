@@ -928,7 +928,7 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     script = """
 import json, math, sys
 import lgqsmooth.cli
-loaded = [m for m in ("scipy.signal", "scipy.integrate") if m in sys.modules]
+loaded = [m for m in ("scipy.signal",) if m in sys.modules]
 import numpy as np
 from lgqsmooth.ingest import demodulate
 from lgqsmooth.simulate import MeasurementRecord, synthesize_raw
@@ -972,22 +972,30 @@ print(",".join(m for m in ("multiprocessing", "concurrent.futures")
     assert proc.stdout == "\n"
 
 
-def test_report_leaves_scipy_to_the_side_process(tmp_path):
+def test_report_runs_without_scipy(tmp_path):
     import json
     import subprocess
     import sys
 
-    # criteria 7, 8 and 10 are the report's only scipy users; they run in
-    # the side process, so the report's own process never imports scipy
+    # numpy is the only runtime dependency: with every scipy import made
+    # to fail, in the report's process and in the workers it forks, the
+    # report still computes all 11 criteria
     script = f"""
 import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is not installed here")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
 from lgqsmooth import pipeline
 from lgqsmooth.config import parse_config_text
 cfg = parse_config_text({CONFIG!r})
 results = pipeline.acceptance_report(cfg)
 print(json.dumps({{
-    "loaded": [m for m in ("scipy.signal", "scipy.integrate")
-               if m in sys.modules],
+    "loaded": [m for m in sys.modules if m.split(".")[0] == "scipy"],
     "indices": [r.index for r in results]}}))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -996,12 +1004,13 @@ print(json.dumps({{
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc == {"loaded": [], "indices": list(range(1, 12))}
-    assert "side process" in proc.stderr
 
 
-def test_side_criterion_error_is_exit_one(cfg_path, tmp_path, capsys):
-    # a 2 MHz carrier cannot be sampled at criterion 10's 5 MHz, so the
-    # side process raises, and the report fails as an input error
+def test_bad_carrier_is_exit_one_before_the_ensembles(cfg_path, tmp_path,
+                                                      capsys):
+    # a 2 MHz carrier cannot be sampled at criterion 10's 5 MHz, so
+    # criterion 10 raises before the pool starts, and the report fails as
+    # an input error without running either ensemble
     cfg_path.write_text(CONFIG.replace("omega_hz = 1.04e6", "omega_hz = 2e6"))
     code = main(["report", "--config", str(cfg_path),
                  "--out-dir", str(tmp_path / "rep")])
@@ -1010,6 +1019,8 @@ def test_side_criterion_error_is_exit_one(cfg_path, tmp_path, capsys):
     assert captured.out == ""
     assert "lgqsmooth: error: fs must exceed four times the carrier " \
         "frequency" in captured.err
+    assert "running the reduced-efficiency injection study" \
+        not in captured.err
 
 
 def _failing_block(*args):
@@ -1021,7 +1032,7 @@ def test_failing_pooled_block_is_exit_two(cfg_path, tmp_path, capsys,
                                           monkeypatch):
     # a main-ensemble block that raises in a pool worker fails the report
     # as a numerical error, prints no table, and leaves no child process:
-    # the pool and the side process are both joined
+    # the pool is joined
     monkeypatch.setattr(pipeline, "_main_block", _failing_block)
     code = main(["report", "--config", str(cfg_path),
                  "--out-dir", str(tmp_path / "rep")])
@@ -1036,7 +1047,7 @@ def test_report_checks_default_injection_efficiency_first(cfg_path, tmp_path,
                                                           capsys):
     # without [noise_injection] the study runs at eta_new = 0.10, which a
     # 0.05 detector cannot reach; the report says so before it starts
-    # the side process or the study
+    # the cross-checks or the study
     cfg_path.write_text(CONFIG.replace("eta = 0.38", "eta = 0.05"))
     code = main(["report", "--config", str(cfg_path),
                  "--out-dir", str(tmp_path / "rep")])
@@ -1045,7 +1056,7 @@ def test_report_checks_default_injection_efficiency_first(cfg_path, tmp_path,
     assert captured.out == ""
     assert "noise_injection.eta_new = 0.1 (its default) must be in " \
         "(0, params.eta = 0.05]" in captured.err
-    assert "side process" not in captured.err
+    assert "cross-checking" not in captured.err
     assert "running the reduced-efficiency injection study" \
         not in captured.err
 
@@ -1059,4 +1070,4 @@ def test_report_refuses_one_record(cfg_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "report: ensemble.n_records = 1" in captured.err
-    assert "side process" not in captured.err
+    assert "cross-checking" not in captured.err

@@ -455,8 +455,8 @@ def test_pooled_ensembles_match_in_process_bits(ref_ep):
 def test_report_forks_only_single_threaded_processes(small_cfg, monkeypatch):
     # a process that forks while another of its threads holds a lock can
     # hand the child a lock nobody releases; Python 3.12 warns about such a
-    # fork.  The report's side process and its ensemble pool's workers fork
-    # from the report's one thread, and criterion 11's pool from a worker.
+    # fork.  The report's ensemble pool's workers fork from the report's
+    # one thread, and criterion 11's pool from a worker.
     # os.fork swallows its warning even under an "error" filter, so the
     # warnings are recorded, and each fork, in this process or a worker,
     # first checks that its process runs one thread
@@ -499,6 +499,27 @@ def test_undefined_pull_fails_criterion_4(ref_ep):
     assert not res.passed
 
 
+def test_criterion_7_reads_the_closed_forms_not_the_integrator():
+    # RK4's own error is near 1e-10, four orders below the 1e-6 limit
+    res = pipeline._crit_riccati()
+    assert res.passed
+    words = res.detail.split()
+    assert float(words[3]) <= 1e-9
+    # "error estimate <value>" closes the detail
+    assert words[-3:-1] == ["error", "estimate"]
+    assert float(words[-1]) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["v_filter", "retro_precision"])
+def test_criterion_7_catches_a_closed_form_error(name, monkeypatch):
+    # the flows are integrated through the model's right-hand sides, not
+    # the closed forms, so a 2e-6 relative error in either one fails it
+    closed = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name,
+                        lambda *args: closed(*args) * (1.0 + 2e-6))
+    assert not pipeline._crit_riccati().passed
+
+
 def test_peak_rss_matches_kernel_high_water_mark():
     status = Path("/proc/self/status")
     if not status.is_file():
@@ -522,12 +543,13 @@ def test_report_phase_logs_peak_rss(capsys):
     assert float(line.split()[-2]) > 0
 
 
-def test_cross_check_phase_logs_side_process_peak_rss(capsys):
-    pipeline._log_peak_rss("cross-checks", children="side process")
+def test_reproducibility_phase_logs_largest_child_peak_rss(capsys):
+    pipeline._log_peak_rss("reproducibility",
+                           children="largest child process")
     line = capsys.readouterr().err.strip()
-    assert line.startswith("report: cross-checks done, peak RSS ")
-    own, side = line.split(", side process ")
+    assert line.startswith("report: reproducibility done, peak RSS ")
+    own, child = line.split(", largest child process ")
     assert float(own.split()[-2]) > 0
-    assert side.endswith(" MB")
-    assert float(side.split()[0]) == pytest.approx(
+    assert child.endswith(" MB")
+    assert float(child.split()[0]) == pytest.approx(
         pipeline.peak_rss_mb(children=True), abs=0.05)
