@@ -27,7 +27,13 @@ so no retrofiltered quantity is ever stored as an unbounded variance.
 
 Both are first-order affine recurrences over stacked records (leading
 axis = ensemble member) run by :func:`lgqsmooth.simulate._affine_recurrence`,
-the retrofilter's on time-reversed views.
+the retrofilter's on time-reversed views.  The arrays stay record-major,
+(N, n+1, 2); the recurrence steps a stack time-major inside the kernel, in
+chunks of 64 steps moved as (x1, x2) pair copies, with the bits of the
+step-by-step loop.  Per-sample factors (gain, precision, copy masks) are
+applied pair-wide, as (n, 2) arrays with each value repeated for both
+quadratures (:func:`_pair_wide`), so no operand is broadcast along the
+trailing axis of 2.
 """
 
 from __future__ import annotations
@@ -111,6 +117,13 @@ def _check_record(rec: MeasurementRecord, ep: EffectiveParams, module: str) -> N
 # Stacked primitives (leading axis = ensemble member)
 # ---------------------------------------------------------------------------
 
+def _pair_wide(x: np.ndarray) -> np.ndarray:
+    """Per-sample values (n,) as (n, 2), each repeated for both
+    quadratures: a contiguous operand for (..., n, 2) pairs, where
+    ``x[:, None]`` would be broadcast along their axis of 2."""
+    return np.repeat(x, 2).reshape(-1, 2)
+
+
 def filter_means(currents: np.ndarray, ep: EffectiveParams, v: np.ndarray,
                  m0: np.ndarray) -> np.ndarray:
     """Mean recursion over stacked records: (N, n, 2) -> (N, n+1, 2)."""
@@ -122,7 +135,7 @@ def filter_means(currents: np.ndarray, ep: EffectiveParams, v: np.ndarray,
     means = np.empty((currents.shape[0], n + 1, 2))
     means[:, 0] = m0
     np.multiply(currents, dt, out=means[:, 1:])
-    means[:, 1:] *= gain[:, None]
+    means[:, 1:] *= _pair_wide(gain)
     return _affine_recurrence(f - gain * (g * dt), means)
 
 
@@ -166,7 +179,8 @@ def effect_means(w: np.ndarray, z: np.ndarray, ep: EffectiveParams) -> np.ndarra
     """z/w, NaN where it is not :func:`effect_defined`."""
     # divided in place where defined, so a stack makes no masked copies
     out = np.full(z.shape, np.nan)
-    np.divide(z, w[:, None], out=out, where=effect_defined(w, ep)[:, None])
+    np.divide(z, _pair_wide(w), out=out,
+              where=_pair_wide(effect_defined(w, ep)))
     return out
 
 

@@ -43,6 +43,10 @@ from .model import EffectiveParams
 _TRUE_COLS = 6       # observed pair, unobserved optical pair, thermal pair
 _SURR_COLS = 4       # process pair, measurement pair
 
+# time steps per chunk of the stacked recurrence: 16 to 128 run equally
+# fast on (256, 751, 2); the chunk buffer stays cache-sized
+_CHUNK = 64
+
 
 class NumericalError(ValueError):
     """Numerical failure or non-finite value; the message names the sample."""
@@ -189,10 +193,16 @@ def _affine_recurrence(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``y[:, k+1] = a[k] y[:, k] + y[:, k+1]`` for k < n, in place.
 
     ``y`` (N, n+1, 2) holds the start, then the offsets; it may be a
-    time-reversed view.  One record is recursed on Python floats, read and
-    written through a memoryview, with the same IEEE operations as a
-    stacked row, so its bits are that row's.  Strictly sequential, so no
-    bit depends on where a block starts.
+    time-reversed view.  A stack is recursed time-major, in chunks of
+    ``_CHUNK`` steps: each chunk's samples are copied, as one complex128
+    per (x1, x2) pair, into an (m+1, N) buffer whose step k is contiguous
+    across records, stepped there, and copied back.  The pair view is only
+    ever copied, and each element sees the step it would see in place, so
+    the bits are those of the record-major loop.  One record is recursed
+    on Python floats, read and written through a memoryview, with the same
+    IEEE operations as a stacked row, so its bits are that row's.
+    Strictly sequential, so no bit depends on where a block or a chunk
+    starts.
     """
     if y.shape[0] == 1:
         # a view of y unless y is reversed; then a copy, written back below
@@ -207,8 +217,20 @@ def _affine_recurrence(a: np.ndarray, y: np.ndarray) -> np.ndarray:
             j += 2
         y[0] = row.reshape(-1, 2)
         return y
-    for k in range(a.shape[0]):
-        y[:, k + 1] += a[k] * y[:, k]
+    n = a.shape[0]
+    # the last axis stays contiguous in a reversed view, so pairs are too
+    pairs = y.view(np.complex128)[..., 0]
+    buf = np.empty((min(n, _CHUNK) + 1, y.shape[0]), np.complex128)
+    # a chunk's step j as one contiguous float64 row over all records
+    rows = list(buf.view(np.float64))
+    step = np.empty_like(rows[0])
+    for k0 in range(0, n, _CHUNK):
+        m = min(n - k0, _CHUNK)
+        buf[:m + 1] = pairs[:, k0:k0 + m + 1].T
+        for c, prev, cur in zip(a[k0:k0 + m].tolist(), rows, rows[1:]):
+            np.multiply(prev, c, out=step)
+            cur += step
+        pairs[:, k0 + 1:k0 + m + 1] = buf[1:m + 1].T
     return y
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import Trajectory
+from .estimate import Trajectory, _pair_wide
 from .model import EffectiveParams, v_filter_ss
 
 TARGET_KINDS = ("LTLFiltered", "TrueState", "Classical")
@@ -98,14 +98,17 @@ def combine_arrays(v_f: np.ndarray, m_f: np.ndarray, w: np.ndarray,
                    z: np.ndarray, v_tar: float) -> tuple[np.ndarray, np.ndarray]:
     """Smoothing combination on bare arrays (means may be stacked).
 
-    v_f, w: (n,); m_f, z: (..., n, 2).  Samples with w = 0, and samples
-    where the filter has converged onto the target (v_F - v_tar below
-    SINGULARITY_EPS relative), copy the filtered state verbatim: both are
-    the exact limits of the combination.
+    v_f, w: (n,); m_f, z: (n, 2) or both (N, n, 2).  Samples with w = 0,
+    and samples where the filter has converged onto the target (v_F - v_tar
+    below SINGULARITY_EPS relative), copy the filtered state verbatim: both
+    are the exact limits of the combination.  The per-sample terms are
+    applied pair-wide, in the order p_S (info_F m_F + z / (1 + w v_tar)).
     """
     copy, info_f, denom, p_s, v_s = _terms(v_f, w, v_tar)
-    m_s = p_s[..., :, None] * (info_f[..., :, None] * m_f + z / denom[..., :, None])
-    m_s = np.where(copy[..., :, None], m_f, m_s)
+    m_s = m_f * _pair_wide(info_f)
+    m_s += z / _pair_wide(denom)
+    m_s *= _pair_wide(p_s)
+    np.copyto(m_s, m_f, where=_pair_wide(copy))
     return v_s, m_s
 
 

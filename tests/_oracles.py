@@ -12,7 +12,11 @@ report's main ensemble, whose kept slices the record-blocked one must
 reproduce.
 The filter and retrofilter recursions are kept in their per-sample forms:
 the retrofilter's reproduces the package's bits, the filter's bounds the
-rounding of the package's factor-and-offset form.
+rounding of the package's factor-and-offset form.  The stacked kernels
+are also kept as they were first written, record-major with per-sample
+factors broadcast as ``x[:, None]`` and one stacked step per sample; the
+package's time-major chunks and pair-wide factors must reproduce their
+bits.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from lgqsmooth.estimate import (
+    effect_defined,
     effect_means,
     filter_grid,
     filter_means,
@@ -33,7 +38,7 @@ from lgqsmooth.estimate import (
 from lgqsmooth.metrics import _ACF_BLOCK
 from lgqsmooth.model import EffectiveParams, v_filter_ss
 from lgqsmooth.simulate import derive_record_seeds, simulate_truth_ensemble
-from lgqsmooth.smooth import combine_arrays
+from lgqsmooth.smooth import _terms, combine_arrays
 
 
 def gaussian_hs_sq(a: tuple, b: tuple) -> float:
@@ -162,6 +167,65 @@ def retro_info_reference(currents: np.ndarray, ep: EffectiveParams,
         decay = 1.0 - (half_g + drift * w[k + 1]) * dt
         z[:, k] = decay * z[:, k + 1] + g * currents[:, k] * dt
     return z
+
+
+def affine_recurrence_loop(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y[:, k+1] += a[k] y[:, k]`` for k < n, one stacked step at a time
+    on the (N, n+1, 2) array as it lies, in place."""
+    for k in range(a.shape[0]):
+        y[:, k + 1] += a[k] * y[:, k]
+    return y
+
+
+def filter_means_broadcast(currents: np.ndarray, ep: EffectiveParams,
+                           v: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """The package's filter mean recursion, with the gain broadcast and
+    the recurrence stepped record-major."""
+    n = currents.shape[1]
+    dt = ep.dt
+    f = math.exp(-ep.gamma_eff * dt / 2.0)
+    g = math.sqrt(ep.meas_rate)
+    gain = g * v[:n]
+    means = np.empty((currents.shape[0], n + 1, 2))
+    means[:, 0] = m0
+    np.multiply(currents, dt, out=means[:, 1:])
+    means[:, 1:] *= gain[:, None]
+    return affine_recurrence_loop(f - gain * (g * dt), means)
+
+
+def retro_info_broadcast(currents: np.ndarray, ep: EffectiveParams,
+                         w: np.ndarray) -> np.ndarray:
+    """The package's information-vector recursion, stepped record-major
+    on the time-reversed view."""
+    n = currents.shape[1]
+    dt = ep.dt
+    g = math.sqrt(ep.meas_rate)
+    decay = 1.0 - (ep.gamma_eff / 2.0
+                   + 2.0 * ep.gamma_eff * ep.n_tot * w[1:n + 1]) * dt
+    z = np.empty((currents.shape[0], n + 1, 2))
+    z[:, n] = 0.0
+    np.multiply(currents, g, out=z[:, :n])
+    z[:, :n] *= dt
+    affine_recurrence_loop(decay[::-1], z[:, ::-1])
+    return z
+
+
+def effect_means_broadcast(w: np.ndarray, z: np.ndarray,
+                           ep: EffectiveParams) -> np.ndarray:
+    """z/w with w and the defined mask broadcast, NaN where undefined."""
+    out = np.full(z.shape, np.nan)
+    np.divide(z, w[:, None], out=out, where=effect_defined(w, ep)[:, None])
+    return out
+
+
+def combine_arrays_broadcast(v_f: np.ndarray, m_f: np.ndarray, w: np.ndarray,
+                             z: np.ndarray, v_tar: float
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """The smoothing combination with each per-sample term broadcast:
+    p_S (info_F m_F + z / (1 + w v_tar)), m_F where the mask copies."""
+    copy, info_f, denom, p_s, v_s = _terms(v_f, w, v_tar)
+    m_s = p_s[:, None] * (info_f[:, None] * m_f + z / denom[:, None])
+    return v_s, np.where(copy[:, None], m_f, m_s)
 
 
 def injection_study_whole(ep: EffectiveParams, eta_new: float,

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -46,7 +46,13 @@ from lgqsmooth.simulate import (
     simulate_truth_ensemble,
 )
 
-from _oracles import filter_means_reference, retro_info_reference
+from _oracles import (
+    effect_means_broadcast,
+    filter_means_broadcast,
+    filter_means_reference,
+    retro_info_broadcast,
+    retro_info_reference,
+)
 
 
 def make_record(ep, seed=0, n=None):
@@ -387,12 +393,21 @@ def _same_bits(a, b):
 
 @st.composite
 def _stacked_currents(draw):
-    n_rec = draw(st.integers(1, 3))
-    n = draw(st.integers(0, 40))
+    # up to 200 samples: the stacked recurrence's 64-step chunks end
+    # mid-record, on a record's last step and past it
+    n_rec = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 200))
     value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     currents = draw(hnp.arrays(float, (n_rec, n, 2), elements=value))
     m0 = draw(hnp.arrays(float, (n_rec, 2), elements=value))
     return currents, m0
+
+
+def _edge(n):
+    """Three records of n samples: none, one, or a chunk boundary at,
+    just before or just after the last step (64-step chunks)."""
+    rng = np.random.default_rng(n)
+    return rng.normal(0.0, 1e3, (3, n, 2)), rng.normal(0.0, 1e3, (3, 2))
 
 
 def _start_and_kicks(m0, kicks):
@@ -405,6 +420,12 @@ def _start_and_kicks(m0, kicks):
 
 @settings(max_examples=80, deadline=None)
 @given(_stacked_currents())
+@example(_edge(0))
+@example(_edge(1))
+@example(_edge(63))
+@example(_edge(64))
+@example(_edge(65))
+@example(_edge(129))
 def test_single_record_matches_stacked_rows_property(ref_ep, data):
     # a one-record call recurses on Python floats; its bits must equal the
     # corresponding row of the stacked loop, for the filter, the
@@ -446,3 +467,45 @@ def test_per_record_runs_match_stacked_rows(ref_ep):
         rec = ens.record(i)
         assert _same_bits(run_filter(rec, ref_ep).mean, m_all[i])
         assert _same_bits(run_retrofilter(rec, ref_ep).info, z_all[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacked_currents())
+@example(_edge(0))
+@example(_edge(64))
+@example(_edge(129))
+def test_stacked_kernels_match_broadcast_oracles_property(ref_ep, data):
+    # the time-major chunks and pair-wide factors keep the bits of the
+    # record-major loop with broadcast factors, stacked and for one
+    # record, and the effect mean's mask wherever w has holes
+    currents, m0 = data
+    n = currents.shape[1]
+    _, v = filter_grid(ref_ep, n)
+    _, w = retro_grid(ref_ep, n)
+    for rows in (slice(None), slice(0, 1)):
+        c = currents[rows]
+        assert _same_bits(filter_means(c, ref_ep, v, m0[rows]),
+                          filter_means_broadcast(c, ref_ep, v, m0[rows]))
+        assert _same_bits(retro_info(c, ref_ep, w),
+                          retro_info_broadcast(c, ref_ep, w))
+    z = retro_info(currents, ref_ep, w)
+    holes = w.copy()
+    holes[::3] = 0.0
+    for w_k in (w, holes):
+        for z_k in (z, z[0]):
+            assert _same_bits(effect_means(w_k, z_k, ref_ep),
+                              effect_means_broadcast(w_k, z_k, ref_ep))
+
+
+def test_ensemble_kernels_match_broadcast_oracles(ref_ep, main_truth,
+                                                  filtered_ensemble,
+                                                  retro_ensemble):
+    # the report's block size and record length, many chunks deep
+    _, v, means = filtered_ensemble
+    _, w, z = retro_ensemble
+    c = main_truth.currents[:256]
+    m0 = np.zeros((256, 2))
+    assert _same_bits(means[:256], filter_means_broadcast(c, ref_ep, v, m0))
+    assert _same_bits(z[:256], retro_info_broadcast(c, ref_ep, w))
+    assert _same_bits(effect_means(w, z[:256], ref_ep),
+                      effect_means_broadcast(w, z[:256], ref_ep))

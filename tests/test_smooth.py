@@ -43,6 +43,7 @@ from lgqsmooth.simulate import (
 )
 
 from conftest import random_effective_params
+from _oracles import combine_arrays_broadcast
 
 # frozen reference values at the reference parameters, 750 us record
 VS0_LTL = 13.191414778285022
@@ -104,6 +105,48 @@ def test_smoothed_variance_is_combine_arrays_bitwise(case):
         one = smoothed_variance(vf_k, w_k, v_tar)
         assert type(one) is float
         assert np.float64(one).tobytes() == v_s[k].tobytes()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples(), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_combine_arrays_matches_broadcast_oracle(case, n_rec, seed):
+    # pair-wide terms keep the bits of the broadcast formula for one
+    # (n, 2) mean and a stack of them, copied samples included: w = 0, and
+    # v_F on or inside the SINGULARITY_EPS band around v_tar
+    v_tar, samples = case
+    v_f, w = (np.array(col) for col in zip(*samples))
+    shape = (n_rec, v_f.shape[0], 2) if n_rec else (v_f.shape[0], 2)
+    rng = np.random.default_rng(seed)
+    m_f, z = rng.normal(0.0, 10.0, shape), rng.normal(0.0, 10.0, shape)
+    v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
+    v_o, m_o = combine_arrays_broadcast(v_f, m_f, w, z, v_tar)
+    assert _same_bits(v_s, v_o) and _same_bits(m_s, m_o)
+
+
+@pytest.mark.parametrize("kind", ["LTLFiltered", "TrueState", "Classical"])
+def test_combine_arrays_matches_broadcast_oracle_on_a_block(ref_ep, kind):
+    # a block of filtered and retrofiltered records at each target; the
+    # final sample (w = 0) copies, and so do LTL samples forced onto the
+    # band around v_F_ss
+    ens = simulate_truth_ensemble(ref_ep, ref_ep.record_duration, 16,
+                                  base_seed=4411)
+    _, v_f, w, m_f, z = _estimate_stack(ref_ep, ens.currents)
+    v_tar = TargetSpec.of(kind, ref_ep).v_tar
+    if kind == "LTLFiltered":
+        v_f = v_f.copy()
+        v_f[100::50] = v_tar * (1.0 + SINGULARITY_EPS / 2)
+    for m, zz in ((m_f, z), (m_f[5], z[5])):
+        v_s, m_s = combine_arrays(v_f, m, w, zz, v_tar)
+        v_o, m_o = combine_arrays_broadcast(v_f, m, w, zz, v_tar)
+        assert _same_bits(v_s, v_o) and _same_bits(m_s, m_o)
+    assert np.array_equal(m_s[-1], m_f[5, -1])
+    if kind == "LTLFiltered":
+        assert np.array_equal(m_s[100::50], m_f[5, 100::50])
 
 
 def test_alignment_and_kind_checks(ref_ep):
