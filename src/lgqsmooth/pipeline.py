@@ -134,13 +134,21 @@ def peak_rss_mb(children: bool = False) -> float:
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
-def run_grid(ep: EffectiveParams) -> tuple[np.ndarray, dict]:
+def _filter_and_retro_grid(ep: EffectiveParams):
     """A run's trajectory time grid, from the configured record length and
-    sample period, and kind -> closed-form vw on it: the covariance of each
-    state kind and the precision of Retrofiltered."""
+    sample period, with the filter's covariance and the retrofilter's
+    precision on it: times, v_f, w."""
     n = _n_steps(ep, ep.record_duration)
     times, v_f = filter_grid(ep, n)
     _, w = retro_grid(ep, n)
+    return times, v_f, w
+
+
+def run_grid(ep: EffectiveParams) -> tuple[np.ndarray, dict]:
+    """A run's trajectory time grid (:func:`_filter_and_retro_grid`) and
+    kind -> closed-form vw on it: the covariance of each state kind and the
+    precision of Retrofiltered."""
+    times, v_f, w = _filter_and_retro_grid(ep)
     closed = {"Filtered": v_f, "Retrofiltered": w}
     for target in TARGET_KINDS:
         closed[_TRAJ_KIND[target]] = smoothed_variance(
@@ -190,30 +198,13 @@ def _indexed_paths(directory: Path, stem: str, ext: str,
     return paths
 
 
-def _read_record_csv_on(layout: recordio.Layout, dt: float,
-                        path: Path) -> MeasurementRecord:
-    """A record file that is exactly what the record writer makes at
-    ``layout``, a grid of sample period ``dt``, with only its currents
-    parsed; any other file through :func:`recordio.read_record_csv` and
-    its checks."""
-    own = recordio.read_own_columns(layout, path)
-    if own is None:
-        return recordio.read_record_csv(path)
-    return recordio._named(path, MeasurementRecord, dt=dt,
-                           currents=np.ascontiguousarray(own))
-
-
-def load_records(directory: Path, n: int | None = None,
-                 grid: tuple[int, float] | None = None
+def load_records(directory: Path, n: int | None = None
                  ) -> tuple[list[Path], list[MeasurementRecord]]:
     """Read ``record_00000`` to ``record_<n-1>`` from a directory, the
     ``.bin`` files where there are any, else the ``.csv`` files.
 
     Each format present must hold exactly those files; without ``n``, n
-    runs to the largest index in either format.  With ``grid``, the
-    (samples, dt) of the run's records, a CSV file written on that grid
-    has only its currents parsed; its time column then gives the dt that
-    :func:`recordio.read_record_csv` would give.  Returns the paths read
+    runs to the largest index in either format.  Returns the paths read
     and their records, in index order."""
     directory = Path(directory)
     exts = [ext for ext in ("bin", "csv")
@@ -223,14 +214,8 @@ def load_records(directory: Path, n: int | None = None,
     if n is None:
         n = max(len(_indexed_paths(directory, "record", ext)) for ext in exts)
     paths = [_indexed_paths(directory, "record", ext, n) for ext in exts][0]
-    if exts[0] == "bin":
-        read = recordio.read_record_bin
-    elif grid is None or grid[0] < 2:
-        # the generic reader's time check needs two samples
-        read = recordio.read_record_csv
-    else:
-        read = functools.partial(_read_record_csv_on,
-                                 recordio.record_layout(*grid), grid[1])
+    read = recordio.read_record_bin if exts[0] == "bin" \
+        else recordio.read_record_csv
     return paths, [read(p) for p in paths]
 
 
@@ -377,8 +362,7 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
         raise ValueError(f"estimate: jobs must be at least 1, got {jobs}")
     ep = effective_params(cfg.params)
     n = _n_steps(ep, ep.record_duration)
-    paths, records = load_records(base_dir / "records", cfg.n_records,
-                                  (n, ep.dt))
+    paths, records = load_records(base_dir / "records", cfg.n_records)
     for path, rec in zip(paths, records):
         _check_record(rec, ep, str(path))
         if rec.n != n:
@@ -926,10 +910,9 @@ def _crit_physicality() -> CriterionResult:
         horizon = 8.0 / _relax_rate(ep)
         ep = dataclasses.replace(ep, record_duration=horizon,
                                  dt=horizon / 480.0)
-        # SmoothedTrue's closed form on run_grid's grid, the only kind read
-        n = _n_steps(ep, horizon)
-        v_s = smoothed_variance(filter_grid(ep, n)[1], retro_grid(ep, n)[1],
-                                TargetSpec.of("TrueState", ep).v_tar)
+        # run_grid's SmoothedTrue, the only kind read, without the others
+        _, v_f, w = _filter_and_retro_grid(ep)
+        v_s = smoothed_variance(v_f, w, TargetSpec.of("TrueState", ep).v_tar)
         min_vs = min(min_vs, float(v_s.min()))
     quantum_ok = min_vs >= 1.0 - 1e-9
 

@@ -184,13 +184,6 @@ def trajectory_layout(times: np.ndarray, kind: str, vw: np.ndarray,
                    len(times), _bytes(times), _bytes(vw))
 
 
-def record_layout(n: int, dt: float) -> Layout:
-    """The layout of a record file (:func:`write_record_csv`) of n samples
-    at the sample period dt: its own columns are the currents."""
-    return _layout("t_s,i1,i2", "%.17g,%%.17g,%%.17g\n", n,
-                   _bytes(np.arange(n) * dt))
-
-
 def means_layout(times: np.ndarray) -> Layout:
     """The layout of a truth dump (:func:`write_means_csv`) on ``times``."""
     return _layout("t_s,x1,x2", "%.17g,%%.17g,%%.17g\n", len(times),
@@ -247,7 +240,9 @@ def read_own_columns(layout: Layout, path) -> np.ndarray | None:
 
 def write_record_csv(rec: MeasurementRecord, path) -> None:
     """Columns t_s,i1,i2; efficiency and seed metadata are not stored."""
-    _write_rows(path, record_layout(rec.n, rec.dt), (rec.currents,))
+    _write_rows(path, _layout("t_s,i1,i2", "%.17g,%%.17g,%%.17g\n", rec.n,
+                              _bytes(np.arange(rec.n) * rec.dt)),
+                (rec.currents,))
 
 
 def read_record_csv(path) -> MeasurementRecord:

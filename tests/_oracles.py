@@ -41,6 +41,12 @@ from lgqsmooth.simulate import derive_record_seeds, simulate_truth_ensemble
 from lgqsmooth.smooth import _terms, combine_arrays
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal float64 bits, element for element."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
 def gaussian_hs_sq(a: tuple, b: tuple) -> float:
     """Squared Hilbert-Schmidt distance Tr[(rho_a - rho_b)^2] between two
     Gaussian states, each a (mean 2-vector, 2x2 covariance) pair.

@@ -666,18 +666,13 @@ def test_unwritten_table_reads_as_the_generic_reader_reads_it(
     assert outcomes[:half] == outcomes[half:]
 
 
-def _csv_only_copy(clean, out):
-    """A copy of a finished run's records, their .csv files alone."""
+def test_csv_only_estimates_equal_csv_and_bin_estimates(clean_run, tmp_path):
+    # estimate reads the .bin records of a csv+bin run and the .csv
+    # records of a csv-only run: the same bytes out
+    cfg, clean = clean_run
+    out = tmp_path / "csv"
     shutil.copytree(clean / "records", out / "records",
                     ignore=shutil.ignore_patterns("*.bin"))
-    return out
-
-
-def test_csv_only_estimates_equal_csv_and_bin_estimates(clean_run, tmp_path):
-    # estimate reads the .bin records of a csv+bin run and the currents
-    # of the .csv records alone of a csv-only run: the same bytes out
-    cfg, clean = clean_run
-    out = _csv_only_copy(clean, tmp_path / "csv")
     assert not list((out / "records").glob("*.bin"))
     assert main(["estimate", "--config", str(cfg), "--out-dir", str(out)]) == 0
     names = sorted(p.name for p in (clean / "estimates").iterdir())
@@ -685,43 +680,6 @@ def test_csv_only_estimates_equal_csv_and_bin_estimates(clean_run, tmp_path):
     for name in names:
         assert (out / "estimates" / name).read_bytes() \
             == (clean / "estimates" / name).read_bytes(), name
-    # each record as read_record_csv reads it, but for the time column
-    dt = pipeline.effective_params(parse_config(cfg).params).dt
-    paths, fast = pipeline.load_records(out / "records", 4, (250, dt))
-    for path, rec in zip(paths, fast):
-        slow = recordio.read_record_csv(path)
-        assert rec.dt == slow.dt == dt
-        assert rec.currents.flags.c_contiguous
-        assert np.array_equal(rec.currents.view(np.uint64),
-                              slow.currents.view(np.uint64))
-
-
-@pytest.mark.parametrize("edit", [
-    _ulp_up(2, 0),                    # accepted, at the file's own dt
-    _set_field(5, 0, "1"),            # a time column that is not uniform
-    lambda text: text.replace("\n", "\r\n"),
-], ids=["dt-ulp", "time-value", "crlf"])
-def test_unwritten_record_csv_reads_as_the_generic_reader_reads_it(
-        clean_run, tmp_path, monkeypatch, edit):
-    # a csv-only record file its writer never makes gives estimate's exit
-    # code, error and outputs of read_record_csv alone
-    cfg, clean = clean_run
-    outcomes = []
-    for fast in (True, False):
-        if not fast:
-            monkeypatch.setattr(recordio, "read_own_columns",
-                                lambda layout, path: None)
-        out = _csv_only_copy(clean, tmp_path / f"run-{fast}")
-        victim = out / "records" / "record_00002.csv"
-        victim.write_bytes(edit(victim.read_text()).encode())
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["estimate", "--config", str(cfg), "--out-dir",
-                         str(out)])
-        outcomes.append((code, err.getvalue().replace(str(out), "RUN"),
-                         {str(p.relative_to(out)): p.read_bytes()
-                          for p in sorted(out.rglob("*")) if p.is_file()}))
-    assert outcomes[0] == outcomes[1]
 
 
 def test_record_dt_mismatch_is_exit_one(cfg_path, tmp_path, capsys):

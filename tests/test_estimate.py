@@ -52,6 +52,7 @@ from _oracles import (
     filter_means_reference,
     retro_info_broadcast,
     retro_info_reference,
+    same_bits,
 )
 
 
@@ -309,7 +310,7 @@ def test_recursions_match_per_sample_references(ref_ep, main_truth,
     m0 = np.zeros((main_truth.n_records, 2))
     ref = filter_means_reference(main_truth.currents, ref_ep, v, m0)
     assert _within_reference(means, ref)
-    assert _same_bits(z, retro_info_reference(main_truth.currents, ref_ep, w))
+    assert same_bits(z, retro_info_reference(main_truth.currents, ref_ep, w))
     long = main_truth.currents[:134].reshape(1, -1, 2)
     assert long.shape[1] >= 100_000
     _, v_long = filter_grid(ref_ep, long.shape[1])
@@ -317,7 +318,7 @@ def test_recursions_match_per_sample_references(ref_ep, main_truth,
     m0 = np.array([[3.0, -2.0]])
     assert _within_reference(filter_means(long, ref_ep, v_long, m0),
                              filter_means_reference(long, ref_ep, v_long, m0))
-    assert _same_bits(retro_info(long, ref_ep, w_long),
+    assert same_bits(retro_info(long, ref_ep, w_long),
                       retro_info_reference(long, ref_ep, w_long))
 
 
@@ -386,11 +387,6 @@ def test_retro_variance_view_matches_precision(ref_ep):
 # single-record recursion against the stacked kernels
 # ---------------------------------------------------------------------------
 
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
-                                                 b.view(np.uint64))
-
-
 @st.composite
 def _stacked_currents(draw):
     # up to 200 samples: the stacked recurrence's 64-step chunks end
@@ -444,13 +440,13 @@ def test_single_record_matches_stacked_rows_property(ref_ep, data):
         z_one = retro_info(currents[row], ref_ep, w)
         t_one, c_one = _evolve_true(_start_and_kicks(m0[row], currents[row]),
                                     currents[row].copy(), ref_ep)
-        assert _same_bits(m_one, m_all[row])
-        assert _same_bits(z_one, z_all[row])
-        assert _same_bits(t_one, t_all[row])
-        assert _same_bits(c_one, c_all[row])
+        assert same_bits(m_one, m_all[row])
+        assert same_bits(z_one, z_all[row])
+        assert same_bits(t_one, t_all[row])
+        assert same_bits(c_one, c_all[row])
     if n == 0:
-        assert _same_bits(m_all[:, 0], m0)
-        assert _same_bits(t_all[:, 0], m0)
+        assert same_bits(m_all[:, 0], m0)
+        assert same_bits(t_all[:, 0], m0)
         assert not np.any(z_all)
 
 
@@ -465,8 +461,8 @@ def test_per_record_runs_match_stacked_rows(ref_ep):
     z_all = retro_info(ens.currents, ref_ep, w)
     for i in range(8):
         rec = ens.record(i)
-        assert _same_bits(run_filter(rec, ref_ep).mean, m_all[i])
-        assert _same_bits(run_retrofilter(rec, ref_ep).info, z_all[i])
+        assert same_bits(run_filter(rec, ref_ep).mean, m_all[i])
+        assert same_bits(run_retrofilter(rec, ref_ep).info, z_all[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,16 +480,16 @@ def test_stacked_kernels_match_broadcast_oracles_property(ref_ep, data):
     _, w = retro_grid(ref_ep, n)
     for rows in (slice(None), slice(0, 1)):
         c = currents[rows]
-        assert _same_bits(filter_means(c, ref_ep, v, m0[rows]),
+        assert same_bits(filter_means(c, ref_ep, v, m0[rows]),
                           filter_means_broadcast(c, ref_ep, v, m0[rows]))
-        assert _same_bits(retro_info(c, ref_ep, w),
+        assert same_bits(retro_info(c, ref_ep, w),
                           retro_info_broadcast(c, ref_ep, w))
     z = retro_info(currents, ref_ep, w)
     holes = w.copy()
     holes[::3] = 0.0
     for w_k in (w, holes):
         for z_k in (z, z[0]):
-            assert _same_bits(effect_means(w_k, z_k, ref_ep),
+            assert same_bits(effect_means(w_k, z_k, ref_ep),
                               effect_means_broadcast(w_k, z_k, ref_ep))
 
 
@@ -505,7 +501,7 @@ def test_ensemble_kernels_match_broadcast_oracles(ref_ep, main_truth,
     _, w, z = retro_ensemble
     c = main_truth.currents[:256]
     m0 = np.zeros((256, 2))
-    assert _same_bits(means[:256], filter_means_broadcast(c, ref_ep, v, m0))
-    assert _same_bits(z[:256], retro_info_broadcast(c, ref_ep, w))
-    assert _same_bits(effect_means(w, z[:256], ref_ep),
+    assert same_bits(means[:256], filter_means_broadcast(c, ref_ep, v, m0))
+    assert same_bits(z[:256], retro_info_broadcast(c, ref_ep, w))
+    assert same_bits(effect_means(w, z[:256], ref_ep),
                       effect_means_broadcast(w, z[:256], ref_ep))

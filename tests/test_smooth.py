@@ -43,7 +43,7 @@ from lgqsmooth.simulate import (
 )
 
 from conftest import random_effective_params
-from _oracles import combine_arrays_broadcast
+from _oracles import combine_arrays_broadcast, same_bits
 
 # frozen reference values at the reference parameters, 750 us record
 VS0_LTL = 13.191414778285022
@@ -107,11 +107,6 @@ def test_smoothed_variance_is_combine_arrays_bitwise(case):
         assert np.float64(one).tobytes() == v_s[k].tobytes()
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
-                                                 b.view(np.uint64))
-
-
 @settings(max_examples=200, deadline=None)
 @given(_samples(), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
 def test_combine_arrays_matches_broadcast_oracle(case, n_rec, seed):
@@ -125,7 +120,7 @@ def test_combine_arrays_matches_broadcast_oracle(case, n_rec, seed):
     m_f, z = rng.normal(0.0, 10.0, shape), rng.normal(0.0, 10.0, shape)
     v_s, m_s = combine_arrays(v_f, m_f, w, z, v_tar)
     v_o, m_o = combine_arrays_broadcast(v_f, m_f, w, z, v_tar)
-    assert _same_bits(v_s, v_o) and _same_bits(m_s, m_o)
+    assert same_bits(v_s, v_o) and same_bits(m_s, m_o)
 
 
 @pytest.mark.parametrize("kind", ["LTLFiltered", "TrueState", "Classical"])
@@ -143,7 +138,7 @@ def test_combine_arrays_matches_broadcast_oracle_on_a_block(ref_ep, kind):
     for m, zz in ((m_f, z), (m_f[5], z[5])):
         v_s, m_s = combine_arrays(v_f, m, w, zz, v_tar)
         v_o, m_o = combine_arrays_broadcast(v_f, m, w, zz, v_tar)
-        assert _same_bits(v_s, v_o) and _same_bits(m_s, m_o)
+        assert same_bits(v_s, v_o) and same_bits(m_s, m_o)
     assert np.array_equal(m_s[-1], m_f[5, -1])
     if kind == "LTLFiltered":
         assert np.array_equal(m_s[100::50], m_f[5, 100::50])
