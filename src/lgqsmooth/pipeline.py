@@ -134,6 +134,17 @@ def peak_rss_mb(children: bool = False) -> float:
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
+def _child_minor_faults() -> int | None:
+    """Minor page faults of the child processes joined so far, each counted
+    with the processes it joined; None where the ``resource`` module does
+    not exist."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def _filter_and_retro_grid(ep: EffectiveParams):
     """A run's trajectory time grid, from the configured record length and
     sample period, with the filter's covariance and the retrofilter's
@@ -1006,6 +1017,42 @@ def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
 # the injection study's efficiency when the config has no [noise_injection]
 DEFAULT_ETA_NEW = 0.10
 
+# glibc's mallopt parameters (malloc.h) and the ensemble workers' values:
+# the mmap threshold lies above a block's largest array, the 8.4 MB
+# (256, 1025, 2) complex transform of acov_rows, so every block array
+# comes from the heap; the trim threshold lies above a block's roughly
+# 40 MB of short-lived heap, so a freed block stays with the worker
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_WORKER_MMAP_THRESHOLD = 32 << 20
+_WORKER_TRIM_THRESHOLD = 256 << 20
+
+
+def _keep_heap() -> None:
+    """Ensemble worker initializer: glibc's malloc keeps each block's freed
+    memory for the next block, whose arrays then reuse pages the worker
+    has already faulted in, in place of an mmap and a fresh fault per page
+    for every block.  It changes where arrays live, not a bit of what is
+    computed.  Never raises, since a pool whose initializer raises is
+    broken; does nothing where the C library has no ``mallopt``."""
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, TypeError, AttributeError):
+        return  # without mallopt a worker only faults more pages
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+
+
+def _ensemble_pool():
+    """The report's pool: two ensemble workers that keep their freed heap
+    (:func:`_keep_heap`)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=2, initializer=_keep_heap)
+
 
 def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     """Run the full validation suite and return one result per criterion.
@@ -1013,21 +1060,24 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     Statistical checks reuse two shared ensembles: the main truth ensemble
     at the configured parameters and the reduced-efficiency injection
     study, each run in record blocks that leave only the slices their
-    criteria read.  A pool of two ensemble workers runs criterion 11, its
-    first task (``pool.submit``), then every block of the study and of the
-    main ensemble: each ``pool.map`` submits all of its blocks at once, so
-    that neither worker idles while the other finishes.  Meanwhile this
-    process runs criteria 7 and 8, which read neither ensemble, then reads
-    the blocks in record order and computes the rest.  No process forks
-    while it runs a second thread: the pool forks its workers at its first
-    submit, before its own threads start, and criterion 11's 2-worker pool
-    starts inside an ensemble worker, which runs one thread.  The record
-    count, the study's efficiency and the carrier, through criterion 10,
-    are checked before the pool starts.  Seeds derive from the configured
-    base seed, so the report is reproducible.
+    criteria read.  A pool of two ensemble workers (:func:`_ensemble_pool`)
+    runs criterion 11, its first task (``pool.submit``), then every block
+    of the study and of the main ensemble: each ``pool.map`` submits all
+    of its blocks at once, so that neither worker idles while the other
+    finishes.  Each worker keeps the heap its blocks free
+    (:func:`_keep_heap`), so a block reuses the pages of the block before
+    it and does not fault them in again.  Meanwhile this process runs
+    criteria 7 and 8, which read neither ensemble, then reads the blocks
+    in record order and computes the rest.  No process forks while it runs
+    a second thread: the pool forks its workers at its first submit,
+    before its own threads start, and criterion 11's 2-worker pool starts
+    inside an ensemble worker, which runs one thread.  The record count,
+    the study's efficiency and the carrier, through criterion 10, are
+    checked before the pool starts.  Seeds derive from the configured base
+    seed, so the report is reproducible.  The last stderr line gives this
+    process's peak RSS, the largest child's and the child processes'
+    minor page faults.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
     ep = effective_params(cfg.params)
     if cfg.n_records < 2:
         raise ValueError(f"report: ensemble.n_records = {cfg.n_records}, the "
@@ -1040,7 +1090,7 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
                          f"{cfg.params.eta:g}]")
     omega = cfg.params.omega if cfg.params.omega > 0 else 2.0 * math.pi * 1.04e6
     demod = _crit_demod(omega)
-    pool = ProcessPoolExecutor(max_workers=2)
+    pool = _ensemble_pool()
     try:
         results = [_crit_filter_ss(ep), _crit_t0_ratios(ep),
                    _crit_true_target(ep)]
@@ -1082,8 +1132,10 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
 
 def _log_peak_rss(phase: str, children: str = "") -> None:
     # children: a label for the largest peak among the child processes
-    # joined so far, each counted with the processes it joined
-    extra = f", {children} {peak_rss_mb(children=True):.1f} MB" \
+    # joined so far, each counted with the processes it joined; their
+    # minor page faults follow it
+    extra = f", {children} {peak_rss_mb(children=True):.1f} MB, child " \
+        f"processes' minor page faults {_child_minor_faults()}" \
         if children else ""
     log(f"report: {phase} done, peak RSS {peak_rss_mb():.1f} MB{extra}")
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import multiprocessing
+import platform
 import shutil
 import struct
 import tempfile
@@ -986,6 +987,59 @@ print(",".join(m for m in ("multiprocessing", "concurrent.futures")
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+# a block-shaped live set: three (256, 1001, 2) float stacks, as the
+# filter, retrofilter and smoothed means, and three (256, 1025, 2) complex
+# arrays, as acov_rows' transforms.  Each round fills it, so every page is
+# touched, and frees it
+_HEAP_ROUNDS_SCRIPT = """
+import json, resource
+import numpy as np
+from lgqsmooth import pipeline
+
+pipeline._keep_heap()
+pages, faults = 0, []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    live = [np.ones((256, 1001, 2)) for _ in range(3)]
+    live += [np.ones((256, 1025, 2), complex) for _ in range(3)]
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    pages = sum(a.nbytes for a in live) // resource.getpagesize()
+    del live
+print(json.dumps({"pages": pages, "faults": faults}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the ensemble workers' heap setting is glibc's")
+def test_ensemble_worker_refills_a_freed_block_without_faults():
+    # after the ensemble workers' initializer, a block's freed arrays stay
+    # in the heap, so the next block faults almost none of its pages in
+    # (without it glibc unmaps them, and each round faults about half).
+    # A fresh interpreter leaves pytest's own heap out of the count
+    import json
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _HEAP_ROUNDS_SCRIPT],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["pages"] > 9000
+    assert doc["faults"][0] > 0
+    for faults in doc["faults"][1:]:
+        assert faults < 0.05 * doc["pages"], doc
+
+
+def test_keep_heap_returns_where_the_c_library_has_no_mallopt(monkeypatch):
+    # a pool whose initializer raises is broken, so a C library without
+    # mallopt leaves the worker's allocator as it is
+    import ctypes
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert pipeline._keep_heap() is None
 
 
 def test_report_runs_without_scipy(tmp_path):

@@ -5,10 +5,10 @@ import json
 import math
 import os
 import re
+import resource
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -424,11 +424,11 @@ def test_report_ensembles_memory_is_flat_in_records(ref_ep):
 
 
 def test_pooled_ensembles_match_in_process_bits(ref_ep):
-    # 300 records: a full 256-record block and a short one.  Run on two
-    # worker processes and collected in record order, both ensembles keep
-    # the bits of the in-process run: every kept array, every curve and
-    # the three autocovariance sums
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    # 300 records: a full 256-record block and a short one.  Run on the
+    # report's two workers, which keep their freed heap, and collected in
+    # record order, both ensembles keep the bits of the in-process run:
+    # every kept array, every curve and the three autocovariance sums
+    with pipeline._ensemble_pool() as pool:
         study = pipeline._submit_study(pool.map, ref_ep, 0.10, 300, 777, 888)
         arrays = pipeline._submit_main(pool.map, ref_ep, 300, 4242)
         study, arrays = study(), arrays()
@@ -544,12 +544,21 @@ def test_report_phase_logs_peak_rss(capsys):
 
 
 def test_reproducibility_phase_logs_largest_child_peak_rss(capsys):
+    # the line ends with the minor page faults of the child processes
+    # joined so far, which only grow
+    def child_faults():
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+    before = child_faults()
     pipeline._log_peak_rss("reproducibility",
                            children="largest child process")
+    after = child_faults()
     line = capsys.readouterr().err.strip()
     assert line.startswith("report: reproducibility done, peak RSS ")
     own, child = line.split(", largest child process ")
     assert float(own.split()[-2]) > 0
+    child, faults = child.split(", child processes' minor page faults ")
     assert child.endswith(" MB")
     assert float(child.split()[0]) == pytest.approx(
         pipeline.peak_rss_mb(children=True), abs=0.05)
+    assert before <= int(faults) <= after
