@@ -17,24 +17,10 @@ the worker count, so the artifacts are identical for any worker count.
 
 The acceptance report writes no run directory.  It generates, filters and
 smooths its two ensembles (the injection study and the main ensemble) in
-blocks of 256 records, the autocorrelation's FFT batch.  Each block is one
-call of a module-level block function, which returns only what its
-criteria read: probe columns, late-window squared errors and each
-record's velocity autocovariance.  The block function is mapped over the
-blocks' seeds: the report maps it with ``pool.map`` on a pool of two
-ensemble workers, after criterion 11, and runs criteria 7 and 8 in its
-own process while the workers run; ``run_injection_study`` and the tests
-map it with the builtin ``map``, one block at a time in-process.
-The report's own process fills its arrays from the block results in
-record order and adds the autocovariances to running sums in that order,
-so its memory is flat in the record count apart from those slices, and
-every reduction over records sees the operations a whole stack would.
-A record's autocovariance row is not independent of its batch: numpy's
-complex product inside :func:`metrics.acov_rows` gives an element
-computed in a small batch other bits than the same element in a large
-one.  So every caller batches at _ACF_BLOCK boundaries from record 0, as
-:func:`metrics.vacf` does, and the report text is then the same bits in
-any process and for any worker count.
+record blocks, each one call of a module-level block function that
+returns only what its criteria read.  Both ensembles go through one block
+driver, :func:`_submit_blocks`, whose docstring gives the rules that keep
+the report text the same bits in any process and for any worker count.
 """
 
 from __future__ import annotations
@@ -119,47 +105,45 @@ def log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _rusage(field: str, children: bool = False):
+    """A ``resource.getrusage`` field of this process, or with ``children``
+    of the child processes joined so far, each counted with the processes
+    it joined; None where the ``resource`` module does not exist."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    return getattr(resource.getrusage(who), field)
+
+
 def peak_rss_mb(children: bool = False) -> float:
     """Peak resident set size so far, in MB (10^6 bytes): of this process,
     or with ``children`` of its largest child process already joined.
 
     ``ru_maxrss`` counts KiB on Linux and bytes on macOS; NaN where the
     ``resource`` module does not exist."""
-    try:
-        import resource
-    except ImportError:
+    peak = _rusage("ru_maxrss", children)
+    if peak is None:
         return math.nan
-    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
-    peak = resource.getrusage(who).ru_maxrss
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
-def _child_minor_faults() -> int | None:
-    """Minor page faults of the child processes joined so far, each counted
-    with the processes it joined; None where the ``resource`` module does
-    not exist."""
-    try:
-        import resource
-    except ImportError:
-        return None
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-
-
-def _filter_and_retro_grid(ep: EffectiveParams):
-    """A run's trajectory time grid, from the configured record length and
-    sample period, with the filter's covariance and the retrofilter's
-    precision on it: times, v_f, w."""
-    n = _n_steps(ep, ep.record_duration)
+def _filter_and_retro_grid(ep: EffectiveParams, n: int):
+    """The trajectory time grid of n samples, with the filter's covariance
+    and the retrofilter's precision on it: times, v_f, w."""
     times, v_f = filter_grid(ep, n)
     _, w = retro_grid(ep, n)
     return times, v_f, w
 
 
 def run_grid(ep: EffectiveParams) -> tuple[np.ndarray, dict]:
-    """A run's trajectory time grid (:func:`_filter_and_retro_grid`) and
-    kind -> closed-form vw on it: the covariance of each state kind and the
-    precision of Retrofiltered."""
-    times, v_f, w = _filter_and_retro_grid(ep)
+    """A run's trajectory time grid, from the configured record length and
+    sample period (:func:`_filter_and_retro_grid`), and kind -> closed-form
+    vw on it: the covariance of each state kind and the precision of
+    Retrofiltered."""
+    times, v_f, w = _filter_and_retro_grid(
+        ep, _n_steps(ep, ep.record_duration))
     closed = {"Filtered": v_f, "Retrofiltered": w}
     for target in TARGET_KINDS:
         closed[_TRAJ_KIND[target]] = smoothed_variance(
@@ -343,9 +327,7 @@ def stage_simulate(cfg: RunConfig, base_dir: Path) -> None:
 def _estimate_stack(ep: EffectiveParams, currents: np.ndarray):
     """Filter and retrofilter stacked records (N, n, 2) from the
     unconditional state: times, v_f, w, m_f, z."""
-    n = currents.shape[1]
-    times, v_f = filter_grid(ep, n)
-    _, w = retro_grid(ep, n)
+    times, v_f, w = _filter_and_retro_grid(ep, currents.shape[1])
     m_f = filter_means(currents, ep, v_f, np.zeros((currents.shape[0], 2)))
     z = retro_info(currents, ep, w)
     return times, v_f, w, m_f, z
@@ -513,19 +495,55 @@ def stage_demod(trace_path: Path, out_dir: Path, omega: float,
 # ---------------------------------------------------------------------------
 # the report's ensembles (criteria 4, 5, 6 and 9)
 #
-# Both ensembles run in record blocks aligned with the autocorrelation's
-# FFT batches.  Each block's records come from their own generators and
-# every recursion is row by row, so no record's draws or means depend on
-# its block or on the process that runs it.  Its autocovariance row does
-# depend on the batch it is transformed in (metrics.acov_rows), so blocks
-# are _ACF_BLOCK records from record 0, as vacf batches.  A block is one
-# call of a module-level block function, mapped over the blocks' seed
-# slices by ``map_``: the builtin map runs each block in this process when
-# its result is read, and a process pool's map submits every block at once
-# and yields the results in record order.  The parent fills its arrays
-# from the results in record order, reading each block with next() so
-# that no earlier result is held while the next block runs.
+# Both ensembles run in record blocks through one driver, _submit_blocks,
+# whose docstring gives the block and bit-order rules.
 # ---------------------------------------------------------------------------
+
+def _submit_blocks(map_, block, n_records: int, shapes: dict, *base_seeds):
+    """Map ``block`` over an ensemble's record blocks with ``map_`` and
+    return the function that collects them: (rows, acov).
+
+    ``block`` takes a block's slice of each base seed's record seeds
+    (:func:`derive_record_seeds`) and returns name -> (b, *shape) rows and
+    kind -> each record's velocity autocovariance (:func:`metrics.acov_rows`).
+    The collect fills name -> (n_records, *shape) arrays, allocated from
+    ``shapes`` before the first block is read, and adds the autocovariance
+    rows to one running sum per kind (:func:`metrics.add_rows`).
+
+    The bits are the same in any process and for any worker count.  A
+    record's draws and means come from its own generator and row-by-row
+    recursions, whatever its block or process; its autocovariance row
+    depends on its transform batch, so blocks are _ACF_BLOCK records from
+    record 0, as :func:`metrics.vacf` batches.  Results are read, and rows
+    summed, in record order.  ``map_`` is the builtin ``map``, which runs
+    each block in this process when its result is read, or a process
+    pool's ``map``, which submits every block at once and yields the
+    results in record order.  Each block's result is dropped before the
+    next is asked for, so memory is flat in the record count apart from
+    the collected arrays.
+    """
+    slices = _slices(n_records, _ACF_BLOCK)
+    seeds = [derive_record_seeds(base, n_records) for base in base_seeds]
+    blocks = map_(block, *([column[sl] for sl in slices] for column in seeds))
+
+    def collect() -> tuple[dict, dict]:
+        rows = {name: np.empty((n_records, *shape))
+                for name, shape in shapes.items()}
+        acov: dict = {}
+        for sl in slices:
+            block_rows, block_acov = next(blocks)
+            # by key, so that no loop variable holds a block's array
+            # while the next block runs
+            for name in block_rows:
+                rows[name][sl] = block_rows[name]
+            for kind in block_acov:
+                add_rows(acov.setdefault(
+                    kind, np.zeros(block_acov[kind].shape[1])),
+                    block_acov[kind])
+            del block_rows, block_acov
+        return rows, acov
+    return collect
+
 
 @dataclasses.dataclass(frozen=True)
 class InjectionStudy:
@@ -563,11 +581,10 @@ def _study_block(ep: EffectiveParams, eta_new: float, steps: list,
     window is injected down to ``eta_new`` with each record's inject seed,
     then filtered, retrofiltered and smoothed at ``eta_new``.  Returns the
     clean, filtered and LTL-smoothed means at the probe columns (m_ltl,
-    m_f, m_s) and, under acov, kind -> each record's velocity
-    autocovariance (:func:`metrics.acov_rows`), as two dicts."""
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
-    m_ltl, lo = np.zeros((len(rngs), 1, 2)), 0
-    for _, truth, win in truth_stream(ep, rngs, steps):
+    m_f, m_s) and kind -> each record's velocity autocovariance
+    (:func:`metrics.acov_rows`), as two dicts."""
+    m_ltl, lo = np.zeros((len(seeds), 1, 2)), 0
+    for _, truth, win in truth_stream(ep, seeds, steps):
         m_ltl = filter_means(win, ep, v_clean[lo:], m_ltl[:, -1])
         lo += win.shape[1]
     del truth  # only the window's currents and clean means are used
@@ -598,9 +615,9 @@ def _study_block(ep: EffectiveParams, eta_new: float, steps: list,
 def _submit_study(map_, ep: EffectiveParams, eta_new: float,
                   n_records: int, base_seed: int, inject_seed: int,
                   window: float = 1e-3, warmup_records: int = 3):
-    """Map :func:`_study_block` over the blocks of
-    :func:`run_injection_study` with ``map_`` and return the function that
-    collects them into its InjectionStudy."""
+    """Submit the blocks of :func:`run_injection_study`
+    (:func:`_study_block`) through :func:`_submit_blocks` and return the
+    function that collects them into its InjectionStudy."""
     ep_new = dataclasses.replace(ep, eta=eta_new)
     total = warmup_records * ep.record_duration + window
     n_total = int(round(total / ep.dt))
@@ -608,37 +625,23 @@ def _submit_study(map_, ep: EffectiveParams, eta_new: float,
     n_rec = int(round(ep.record_duration / ep.dt))
     n_warm = n_total - n_win
     steps = [min(n_rec, n_warm - lo) for lo in range(0, n_warm, n_rec)]
-    seeds = derive_record_seeds(base_seed, n_records)
-    inject_seeds = derive_record_seeds(inject_seed, n_records)
     _, v_clean = filter_grid(ep, n_total)
     v_tar = v_filter_ss(ep)
     probes = (0, n_win // 2)
-    slices = _slices(n_records, _ACF_BLOCK)
-    blocks = map_(functools.partial(_study_block, ep, eta_new, steps + [n_win],
-                                    v_clean, v_tar, probes),
-                  [seeds[sl] for sl in slices],
-                  [inject_seeds[sl] for sl in slices])
+    collect = _submit_blocks(
+        map_, functools.partial(_study_block, ep, eta_new, steps + [n_win],
+                                v_clean, v_tar, probes),
+        n_records, dict.fromkeys(("m_ltl", "m_f", "m_s"), (len(probes), 2)),
+        base_seed, inject_seed)
 
-    def collect() -> InjectionStudy:
-        kept = {name: np.empty((n_records, 2, 2))
-                for name in ("m_ltl", "m_f", "m_s")}
-        acov: dict = {}
-        for sl in slices:
-            block_kept, block_acov = next(blocks)
-            for name in block_kept:
-                kept[name][sl] = block_kept[name]
-            for kind in block_acov:
-                add_rows(acov.setdefault(kind, np.zeros(n_win)),
-                         block_acov[kind])
-            # freed before the next block is asked for
-            del block_kept, block_acov
-        times, v_f = filter_grid(ep_new, n_win)
-        _, w = retro_grid(ep_new, n_win)
+    def study() -> InjectionStudy:
+        kept, acov = collect()
+        times, v_f, w = _filter_and_retro_grid(ep_new, n_win)
         return InjectionStudy(ep_new=ep_new, v_tar=v_tar, times=times,
                               probes=probes, v_f=v_f,
                               v_s=smoothed_variance(v_f, w, v_tar),
                               acov=acov, **kept)
-    return collect
+    return study
 
 
 def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
@@ -648,10 +651,8 @@ def run_injection_study(ep: EffectiveParams, eta_new: float, n_records: int,
     """Filter a clean ensemble through a warm-up into its long-time limit,
     then re-estimate the last ``window`` of its records at ``eta_new``.
 
-    Records run in blocks of _ACF_BLOCK (:func:`_study_block`), in this
-    process, one block at a time; each block leaves only its probe columns
-    and its velocity autocovariance rows behind, and the rows are added to
-    each kind's running sum in record order."""
+    Records run in blocks (:func:`_study_block`), in this process, one
+    block at a time (:func:`_submit_blocks` with the builtin ``map``)."""
     return _submit_study(map, ep, eta_new, n_records, base_seed,
                          inject_seed, window, warmup_records)()
 
@@ -750,63 +751,59 @@ def _kinds_of(ep: EffectiveParams, v_f, w, m_f, z):
     yield "Retrofiltered", effect_means(w, z, ep)
 
 
+# the kinds whose late-window squared errors criterion 6 reads
+_LATE_KINDS = ("SmoothedTrue", "Filtered")
+
+
 def _main_block(ep: EffectiveParams, cols: np.ndarray, lo: int,
                 seeds: np.ndarray) -> tuple[dict, dict]:
     """One block of the main ensemble, a record per seed: kind -> means at
-    the columns ``cols`` for the five kinds, and for SmoothedTrue and
-    Filtered the squared errors against the truth from sample ``lo``."""
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    the columns ``cols`` for the five kinds, and ``late <kind>`` -> the
+    squared errors against the truth from sample ``lo`` for the kinds of
+    _LATE_KINDS; no autocovariance."""
     _, truth, currents = next(truth_stream(
-        ep, rngs, [_n_steps(ep, ep.record_duration)]))
+        ep, seeds, [_n_steps(ep, ep.record_duration)]))
     _, v_f, w, m_f, z = _estimate_stack(ep, currents)
     del currents
-    kept, late = {}, {}
+    rows = {}
     for kind, m in _kinds_of(ep, v_f, w, m_f, z):
-        kept[kind] = m[:, cols]
-        if kind in ("SmoothedTrue", "Filtered"):
-            late[kind] = np.subtract(m[:, lo:], truth[:, lo:])
-            late[kind] **= 2
-    return kept, late
+        rows[kind] = m[:, cols]
+        if kind in _LATE_KINDS:
+            err = rows[f"late {kind}"] = np.subtract(m[:, lo:],
+                                                     truth[:, lo:])
+            err **= 2
+    return rows, {}
 
 
 def _submit_main(map_, ep: EffectiveParams, n_records: int,
                  base_seed: int):
-    """Map :func:`_main_block` over the main ensemble's blocks with
-    ``map_`` and return the function that collects what criteria 5 and 6
-    read of it.
+    """Submit the main ensemble's blocks (:func:`_main_block`) through
+    :func:`_submit_blocks` and return the function that collects what
+    criteria 5 and 6 read of it.
 
     Every kind's vw is its closed form of :func:`run_grid`.  The collected
     arrays are the grid times at the kept columns (the probes, then the
     last sample, so the kept times span the record), kind -> (means, vw)
-    at those columns as consistency_check takes them, and for SmoothedTrue
-    and Filtered the late-window squared errors against the truth
+    at those columns as consistency_check takes them, and for the kinds
+    of _LATE_KINDS the late-window squared errors against the truth
     (N, n+1-lo, 2) with vw[lo:], from lo = round(0.7 n)."""
     times, closed = run_grid(ep)
     n = times.shape[0] - 1
     cols = np.append(_report_probes(n), n)
     lo = int(round(0.7 * n))
-    seeds = derive_record_seeds(base_seed, n_records)
-    slices = _slices(n_records, _ACF_BLOCK)
-    blocks = map_(functools.partial(_main_block, ep, cols, lo),
-                  [seeds[sl] for sl in slices])
+    shapes = {kind: (cols.shape[0], 2) for kind in closed}
+    shapes.update({f"late {kind}": (n + 1 - lo, 2) for kind in _LATE_KINDS})
+    # _main_block is looked up here, when the blocks are submitted
+    block = functools.partial(_main_block, ep, cols, lo)
+    collect = _submit_blocks(map_, block, n_records, shapes, base_seed)
 
-    def collect():
-        kept = {kind: np.empty((n_records, cols.shape[0], 2))
-                for kind in closed}
-        late = {kind: np.empty((n_records, n + 1 - lo, 2))
-                for kind in ("SmoothedTrue", "Filtered")}
-        for sl in slices:
-            block_kept, block_late = next(blocks)
-            for kind in block_kept:
-                kept[kind][sl] = block_kept[kind]
-            for kind in block_late:
-                late[kind][sl] = block_late[kind]
-            # freed before the next block is asked for
-            del block_kept, block_late
-        late = {kind: (err, closed[kind][lo:]) for kind, err in late.items()}
-        stacks = {kind: (m, closed[kind][cols]) for kind, m in kept.items()}
+    def arrays():
+        rows, _ = collect()
+        late = {kind: (rows.pop(f"late {kind}"), closed[kind][lo:])
+                for kind in _LATE_KINDS}
+        stacks = {kind: (m, closed[kind][cols]) for kind, m in rows.items()}
         return times[cols], stacks, late
-    return collect
+    return arrays
 
 
 def _crit_consistency(ep, arrays) -> CriterionResult:
@@ -922,7 +919,7 @@ def _crit_physicality() -> CriterionResult:
         ep = dataclasses.replace(ep, record_duration=horizon,
                                  dt=horizon / 480.0)
         # run_grid's SmoothedTrue, the only kind read, without the others
-        _, v_f, w = _filter_and_retro_grid(ep)
+        _, v_f, w = _filter_and_retro_grid(ep, _n_steps(ep, horizon))
         v_s = smoothed_variance(v_f, w, TargetSpec.of("TrueState", ep).v_tar)
         min_vs = min(min_vs, float(v_s.min()))
     quantum_ok = min_vs >= 1.0 - 1e-9
@@ -1060,15 +1057,16 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     Statistical checks reuse two shared ensembles: the main truth ensemble
     at the configured parameters and the reduced-efficiency injection
     study, each run in record blocks that leave only the slices their
-    criteria read.  A pool of two ensemble workers (:func:`_ensemble_pool`)
-    runs criterion 11, its first task (``pool.submit``), then every block
-    of the study and of the main ensemble: each ``pool.map`` submits all
-    of its blocks at once, so that neither worker idles while the other
-    finishes.  Each worker keeps the heap its blocks free
+    criteria read (:func:`_submit_blocks`, which says why the text is the
+    same bits for any worker count).  A pool of two ensemble workers
+    (:func:`_ensemble_pool`) runs criterion 11, its first task
+    (``pool.submit``), then every block of the study and of the main
+    ensemble, all submitted at once, so that neither worker idles while
+    the other finishes.  Each worker keeps the heap its blocks free
     (:func:`_keep_heap`), so a block reuses the pages of the block before
     it and does not fault them in again.  Meanwhile this process runs
-    criteria 7 and 8, which read neither ensemble, then reads the blocks
-    in record order and computes the rest.  No process forks while it runs
+    criteria 7 and 8, which read neither ensemble, then collects the
+    blocks and computes the rest.  No process forks while it runs
     a second thread: the pool forks its workers at its first submit,
     before its own threads start, and criterion 11's 2-worker pool starts
     inside an ensemble worker, which runs one thread.  The record count,
@@ -1135,7 +1133,7 @@ def _log_peak_rss(phase: str, children: str = "") -> None:
     # joined so far, each counted with the processes it joined; their
     # minor page faults follow it
     extra = f", {children} {peak_rss_mb(children=True):.1f} MB, child " \
-        f"processes' minor page faults {_child_minor_faults()}" \
+        f"processes' minor page faults {_rusage('ru_minflt', True)}" \
         if children else ""
     log(f"report: {phase} done, peak RSS {peak_rss_mb():.1f} MB{extra}")
 

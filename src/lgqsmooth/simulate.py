@@ -249,12 +249,12 @@ def _evolve_true(means: np.ndarray, currents: np.ndarray,
     return means, currents
 
 
-def truth_stream(ep: EffectiveParams, rngs: Sequence[np.random.Generator],
-                 steps: Iterable[int]
+def truth_stream(ep: EffectiveParams, seeds: Sequence, steps: Iterable[int]
                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Stacked true means and records, one time block at a time.
 
-    One record per generator in ``rngs``.  For each block length b in
+    One record per seed in ``seeds``, drawn from its own
+    ``np.random.default_rng(seed)``.  For each block length b in
     ``steps`` it yields ``(times, means, currents)``: the block's b+1 grid
     times, means (N, b+1, 2) starting from the previous block's last mean,
     and currents (N, b, 2).  The generators and that last mean are the only
@@ -263,6 +263,7 @@ def truth_stream(ep: EffectiveParams, rngs: Sequence[np.random.Generator],
     block over all the samples.
     """
     _check_step(ep)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     mean = np.array([_draw_initial(rng, ep) for rng in rngs]).reshape(-1, 2)
     lo = 0
     for b in steps:
@@ -288,8 +289,7 @@ def simulate_true_and_record(ep: EffectiveParams, duration: float,
     N(0, (2 n_tot - 1) I) so the unconditional marginal is exact.
     """
     n = _n_steps(ep, duration)
-    times, means, currents = next(truth_stream(
-        ep, [np.random.default_rng(seed)], [n]))
+    times, means, currents = next(truth_stream(ep, [seed], [n]))
     return TruthBundle(times, means[0],
                        MeasurementRecord(ep.dt, currents[0], ep.eta, seed))
 
@@ -305,8 +305,7 @@ def simulate_truth_ensemble(ep: EffectiveParams, duration: float,
     """
     n = _n_steps(ep, duration)
     seeds = derive_record_seeds(base_seed, n_records)
-    times, means, currents = next(truth_stream(
-        ep, [np.random.default_rng(int(s)) for s in seeds], [n]))
+    times, means, currents = next(truth_stream(ep, seeds, [n]))
     return TruthEnsemble(times, means, currents, seeds, ep.dt, ep.eta)
 
 

@@ -9,6 +9,7 @@ import resource
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,34 @@ def test_report_ensembles_memory_is_flat_in_records(ref_ep):
         small = _traced_peak(run, 256)
         large = _traced_peak(run, 1024)
         assert large <= small + kept * 768 + 1e6, (name, small, large)
+
+
+@pytest.mark.parametrize("name", ["_study_block", "_main_block"])
+def test_ensemble_blocks_are_freed_before_the_next_block_runs(ref_ep, name,
+                                                              monkeypatch):
+    # the collect drops each block's result before it asks for the next:
+    # inside block k, every array that the blocks before k returned is
+    # dead, and once collected none is left.  600 records are three
+    # blocks, the last a short one
+    ep = dataclasses.replace(ref_ep, record_duration=50e-6)
+    block, refs, seen = getattr(pipeline, name), [], []
+
+    def checked_block(*args):
+        assert [r for r in refs if r() is not None] == []
+        seen.append(len(refs))
+        rows, acov = block(*args)
+        refs.extend(weakref.ref(a) for part in (rows, acov)
+                    for a in part.values())
+        return rows, acov
+
+    monkeypatch.setattr(pipeline, name, checked_block)
+    if name == "_study_block":
+        pipeline.run_injection_study(ep, 0.10, 600, 5, 6, window=1e-4,
+                                     warmup_records=1)
+    else:
+        pipeline._submit_main(map, ep, 600, 7)()
+    assert len(seen) == 3 and 0 == seen[0] < seen[1] < seen[2]
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_pooled_ensembles_match_in_process_bits(ref_ep):

@@ -95,8 +95,7 @@ def test_truth_stream_blocks_concatenate_to_ensemble(ref_ep, n_records,
     n = sum(steps)
     ens = simulate_truth_ensemble(ref_ep, n * ref_ep.dt, n_records,
                                   base_seed)
-    rngs = [np.random.default_rng(int(s)) for s in ens.seeds]
-    blocks = list(truth_stream(ref_ep, rngs, steps))
+    blocks = list(truth_stream(ref_ep, ens.seeds, steps))
     assert [c.shape[1] for _, _, c in blocks] == steps
     # each block restarts from the previous block's last mean
     times = np.concatenate([blocks[0][0][:1]] + [t[1:] for t, _, _ in blocks])
