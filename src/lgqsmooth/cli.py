@@ -59,23 +59,6 @@ def _real(text: str) -> float:
     return value
 
 
-def _positive(text: str) -> float:
-    """A finite float flag's value above zero: a frequency or a time."""
-    value = _real(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
-    return value
-
-
-def _nonnegative(text: str) -> float:
-    """A finite float flag's value of at least zero."""
-    value = _real(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(
-            f"not a nonnegative number: {text!r}")
-    return value
-
-
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -83,31 +66,26 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
-def _seed(text: str) -> int:
-    """A seed flag's value, which must be a nonnegative integer, as
-    ensemble.base_seed in a config."""
-    value = _int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"not a nonnegative integer: {text!r}")
-    return value
+def _within(convert, ok, wanted: str):
+    """A flag type: the value ``convert`` reads from the text, which must
+    satisfy ``ok``, else the error ``not <wanted>: '<text>'``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"not {wanted}: {text!r}")
+        return value
+    return parse
 
 
-def _jobs(text: str) -> int:
-    """A worker count, an integer of at least 1."""
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
-
-
-def _order(text: str) -> int:
-    """A low-pass filter order, an integer the filter design takes."""
-    value = _int(text)
-    if not _MIN_ORDER <= value <= _MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"not an integer from {_MIN_ORDER} to {_MAX_ORDER}: {text!r}")
-    return value
+# a frequency or a time
+_positive = _within(_real, lambda v: v > 0, "a positive number")
+_nonnegative = _within(_real, lambda v: v >= 0, "a nonnegative number")
+# as ensemble.base_seed in a config
+_seed = _within(_int, lambda v: v >= 0, "a nonnegative integer")
+_jobs = _within(_int, lambda v: v >= 1, "a positive integer")
+# a low-pass filter order the filter design takes
+_order = _within(_int, lambda v: _MIN_ORDER <= v <= _MAX_ORDER,
+                 f"an integer from {_MIN_ORDER} to {_MAX_ORDER}")
 
 
 def _add_config_args(sp) -> None:
@@ -116,6 +94,13 @@ def _add_config_args(sp) -> None:
     sp.add_argument("--out-dir", metavar="DIR",
                     help="run directory (default: outputs.directory from "
                          "the config, else $LGQSMOOTH_OUT_DIR, else ./out)")
+
+
+def _add_output_args(sp) -> None:
+    sp.add_argument("--out-dir", required=True, metavar="DIR")
+    sp.add_argument("--formats", default="csv",
+                    help="output formats, comma list of csv/bin (default "
+                         "csv)")
 
 
 def build_parser() -> _Parser:
@@ -154,22 +139,19 @@ def build_parser() -> _Parser:
                         help="rescale records to a lower efficiency")
     sp.add_argument("--records", required=True, metavar="DIR",
                     help="directory of input record files")
-    sp.add_argument("--out-dir", required=True, metavar="DIR")
+    _add_output_args(sp)
     sp.add_argument("--eta-old", required=True, type=_real,
                     help="efficiency the records were taken at")
     sp.add_argument("--eta-new", required=True, type=_real,
                     help="reduced efficiency to emulate")
     sp.add_argument("--seed", type=_seed, default=0,
                     help="base seed for the injected noise (default 0)")
-    sp.add_argument("--formats", default="csv",
-                    help="output formats, comma list of csv/bin (default "
-                         "csv)")
 
     sp = sub.add_parser("demod",
                         help="demodulate a raw trace into records")
     sp.add_argument("--trace", required=True, metavar="PATH",
                     help="raw trace file (.bin or .csv)")
-    sp.add_argument("--out-dir", required=True, metavar="DIR")
+    _add_output_args(sp)
     sp.add_argument("--omega-hz", required=True, type=_positive,
                     help="carrier frequency in Hz")
     sp.add_argument("--bw-hz", type=_positive, default=DEFAULT_BW_3DB,
@@ -185,9 +167,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--discard-us", type=_nonnegative,
                     default=DEFAULT_DISCARD * 1e6,
                     help="transient to discard in us (default %(default)g)")
-    sp.add_argument("--formats", default="csv",
-                    help="output formats, comma list of csv/bin (default "
-                         "csv)")
     return parser
 
 

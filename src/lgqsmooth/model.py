@@ -170,6 +170,14 @@ def _sroot(n_tot: float, mu: float) -> float:
     return math.sqrt(1.0 + 16.0 * mu * n_tot)
 
 
+def relaxation_rate(ep: EffectiveParams, mu: float) -> float:
+    """Relaxation rate gamma s = gamma sqrt(1 + 16 mu n_tot) of a Riccati
+    flow with quadratic coefficient mu (1/s): mu = eta C for the filter and
+    the retrofilter, mu = C + n_th for the true state, whose flow is the
+    fastest."""
+    return ep.gamma_eff * _sroot(ep.n_tot, mu)
+
+
 def _vft(t: np.ndarray, gamma: float, n_tot: float, mu: float,
          v0: float | None) -> np.ndarray:
     """Shared closed form for forward Riccati flows v' = -g v + 2 g n - 2 g mu v^2.

@@ -67,7 +67,6 @@ from .metrics import (
     hs_avg_theory,
     hs_avg_theory_classical,
     hs_sq_isotropic,
-    std_delta_theory,
     vacf,
     vacf_from_sums,
 )
@@ -75,6 +74,7 @@ from .model import (
     EffectiveParams,
     effective_params,
     filter_riccati_rhs,
+    relaxation_rate,
     retro_precision,
     retro_precision_ss,
     retro_riccati_rhs,
@@ -619,10 +619,9 @@ def _submit_study(map_, ep: EffectiveParams, eta_new: float,
     (:func:`_study_block`) through :func:`_submit_blocks` and return the
     function that collects them into its InjectionStudy."""
     ep_new = dataclasses.replace(ep, eta=eta_new)
-    total = warmup_records * ep.record_duration + window
-    n_total = int(round(total / ep.dt))
-    n_win = int(round(window / ep.dt))
-    n_rec = int(round(ep.record_duration / ep.dt))
+    n_total = _n_steps(ep, warmup_records * ep.record_duration + window)
+    n_win = _n_steps(ep, window)
+    n_rec = _n_steps(ep, ep.record_duration)
     n_warm = n_total - n_win
     steps = [min(n_rec, n_warm - lo) for lo in range(0, n_warm, n_rec)]
     _, v_clean = filter_grid(ep, n_total)
@@ -680,13 +679,11 @@ def _crit_filter_ss(ep: EffectiveParams) -> CriterionResult:
 
 def _crit_t0_ratios(ep: EffectiveParams) -> CriterionResult:
     _, closed = run_grid(ep)
-    v_f, v_sl = closed["Filtered"], closed["SmoothedLTL"]
-    tgt = TargetSpec.of("LTLFiltered", ep)
-    t0 = np.array([0.0])
-    sd_f = float(std_delta_theory(ep, "Filtered", tgt, t0)[0])
-    sd_s = float(std_delta_theory(ep, "Smoothed", tgt, t0)[0])
-    ratio = sd_f / sd_s
-    purity = v_f[0] / v_sl[0]
+    v_f, v_sl = closed["Filtered"][0], closed["SmoothedLTL"][0]
+    v_tar = TargetSpec.of("LTLFiltered", ep).v_tar
+    # error stds sqrt(v - v_tar) at t = 0
+    ratio = math.sqrt(v_f - v_tar) / math.sqrt(v_sl - v_tar)
+    purity = v_f / v_sl
     ok = 2.7 <= ratio <= 3.1 and 5.4 <= purity <= 6.1
     return CriterionResult(
         2, "start-of-record error and purity ratios", ok,
@@ -837,10 +834,6 @@ def _random_effective(rng: np.random.Generator) -> EffectiveParams:
         eta=rng.uniform(0.05, 1.0))
 
 
-def _relax_rate(ep: EffectiveParams) -> float:
-    return ep.gamma_eff * math.sqrt(1.0 + 16.0 * ep.eta_coop * ep.n_tot)
-
-
 def _rk4(rhs, y0: np.ndarray, h: np.ndarray, n_out: int,
          steps: int) -> np.ndarray:
     """Classical fourth-order Runge-Kutta for the autonomous y' = rhs(y),
@@ -865,7 +858,8 @@ def _crit_riccati() -> CriterionResult:
     # the right-hand sides read only these, so arrays of them stack the sets
     sets = SimpleNamespace(**{name: np.array([getattr(ep, name) for ep in eps])
                               for name in ("gamma_eff", "n_tot", "eta_coop")})
-    horizon = np.array([6.0 / _relax_rate(ep) for ep in eps])
+    horizon = np.array([6.0 / relaxation_rate(ep, ep.eta_coop)
+                        for ep in eps])
     n_out, steps = 40, 10
 
     # both flows in precision form, where they relax at the Riccati rate
@@ -915,7 +909,7 @@ def _crit_physicality() -> CriterionResult:
     min_vs = math.inf
     for _ in range(n_sets):
         ep = _random_effective(rng)
-        horizon = 8.0 / _relax_rate(ep)
+        horizon = 8.0 / relaxation_rate(ep, ep.eta_coop)
         ep = dataclasses.replace(ep, record_duration=horizon,
                                  dt=horizon / 480.0)
         # run_grid's SmoothedTrue, the only kind read, without the others
@@ -1066,10 +1060,12 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     (:func:`_keep_heap`), so a block reuses the pages of the block before
     it and does not fault them in again.  Meanwhile this process runs
     criteria 7 and 8, which read neither ensemble, then collects the
-    blocks and computes the rest.  No process forks while it runs
-    a second thread: the pool forks its workers at its first submit,
+    blocks and computes the rest.  No Python thread but the main one is
+    alive at any fork: the pool forks its workers at its first submit,
     before its own threads start, and criterion 11's 2-worker pool starts
-    inside an ensemble worker, which runs one thread.  The record count,
+    inside an ensemble worker, which runs one.  OpenBLAS's worker thread,
+    which ``import numpy`` starts, is alive at this process's first fork
+    until OpenBLAS's own fork handler stops it.  The record count,
     the study's efficiency and the carrier, through criterion 10, are
     checked before the pool starts.  Seeds derive from the configured base
     seed, so the report is reproducible.  The last stderr line gives this

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import EffectiveParams
+from .model import EffectiveParams, relaxation_rate
 
 # Wiener-increment column layouts
 _TRUE_COLS = 6       # observed pair, unobserved optical pair, thermal pair
@@ -141,17 +141,12 @@ def derive_record_seeds(base_seed: int, n_records: int) -> np.ndarray:
     return (words >> np.uint64(1))[:n_records].astype(np.int64)
 
 
-def stability_rate(ep: EffectiveParams) -> float:
-    """Fastest Riccati relaxation rate among the conditioning flows (1/s)."""
-    mu = ep.coop_eff + ep.n_th_eff
-    return ep.gamma_eff * math.sqrt(1.0 + 16.0 * mu * ep.n_tot)
-
-
 def _check_step(ep: EffectiveParams) -> None:
-    if ep.dt * stability_rate(ep) > 0.1:
-        raise ValueError(
-            "dt too large for a faithful discretization: "
-            f"dt * rate = {ep.dt * stability_rate(ep):.3g} > 0.1")
+    # the true state's flow is the fastest of the conditioning flows
+    step = ep.dt * relaxation_rate(ep, ep.coop_eff + ep.n_th_eff)
+    if step > 0.1:
+        raise ValueError("dt too large for a faithful discretization: "
+                         f"dt * rate = {step:.3g} > 0.1")
 
 
 def _n_steps(ep: EffectiveParams, duration: float) -> int:

@@ -89,6 +89,25 @@ def test_out_dir_from_environment(cfg_path, tmp_path, monkeypatch):
     assert (target / "records").is_dir()
 
 
+def test_out_dir_from_config_before_environment(cfg_path, tmp_path,
+                                                monkeypatch):
+    target = tmp_path / "from_cfg"
+    cfg_path.write_text(CONFIG.replace(
+        "[outputs]\n", f"[outputs]\ndirectory = {target}\n"))
+    monkeypatch.setenv("LGQSMOOTH_OUT_DIR", str(tmp_path / "from_env"))
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert (target / "records").is_dir()
+    assert not (tmp_path / "from_env").exists()
+
+
+def test_out_dir_defaults_to_out_in_the_working_directory(cfg_path, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.delenv("LGQSMOOTH_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "records").is_dir()
+
+
 def test_missing_config_is_exit_one(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "none.ini")])
     assert code == 1
@@ -116,6 +135,15 @@ def test_usage_error_is_exit_one(cfg_path):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--config", str(cfg_path), "--jobs"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "estimate", "smooth", "analyze",
+                                 "report", "inject", "demod"])
+def test_subcommand_help_is_exit_zero(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: lgqsmooth {cmd} ")
 
 
 def _estimate_with_nan_sample(cfg_path, tmp_path, capsys, jobs: str):
@@ -841,6 +869,16 @@ def test_nonfinite_demod_flag_is_exit_one(tmp_path, capsys, flags):
     assert not (tmp_path / "records").exists()
 
 
+def test_non_number_demod_flag_is_exit_one(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demod", "--trace", str(tmp_path / "trace.bin"),
+              "--out-dir", str(tmp_path / "records"), "--omega-hz", "1.04e6",
+              "--bw-hz", "abc"])
+    assert exc.value.code == 1
+    assert "argument --bw-hz: not a number: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "records").exists()
+
+
 BAD_FLAGS = {
     # flag: (value, what the value is not)
     "--order": ("0", "an integer from 2 to 8"),
@@ -1074,6 +1112,36 @@ print(json.dumps({{
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc == {"loaded": [], "indices": list(range(1, 12))}
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="the report's pools fork only under the fork "
+                           "start method")
+def test_report_forks_with_no_second_python_thread(tmp_path):
+    import subprocess
+    import sys
+
+    # a hook in the report's process, inherited by the workers it forks,
+    # logs the live Python threads at each fork: the two ensemble workers
+    # and, inside one of them, criterion 11's two estimate workers
+    log = tmp_path / "forks.txt"
+    script = f"""
+import os, threading
+
+def before():
+    with open({str(log)!r}, "a") as f:
+        f.write(f"{{threading.active_count()}}\\n")
+
+os.register_at_fork(before=before)
+from lgqsmooth import pipeline
+from lgqsmooth.config import parse_config_text
+pipeline.acceptance_report(parse_config_text({CONFIG!r}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True,
+                          env={**_child_env(), "TMPDIR": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_text().split() == ["1"] * 4
 
 
 def test_bad_carrier_is_exit_one_before_the_ensembles(cfg_path, tmp_path,

@@ -124,6 +124,12 @@ def test_inline_comments_stripped():
     (lambda s: s + "\n[noise_injection]\neta_new = 0.7\n", "eta_new"),
     (lambda s: s + "\n[outputs]\nformats = csv, parquet\n", "formats"),
     (lambda s: s + "\n[outputs]\ndirectory =\n", "directory"),
+    (lambda s: s.replace("coop = 100", "coop 100"), r"^config syntax: "),
+    (lambda s: s.replace("base_seed = 1\n", ""),
+     r"^ensemble missing key base_seed$"),
+    (lambda s: s + "\n[targets]\nkinds = , ,\n", r"^targets\.kinds is empty$"),
+    (lambda s: s + "\n[noise_injection]\n",
+     r"^noise_injection missing key eta_new$"),
 ])
 def test_rejects_bad_config(mangle, match):
     with pytest.raises(ConfigError, match=match):

@@ -79,6 +79,18 @@ def test_trajectory_validation():
         Trajectory(t, m, v, "Retrofiltered")
 
 
+def test_trajectory_rejects_mis_shaped_arrays():
+    t = np.arange(4) * 1e-6
+    m = np.zeros((4, 2))
+    v = np.ones(4)
+    with pytest.raises(ValueError, match="mean/vw shapes"):
+        Trajectory(t, m, v[:3], "Filtered")
+    with pytest.raises(ValueError, match="mean/vw shapes"):
+        Trajectory(t, m, v[:, None], "Filtered")
+    with pytest.raises(ValueError, match="info shape"):
+        Trajectory(t, m, v, "Retrofiltered", info=m[:3])
+
+
 def test_filter_rejects_eta_mismatch(ref_ep):
     rec = make_record(ref_ep, n=10)
     bad = EffectiveParams(gamma_eff=ref_ep.gamma_eff, n_th_eff=ref_ep.n_th_eff,

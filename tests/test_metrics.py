@@ -420,6 +420,14 @@ def test_vacf_group_and_errors(ref_ep):
         vacf({}, dt, max_lag=10)
 
 
+def test_vacf_rejects_kinds_on_different_grids():
+    means = np.zeros((3, 201, 2))
+    for other in (means[:2], means[:, :150]):
+        with pytest.raises(ValueError, match="same records and grid"):
+            vacf({"Filtered": means, "SmoothedTrue": other}, 1e-6,
+                 max_lag=10)
+
+
 def test_vacf_distinguishes_smooth_from_rough(ref_ep):
     """OU-like slow means decorrelate over their relaxation time, far
     slower than white-velocity means at the same dt."""

@@ -120,6 +120,22 @@ def test_effective_params_reject_nan(name):
         EffectiveParams(**(args | {name: math.nan}))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(gamma_eff=0.0), r"^gamma_eff must be positive$"),
+    (dict(gamma_eff=-1.0), r"^gamma_eff must be positive$"),
+    (dict(eta=0.0), r"^eta must be in \(0, 1\]$"),
+    (dict(eta=1.5), r"^eta must be in \(0, 1\]$"),
+    (dict(record_duration=1e-6, dt=1e-6),
+     r"^need 0 < dt < record_duration$"),
+    (dict(record_duration=1e-6, dt=2e-6),
+     r"^need 0 < dt < record_duration$"),
+])
+def test_effective_params_validation(kwargs, match):
+    args = dict(gamma_eff=1.0, n_th_eff=1.0, coop_eff=1.0, eta=0.5)
+    with pytest.raises(ValueError, match=match):
+        EffectiveParams(**(args | kwargs))
+
+
 # ---------------------------------------------------------------------------
 # The unconditional state
 # ---------------------------------------------------------------------------
@@ -178,6 +194,30 @@ def test_v_filter_custom_initial_variance(ref_ep):
     ode = filter_variance_ode(ref_ep, t, v0=1.0)
     assert np.allclose(closed, ode, rtol=1e-7)
     assert np.all(np.diff(closed) > 0)  # grows toward v_F_ss
+
+
+def test_v_filter_from_its_steady_state_stays_there(ref_ep):
+    # v0 = v_F_ss leaves no transient: the constant, exactly
+    t = probe_times(ref_ep)
+    v_ss = v_filter_ss(ref_ep)
+    assert np.array_equal(v_filter(t, ref_ep, v0=v_ss), np.full_like(t, v_ss))
+    with pytest.raises(ValueError, match="initial variance must be positive"):
+        v_filter(t, ref_ep, v0=0.0)
+
+
+def test_unmonitored_flow_from_a_given_variance():
+    # C = 0: no measurement, so v relaxes linearly to the unconditional
+    # 2 n_tot, v(t) = 2 n_tot + (v0 - 2 n_tot) exp(-gamma t), as it would
+    # across a gap in a record
+    ep = EffectiveParams(gamma_eff=3.0, n_th_eff=10.0, coop_eff=0.0, eta=0.5)
+    t = probe_times(ep)
+    for v0 in (1.0, 4.0 * ep.n_tot):
+        closed = v_filter(t, ep, v0=v0)
+        expected = 2.0 * ep.n_tot + (v0 - 2.0 * ep.n_tot) \
+            * np.exp(-ep.gamma_eff * t)
+        assert np.allclose(closed, expected, rtol=1e-14, atol=0.0)
+        assert np.allclose(closed, filter_variance_ode(ep, t, v0=v0),
+                           rtol=1e-7, atol=0.0)
 
 
 def test_v_filter_monotone_and_converged(ref_ep):
@@ -313,6 +353,11 @@ def test_v_true_transient_decay_rate(ref_ep):
     assert np.all(excess <= bound * 1.001)
 
 
+def test_v_true_rejects_negative_time(ref_ep):
+    with pytest.raises(ValueError, match="^t must be nonnegative$"):
+        v_true(np.array([0.0, 1e-6, -1e-9]), ref_ep)
+
+
 def test_filter_riccati_fixed_point(ref_ep):
     scale = 2.0 * ref_ep.gamma_eff * ref_ep.n_tot
     assert abs(filter_riccati_rhs(v_filter_ss(ref_ep), ref_ep)) <= 1e-9 * scale
@@ -356,6 +401,17 @@ def test_shup_predicate_violating_regime():
     v_cs = 1.0 / (1.0 / v_filter_ss(ep) + retro_precision_ss(ep))
     assert v_cs < 1.0
     assert v_filter_ss(ep) >= 1.0
+
+
+def test_shup_predicate_without_thermal_noise():
+    # n_th = 0: C/n_th is unbounded, so any measurement qualifies once
+    # eta > 1/4
+    assert shup_violation_predicted(
+        EffectiveParams(gamma_eff=1.0, n_th_eff=0.0, coop_eff=2.0, eta=0.5))
+    assert not shup_violation_predicted(
+        EffectiveParams(gamma_eff=1.0, n_th_eff=0.0, coop_eff=0.0, eta=0.5))
+    assert not shup_violation_predicted(
+        EffectiveParams(gamma_eff=1.0, n_th_eff=0.0, coop_eff=2.0, eta=0.25))
 
 
 def test_ss_approximations_warns_at_weak_monitoring():

@@ -27,6 +27,7 @@ from lgqsmooth.smooth import TARGET_KINDS
 from _oracles import (
     injection_study_whole,
     main_arrays_whole,
+    same_bits,
     velocity_acov_batched,
 )
 
@@ -207,12 +208,6 @@ def test_stage_demod(tmp_path, ref_ep):
     assert all(p.n == 300 for p in parts)
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
-                                                 b.view(np.uint64))
-
-
 def test_file_stages_match_stacked_kernels(run_dir, small_cfg):
     # the per-record file stages and the report's stacked kernels are two
     # paths to the same trajectories; on one config's seeds they agree bit
@@ -224,13 +219,13 @@ def test_file_stages_match_stacked_kernels(run_dir, small_cfg):
     ens = simulate_truth_ensemble(ep, ep.record_duration, n,
                                   small_cfg.base_seed)
     s_times, v_f, w, m_f, z = pipeline._estimate_stack(ep, ens.currents)
-    assert _same_bits(times, s_times)
+    assert same_bits(times, s_times)
     stacked = dict(pipeline._kinds_of(ep, v_f, w, m_f, z))
     assert set(stacks) == set(stacked) and len(stacked) == 5
     for kind, means in stacked.items():
-        assert _same_bits(stacks[kind][0], means), kind
-    assert _same_bits(info, z)
-    assert _same_bits(truth, ens.means)
+        assert same_bits(stacks[kind][0], means), kind
+    assert same_bits(info, z)
+    assert same_bits(truth, ens.means)
 
 
 def test_own_columns_are_the_generic_readers_bits(run_dir, small_cfg):
@@ -253,7 +248,7 @@ def test_own_columns_are_the_generic_readers_bits(run_dir, small_cfg):
         else:
             continue
         assert own is not None, path
-        assert _same_bits(own, expected), path
+        assert same_bits(own, expected), path
         n_read += 1
     assert n_read == small_cfg.n_records * 6
 
@@ -270,10 +265,10 @@ def test_stacks_are_the_generic_readers_stacks(run_dir, small_cfg,
     generic = pipeline._load_stacks(*args, truth=True)
     assert fast[1].keys() == generic[1].keys()
     for kind, (means, vw) in fast[1].items():
-        assert _same_bits(means, generic[1][kind][0]), kind
-        assert _same_bits(vw, generic[1][kind][1]), kind
-    assert _same_bits(fast[2], generic[2])
-    assert _same_bits(fast[3], generic[3])
+        assert same_bits(means, generic[1][kind][0]), kind
+        assert same_bits(vw, generic[1][kind][1]), kind
+    assert same_bits(fast[2], generic[2])
+    assert same_bits(fast[3], generic[3])
 
 
 def _table(path) -> dict:
@@ -305,13 +300,13 @@ def test_analysis_tables_match_stacked_path(run_dir, small_cfg):
         expected = np.column_stack([stats.times, stats.var_ens[kind],
                                     stats.theory[kind], stats.sev[kind],
                                     stats.outside[kind]])
-        assert _same_bits(cols, expected), kind
+        assert same_bits(cols, expected), kind
     res = vacf({kind: m for kind, m in means.items() if kind in STATE_KINDS},
                times[1] - times[0])
     table = _table(run_dir / "analysis" / "vacf.csv")
     assert sorted(table) == sorted(res.values) and len(table) == 4
     for kind, cols in table.items():
-        assert _same_bits(cols, np.column_stack([res.lags,
+        assert same_bits(cols, np.column_stack([res.lags,
                                                  res.values[kind]])), kind
 
 
@@ -354,14 +349,14 @@ def test_injection_study_matches_whole_array_oracle(ref_ep, window,
                                   warmup_records=warmup_records)
     probes = list(study.probes)
     for name in ("m_ltl", "m_f", "m_s"):
-        assert _same_bits(getattr(study, name), whole[name][:, probes]), name
+        assert same_bits(getattr(study, name), whole[name][:, probes]), name
     for name in ("times", "v_f", "v_s"):
-        assert _same_bits(getattr(study, name), whole[name]), name
+        assert same_bits(getattr(study, name), whole[name]), name
     n_win = whole["v_f"].shape[0] - 1
     for kind, name in (("Filtered", "m_f"), ("SmoothedLTL", "m_s"),
                        ("ClassicalSmoothed", "m_cs")):
         acov = velocity_acov_batched(whole[name], ep.dt, n_win - 1)
-        assert _same_bits(study.acov[kind], acov.sum(axis=(0, 2))), kind
+        assert same_bits(study.acov[kind], acov.sum(axis=(0, 2))), kind
 
 
 def test_main_arrays_match_whole_stack_oracle(ref_ep):
@@ -375,14 +370,14 @@ def test_main_arrays_match_whole_stack_oracle(ref_ep):
     n = w_times.shape[0] - 1
     probes = pipeline._report_probes(n)
     assert probes.shape == (20,)
-    assert _same_bits(times, w_times[np.append(probes, n)])
+    assert same_bits(times, w_times[np.append(probes, n)])
     got = consistency_check(stacks, times, ref_ep)
     expected = consistency_check(w_stacks, w_times, ref_ep)
     assert set(got.var_ens) == set(expected.var_ens)
     for kind in expected.var_ens:
-        assert _same_bits(got.var_ens[kind][:-1],
+        assert same_bits(got.var_ens[kind][:-1],
                           expected.var_ens[kind][probes]), kind
-        assert _same_bits(got.sev[kind][:-1], expected.sev[kind][probes]), \
+        assert same_bits(got.sev[kind][:-1], expected.sev[kind][probes]), \
             kind
     lo = int(round(0.7 * n))
     for kind in ("SmoothedTrue", "Filtered"):
@@ -391,7 +386,7 @@ def test_main_arrays_match_whole_stack_oracle(ref_ep):
         ratio = np.mean(err) / np.mean(vw - 1.0)
         expected_ratio = (np.mean((m[:, lo:, :] - truth[:, lo:, :]) ** 2)
                           / np.mean(v[lo:] - 1.0))
-        assert _same_bits(ratio, expected_ratio), kind
+        assert same_bits(ratio, expected_ratio), kind
 
 
 def _traced_peak(fn, *args) -> int:
@@ -463,22 +458,22 @@ def test_pooled_ensembles_match_in_process_bits(ref_ep):
         study, arrays = study(), arrays()
     inline = pipeline.run_injection_study(ref_ep, 0.10, 300, 777, 888)
     for name in ("times", "m_ltl", "m_f", "m_s", "v_f", "v_s"):
-        assert _same_bits(getattr(study, name), getattr(inline, name)), name
+        assert same_bits(getattr(study, name), getattr(inline, name)), name
     assert (study.ep_new, study.v_tar, study.probes) == \
         (inline.ep_new, inline.v_tar, inline.probes)
     assert list(study.acov) == list(inline.acov) == [
         "ClassicalSmoothed", "SmoothedLTL", "Filtered"]
     for kind, total in inline.acov.items():
-        assert _same_bits(study.acov[kind], total), kind
+        assert same_bits(study.acov[kind], total), kind
     times, stacks, late = arrays
     i_times, i_stacks, i_late = pipeline._submit_main(map, ref_ep, 300,
                                                       4242)()
-    assert _same_bits(times, i_times)
+    assert same_bits(times, i_times)
     for got, expected in ((stacks, i_stacks), (late, i_late)):
         assert set(got) == set(expected)
         for kind, (values, vw) in expected.items():
-            assert _same_bits(got[kind][0], values), kind
-            assert _same_bits(got[kind][1], vw), kind
+            assert same_bits(got[kind][0], values), kind
+            assert same_bits(got[kind][1], vw), kind
 
 
 def test_report_forks_only_single_threaded_processes(small_cfg, monkeypatch):

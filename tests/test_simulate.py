@@ -14,10 +14,10 @@ from lgqsmooth import (
     simulate_true_and_record,
     simulate_truth_ensemble,
 )
+from lgqsmooth.model import relaxation_rate
 from lgqsmooth.simulate import (
     _evolve_true,
     derive_record_seeds,
-    stability_rate,
     truth_stream,
 )
 
@@ -128,7 +128,8 @@ def test_stability_guard(ref_ep):
         simulate_true_and_record(bad, 1.0, seed=0)
     with pytest.raises(ValueError, match="one sample period"):
         simulate_true_and_record(ref_ep, 0.5e-6, seed=0)
-    assert stability_rate(ref_ep) * ref_ep.dt < 0.1
+    assert relaxation_rate(ref_ep, ref_ep.coop_eff + ref_ep.n_th_eff) \
+        * ref_ep.dt < 0.1
 
 
 def test_pure_decay_without_noise(ref_ep):
