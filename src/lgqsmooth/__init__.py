@@ -41,7 +41,6 @@ from .simulate import (
     NumericalError,
     TruthBundle,
     TruthEnsemble,
-    simulate_surrogate_ensemble,
     simulate_true_and_record,
     simulate_truth_ensemble,
     synthesize_raw,
@@ -75,7 +74,6 @@ __all__ = [
     "run_retrofilter",
     "segment",
     "sev",
-    "simulate_surrogate_ensemble",
     "simulate_true_and_record",
     "simulate_truth_ensemble",
     "smooth_general",

@@ -119,8 +119,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("estimate",
                         help="run the filter and retrofilter over records")
     _add_config_args(sp)
-    sp.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                    help="worker processes (default 1)")
+    sp.add_argument("--jobs", type=_jobs, default=2, metavar="N",
+                    help="worker processes that write the estimates' text "
+                         "(default 2)")
 
     sp = sub.add_parser("smooth",
                         help="combine filter and retrofilter per target")

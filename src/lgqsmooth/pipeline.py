@@ -10,10 +10,16 @@ be rerun or inspected independently:
     smoothed/<target>/smoothed_%05d.csv
     analysis/{consistency.csv,stats.json,hs.csv,vacf.csv}
 
-With jobs > 1, estimate splits the records into contiguous slices, one
-per worker process, and each worker filters and writes the files of its
-own slice; every record goes through the same per-record path whatever
-the worker count, so the artifacts are identical for any worker count.
+Each of the four file stages keeps its numerical kernels in its own
+process and hands the text of its per-record files to worker processes
+(:class:`_FileWorkers`, two by default): contiguous slices of files to
+write, each file's bytes made by its recordio writer, and slices of files
+to parse, whose own columns (:func:`recordio.read_own_columns`) the stage
+takes in file order and checks itself.  A worker only formats or parses;
+every check that names a file or a sample, and the generic readers for a
+file its writer would not have made, stay in the stage's process.  So
+the artifacts, and each error's class and message, are the same for any
+worker count.
 
 The acceptance report writes no run directory.  It generates, filters and
 smooths its two ensembles (the injection study and the main ensemble) in
@@ -25,8 +31,10 @@ the report text the same bits in any process and for any worker count.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -159,13 +167,113 @@ def _indexed(directory: Path, stem: str, i: int, ext: str) -> Path:
     return directory / f"{stem}_{i:05d}.{ext}"
 
 
+def _slices(n: int, size: int) -> list[slice]:
+    """Contiguous slices of at most ``size`` covering range(n), in order."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+# the most files of one directory that a worker formats or parses in one
+# task, so what a task's arguments or result hold of a stage's arrays: at
+# 100 reference records, analyze peaks about 2 MB above the one-process
+# stage with 64-file slices, 1 MB with 16 and 0.4 MB with 8, in the same
+# time within the noise
+_SLICE_FILES = 8
+
+
+def _each(fn, *columns) -> list:
+    """``fn`` on each row of ``columns``, in order, as a list: one task of
+    a file stage's text work, a slice of files written or parsed.  Module
+    level, so a worker process can unpickle it."""
+    return [fn(*row) for row in zip(*columns)]
+
+
+class _FileWorkers:
+    """The processes that format and parse a file stage's per-record text
+    files, ``n_files`` to a directory, and the contiguous slices of files
+    each task takes.
+
+    With one process (``jobs`` = 1, or one file) a slice is one file, and
+    :meth:`starmap` is ``itertools.starmap`` in this process, so each
+    file is written as soon as it is made and read just before it is
+    checked.  With more, ``min(jobs, n_files)`` worker processes take
+    slices of ceil(n_files / processes) files, at most _SLICE_FILES, so
+    there are never more workers than slices.  The pool is imported and
+    started at the first task and shut down on exit.  At most
+    2 processes + 1 tasks are in flight, so this process holds a few
+    slices of arguments and results, however many files there are.
+    Several stages may share one set of workers.
+
+    The pool takes the default start method, as the report's does.  On
+    Linux that forks, at the first submit, before the pool's own threads
+    start: a pool of two starts in about 10 ms, where spawned workers,
+    which import numpy and this package afresh, take about 0.4 s, more
+    than a 100-record stage's whole text work.
+    """
+
+    def __init__(self, jobs: int, n_files: int, stage: str):
+        if jobs < 1:
+            raise ValueError(f"{stage}: jobs must be at least 1, got {jobs}")
+        self.processes = max(1, min(jobs, n_files))
+        size = 1 if self.processes == 1 \
+            else min(-(-n_files // self.processes), _SLICE_FILES)
+        self.slices = _slices(n_files, size)
+        self._pool = None
+
+    def __enter__(self) -> "_FileWorkers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            # after an error the few tasks in flight finish first: with
+            # cancel_futures, CPython 3.11's shutdown can wait forever
+            # once a task's arguments failed to pickle
+            self._pool.shutdown()
+            self._pool = None
+
+    def starmap(self, fn, tasks):
+        """``fn(*task)`` for each task, as an iterator in task order; a
+        task is made only when it is about to be submitted."""
+        if self.processes == 1:
+            return itertools.starmap(fn, tasks)
+        return self._pooled(fn, tasks)
+
+    def _pooled(self, fn, tasks):
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=self.processes)
+        running: collections.deque = collections.deque()
+        for task in tasks:
+            running.append(self._pool.submit(fn, *task))
+            if len(running) > 2 * self.processes:
+                yield running.popleft().result()
+        while running:
+            yield running.popleft().result()
+
+
+def _write(workers: _FileWorkers, tasks) -> None:
+    """Run write tasks, each a writer, its objects and their paths, on
+    ``workers``."""
+    for _ in workers.starmap(_each, tasks):
+        pass
+
+
+def _record_tasks(records, directory: Path, formats, first: int = 0):
+    """The write tasks of ``records``, indexed from ``first``, in each of
+    ``formats``."""
+    index = range(first, first + len(records))
+    for ext in formats:
+        write = recordio.write_record_bin if ext == "bin" \
+            else recordio.write_record_csv
+        yield write, records, [_indexed(directory, "record", i, ext)
+                               for i in index]
+
+
 def _write_records(records, directory: Path, formats) -> None:
+    """Write ``records`` in this process."""
     directory.mkdir(parents=True, exist_ok=True)
-    for i, rec in enumerate(records):
-        for ext in formats:
-            write = recordio.write_record_bin if ext == "bin" \
-                else recordio.write_record_csv
-            write(rec, _indexed(directory, "record", i, ext))
+    for task in _record_tasks(records, directory, formats):
+        _each(*task)
 
 
 def _indexed_paths(directory: Path, stem: str, ext: str,
@@ -215,24 +323,34 @@ def load_records(directory: Path, n: int | None = None
 
 
 def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
-                 targets=(), truth: bool = False):
+                 targets=(), truth: bool = False,
+                 workers: _FileWorkers | None = None):
     """Read a run's trajectories and check them against its configuration.
 
     Reads estimates/, smoothed/<target>/ for each of ``targets``, and,
     with ``truth``, truth/ where it exists, each into one stack.  Each
     directory must hold exactly ``<stem>_00000.csv`` to
     ``<stem>_<n_records-1>.csv``, so a missing or stray file is an error,
-    not a shifted pairing.  Each file must hold the time grid of
-    :func:`run_grid`, its directory's kind (Filtered, Retrofiltered or the
-    target's smoothed kind) and exactly that kind's closed-form vw.  An
-    error names the file at fault, or the directory when all of its files
-    have another kind.  A non-finite mean or information vector is a
-    NumericalError naming the file and sample, except an effect mean where
-    it is not :func:`effect_defined`, NaN by design.
+    not a shifted pairing; every directory is checked so before any file
+    is read.  Each file must hold the time grid of :func:`run_grid`, its
+    directory's kind (Filtered, Retrofiltered or the target's smoothed
+    kind) and exactly that kind's closed-form vw.  An error names the file
+    at fault, or the directory when all of its files have another kind.
+    A non-finite mean or information vector is a NumericalError naming
+    the file and sample, except an effect mean where it is not
+    :func:`effect_defined`, NaN by design.
+
+    ``workers`` (by default this process alone) parse each file's own
+    columns (:func:`recordio.read_own_columns`); this process takes them
+    in file order and makes every check, reading any other file with its
+    generic reader, so the result and any error are the same for any
+    worker count.
 
     Returns the :func:`run_grid` grid, kind -> (means (N, n+1, 2), vw),
     the retrofilter's information vectors (N, n+1, 2), and the truth means
     (None unless read)."""
+    if workers is None:
+        workers = _FileWorkers(1, n_records, "read")
     times, closed = grid = run_grid(ep)
     defined = effect_defined(closed["Retrofiltered"], ep)
     dirs = [(base_dir / "estimates", "filtered", "Filtered"),
@@ -241,21 +359,26 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
              for t in targets]
     if truth and (base_dir / "truth").is_dir():
         dirs.append((base_dir / "truth", "truth", None))
+    # each directory's files, and the text this run's writer gives its
+    # shared columns
+    reads = [(_indexed_paths(directory, stem, "csv", n_records),
+              recordio.means_layout(times) if kind is None
+              else recordio.trajectory_layout(times, kind, closed[kind],
+                                              kind == "Retrofiltered"))
+             for directory, stem, kind in dirs]
+    owns = itertools.chain.from_iterable(workers.starmap(_each, (
+        (functools.partial(recordio.read_own_columns, layout), paths[sl])
+        for paths, layout in reads for sl in workers.slices)))
     stacks, info, truth_means = {}, None, None
-    for directory, stem, kind in dirs:
-        paths = _indexed_paths(directory, stem, "csv", n_records)
+    for (directory, _, kind), (paths, _) in zip(dirs, reads):
         means = np.empty((n_records, times.shape[0], 2))
         retro = kind == "Retrofiltered"
         if retro:
             info = np.empty_like(means)
         vw = closed.get(kind)
         name = "precision" if retro else "covariance"
-        # the text this run's writer gives the directory's shared columns
-        layout = recordio.means_layout(times) if kind is None \
-            else recordio.trajectory_layout(times, kind, vw, retro)
         other = []  # files of another kind, named once all are read
-        for i, path in enumerate(paths):
-            own = recordio.read_own_columns(layout, path)
+        for i, (path, own) in enumerate(zip(paths, owns)):
             if own is not None:
                 m, z = own[:, :2], (own[:, 2:] if retro else None)
             else:
@@ -301,7 +424,14 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
 # simulate
 # ---------------------------------------------------------------------------
 
-def stage_simulate(cfg: RunConfig, base_dir: Path) -> None:
+def stage_simulate(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
+    """Draw the configured ensemble and write its records and truth, the
+    files' text made on ``jobs`` processes (:class:`_FileWorkers`)."""
+    with _FileWorkers(jobs, cfg.n_records, "simulate") as workers:
+        _simulate(cfg, base_dir, workers)
+
+
+def _simulate(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
     for sub in ("records", "truth", "estimates", "smoothed", "analysis"):
         for path in sorted((base_dir / sub).rglob("*")):
             if path.is_file():
@@ -310,13 +440,20 @@ def stage_simulate(cfg: RunConfig, base_dir: Path) -> None:
     ep = effective_params(cfg.params)
     ens = simulate_truth_ensemble(ep, ep.record_duration, cfg.n_records,
                                   cfg.base_seed)
-    _write_records([ens.record(i) for i in range(cfg.n_records)],
-                   base_dir / "records", cfg.formats)
-    truth_dir = base_dir / "truth"
-    truth_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(cfg.n_records):
-        recordio.write_means_csv(ens.times, ens.means[i],
-                                 _indexed(truth_dir, "truth", i, "csv"))
+    rec_dir, truth_dir = base_dir / "records", base_dir / "truth"
+    for directory in (rec_dir, truth_dir):
+        directory.mkdir(parents=True, exist_ok=True)
+    write_truth = functools.partial(recordio.write_means_csv, ens.times)
+
+    def tasks():
+        for sl in workers.slices:
+            yield from _record_tasks(
+                [ens.record(i) for i in range(sl.start, sl.stop)], rec_dir,
+                cfg.formats, sl.start)
+            yield write_truth, ens.means[sl], [
+                _indexed(truth_dir, "truth", i, "csv")
+                for i in range(sl.start, sl.stop)]
+    _write(workers, tasks())
     log(f"simulate: wrote {cfg.n_records} records to {base_dir}")
 
 
@@ -333,26 +470,15 @@ def _estimate_stack(ep: EffectiveParams, currents: np.ndarray):
     return times, v_f, w, m_f, z
 
 
-def _slices(n: int, size: int) -> list[slice]:
-    """Contiguous slices of at most ``size`` covering range(n), in order."""
-    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
+    """Filter and retrofilter every record in this process, and write the
+    estimates, their text made on ``jobs`` processes
+    (:class:`_FileWorkers`)."""
+    with _FileWorkers(jobs, cfg.n_records, "estimate") as workers:
+        _estimate(cfg, base_dir, workers)
 
 
-def _estimate_records(ep: EffectiveParams, records, est_dir: Path,
-                      first: int) -> None:
-    """Filter and retrofilter a contiguous slice of records, the first of
-    index ``first``, writing each record's files before the next record is
-    filtered.  Module level, so the process pool can pickle it."""
-    for i, rec in enumerate(records, first):
-        recordio.write_trajectory_csv(run_filter(rec, ep),
-                                      _indexed(est_dir, "filtered", i, "csv"))
-        recordio.write_trajectory_csv(run_retrofilter(rec, ep),
-                                      _indexed(est_dir, "retro", i, "csv"))
-
-
-def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
-    if jobs < 1:
-        raise ValueError(f"estimate: jobs must be at least 1, got {jobs}")
+def _estimate(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
     ep = effective_params(cfg.params)
     n = _n_steps(ep, ep.record_duration)
     paths, records = load_records(base_dir / "records", cfg.n_records)
@@ -363,18 +489,17 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
                              f"records have {n}")
     est_dir = base_dir / "estimates"
     est_dir.mkdir(parents=True, exist_ok=True)
-    # one slice per worker, of ceil(N / jobs) records
-    parts = _slices(len(records), -(-len(records) // jobs))
-    if len(parts) == 1:
-        _estimate_records(ep, records, est_dir, 0)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(parts)) as pool:
-            tasks = [pool.submit(_estimate_records, ep, records[sl], est_dir,
-                                 sl.start) for sl in parts]
-            for task in tasks:
-                task.result()
+    def tasks():
+        # a slice is filtered when its files are about to be handed out
+        for sl in workers.slices:
+            index = range(sl.start, sl.stop)
+            for stem, run in (("filtered", run_filter),
+                              ("retro", run_retrofilter)):
+                yield recordio.write_trajectory_csv, [
+                    run(records[i], ep) for i in index], [
+                    _indexed(est_dir, stem, i, "csv") for i in index]
+    _write(workers, tasks())
     log(f"estimate: wrote {len(records)} filtered/retro pairs")
 
 
@@ -382,21 +507,35 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 1) -> None:
 # smooth
 # ---------------------------------------------------------------------------
 
-def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
+def stage_smooth(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
+    """Combine each record's estimates for every configured target in this
+    process; the estimates are parsed and the smoothed files' text made
+    on ``jobs`` processes (:class:`_FileWorkers`)."""
+    with _FileWorkers(jobs, cfg.n_records, "smooth") as workers:
+        _smooth(cfg, base_dir, workers)
+
+
+def _smooth(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
     ep = effective_params(cfg.params)
-    (times, _), stacks, info, _ = _load_stacks(base_dir, cfg.n_records, ep)
+    (times, _), stacks, info, _ = _load_stacks(base_dir, cfg.n_records, ep,
+                                               workers=workers)
     (m_f, v_f), (m_r, w) = stacks["Filtered"], stacks["Retrofiltered"]
     pairs = [(Trajectory(times, m_f[i], v_f, "Filtered"),
               Trajectory(times, m_r[i], w, "Retrofiltered", info=info[i]))
              for i in range(cfg.n_records)]
+
+    def tasks():
+        for kind in cfg.targets:
+            tgt = TargetSpec.of(kind, ep)
+            out_dir = base_dir / "smoothed" / kind
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for sl in workers.slices:
+                yield recordio.write_trajectory_csv, [
+                    smooth_general(f, r, tgt) for f, r in pairs[sl]], [
+                    _indexed(out_dir, "smoothed", i, "csv")
+                    for i in range(sl.start, sl.stop)]
+    _write(workers, tasks())
     for kind in cfg.targets:
-        tgt = TargetSpec.of(kind, ep)
-        out_dir = base_dir / "smoothed" / kind
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, (f, r) in enumerate(pairs):
-            s = smooth_general(f, r, tgt)
-            recordio.write_trajectory_csv(s, _indexed(out_dir, "smoothed", i,
-                                                      "csv"))
         log(f"smooth: target {kind}: wrote {len(pairs)} trajectories")
 
 
@@ -404,10 +543,19 @@ def stage_smooth(cfg: RunConfig, base_dir: Path) -> None:
 # analyze
 # ---------------------------------------------------------------------------
 
-def stage_analyze(cfg: RunConfig, base_dir: Path) -> None:
+def stage_analyze(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
+    """Ensemble statistics, distances and autocorrelations of a run's
+    trajectories, which are parsed on ``jobs`` processes
+    (:class:`_FileWorkers`)."""
+    with _FileWorkers(jobs, cfg.n_records, "analyze") as workers:
+        _analyze(cfg, base_dir, workers)
+
+
+def _analyze(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
     ep = effective_params(cfg.params)
     (times, closed), stacks, info, truth = _load_stacks(
-        base_dir, cfg.n_records, ep, cfg.targets, truth=True)
+        base_dir, cfg.n_records, ep, cfg.targets, truth=True,
+        workers=workers)
     # analyze only checks the information vectors; they, the truth and the
     # Retrofiltered means are freed before the autocorrelation's transforms,
     # which set the stage's peak memory
@@ -978,10 +1126,11 @@ def _crit_demod(omega: float) -> CriterionResult:
 
 
 def _run_all_stages(cfg: RunConfig, base_dir: Path, jobs: int) -> None:
-    stage_simulate(cfg, base_dir)
-    stage_estimate(cfg, base_dir, jobs=jobs)
-    stage_smooth(cfg, base_dir)
-    stage_analyze(cfg, base_dir)
+    """The four file stages on one set of ``jobs`` file workers, so that
+    a pool starts once."""
+    with _FileWorkers(jobs, cfg.n_records, "reproducibility") as workers:
+        for stage in (_simulate, _estimate, _smooth, _analyze):
+            stage(cfg, base_dir, workers)
 
 
 def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
@@ -1012,8 +1161,11 @@ DEFAULT_ETA_NEW = 0.10
 # the mmap threshold lies above a block's largest array, the 8.4 MB
 # (256, 1025, 2) complex transform of acov_rows, so every block array
 # comes from the heap; the trim threshold lies above a block's roughly
-# 40 MB of short-lived heap, so a freed block stays with the worker
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# 40 MB of short-lived heap, so a freed block stays with the worker; one
+# arena, so that what the threads of criterion 11's file pool free is the
+# blocks' heap too, not an arena of their own (the report's largest
+# worker peaked 0.8 MB higher with one per thread)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _WORKER_MMAP_THRESHOLD = 32 << 20
 _WORKER_TRIM_THRESHOLD = 256 << 20
 
@@ -1035,6 +1187,7 @@ def _keep_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _ensemble_pool():

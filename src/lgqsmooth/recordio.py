@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,10 @@ def _table(path, header: str, usecols=None) -> tuple[np.ndarray, list]:
     """The numbers of a text table whose first line must be ``header``,
     parsed with ``np.loadtxt`` (only ``usecols`` if given), and its data
     lines.  Every row holds the header's column count."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     lines = text.splitlines()
     first, rows = (lines[0] if lines else ""), lines[1:]
     if first != header:
@@ -136,12 +139,18 @@ class Layout:
     and ``%.17g`` in each own field, so a file is ``header``, a line end
     and ``template % own``.  ``width`` is the fields of a row split by
     :func:`_fields`, its line end counted, and ``own`` the indices of the
-    own columns."""
+    own columns.  A layout pickles as the arguments of its cached
+    constructor, so a worker process that reads many files of one layout
+    builds it, and its ``shared`` fields, once."""
 
     header: str
     template: str
     width: int
     own: tuple
+    made_from: tuple = field(default=(), compare=False, repr=False)
+
+    def __reduce__(self):
+        return _layout, self.made_from
 
     @functools.cached_property
     def shared(self) -> tuple[int, tuple]:
@@ -166,7 +175,7 @@ def _layout(header: str, row: str, n: int, *columns: bytes) -> Layout:
     cells = row[:-1].split(",")
     return Layout(header, template, len(cells) + 1,
                   tuple(i for i, cell in enumerate(cells)
-                        if cell == "%%.17g"))
+                        if cell == "%%.17g"), (header, row, n, *columns))
 
 
 def _bytes(column) -> bytes:
@@ -213,8 +222,14 @@ def read_own_columns(layout: Layout, path) -> np.ndarray | None:
 
     The own fields are parsed with float(), which gives the bits of
     np.loadtxt on an ASCII field with neither underscores nor white
-    space; a file holding any of those is another file."""
-    header, _, body = Path(path).read_text().partition("\n")
+    space; a file holding any of those is another file.  A file that
+    cannot be read or decoded is another file too, so this never raises
+    for what a file holds, and the generic reader reports it."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError):
+        return None
+    header, _, body = text.partition("\n")
     if header != layout.header or not body.isascii() \
             or any(c in body for c in _FOREIGN):
         return None

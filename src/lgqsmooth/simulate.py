@@ -41,7 +41,6 @@ from .model import EffectiveParams, relaxation_rate
 
 # Wiener-increment column layouts
 _TRUE_COLS = 6       # observed pair, unobserved optical pair, thermal pair
-_SURR_COLS = 4       # process pair, measurement pair
 
 # time steps per chunk of the stacked recurrence: 16 to 128 run equally
 # fast on (256, 751, 2); the chunk buffer stays cache-sized
@@ -302,40 +301,6 @@ def simulate_truth_ensemble(ep: EffectiveParams, duration: float,
     seeds = derive_record_seeds(base_seed, n_records)
     times, means, currents = next(truth_stream(ep, seeds, [n]))
     return TruthEnsemble(times, means, currents, seeds, ep.dt, ep.eta)
-
-
-# ---------------------------------------------------------------------------
-# Classical surrogate generator (identical record statistics)
-# ---------------------------------------------------------------------------
-
-def simulate_surrogate_ensemble(ep: EffectiveParams, duration: float,
-                                n_records: int,
-                                base_seed: int) -> TruthEnsemble:
-    """Classical Ornstein-Uhlenbeck surrogate with the same record law.
-
-    The hidden state is an OU process with the system drift and diffusion;
-    the record adds independent measurement noise.  First and second
-    moments (and spectra) of the currents match the true-state generator,
-    which is what makes the filtering problem classically equivalent.  Each
-    record draws its initial state, then one ``(n, 4)`` block of process
-    and measurement increments; the states evolve as the true means do, so
-    the ensemble's ``means`` are the hidden states.
-    """
-    _check_step(ep)
-    n = _n_steps(ep, duration)
-    seeds = derive_record_seeds(base_seed, n_records)
-    g_proc = math.sqrt(2.0 * ep.gamma_eff * ep.n_tot)
-    means = np.empty((n_records, n + 1, 2))
-    currents = np.empty((n_records, n, 2))
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(int(s))
-        means[i, 0] = rng.normal(0.0, math.sqrt(ep.sigma2_uncon), 2)
-        dw = rng.normal(0.0, math.sqrt(ep.dt), (n, _SURR_COLS))
-        np.multiply(dw[:, 0:2], g_proc, out=means[i, 1:])
-        np.divide(dw[:, 2:4], ep.dt, out=currents[i])
-    _evolve_true(means, currents, ep)
-    return TruthEnsemble(np.arange(n + 1) * ep.dt, means, currents, seeds,
-                         ep.dt, ep.eta)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ rounding of the package's factor-and-offset form.  The stacked kernels
 are also kept as they were first written, record-major with per-sample
 factors broadcast as ``x[:, None]`` and one stacked step per sample; the
 package's time-major chunks and pair-wide factors must reproduce their
-bits.
+bits.  A classical surrogate ensemble, whose hidden state has the record
+law of the quantum system, is the Monte Carlo reference of the classical
+smoother.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ from lgqsmooth.estimate import (
 )
 from lgqsmooth.metrics import _ACF_BLOCK
 from lgqsmooth.model import EffectiveParams, v_filter_ss
-from lgqsmooth.simulate import derive_record_seeds, simulate_truth_ensemble
+from lgqsmooth.simulate import (
+    TruthEnsemble,
+    _check_step,
+    _evolve_true,
+    _n_steps,
+    derive_record_seeds,
+    simulate_truth_ensemble,
+)
 from lgqsmooth.smooth import _terms, combine_arrays
 
 
@@ -317,3 +326,38 @@ def acf_biased_whole(means: np.ndarray, dt: float,
     f = np.fft.rfft(x, size, axis=1)
     acov = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :max_lag + 1]
     return acov.mean(axis=(0, 2)) / n
+
+
+# Wiener-increment columns of a surrogate record: process pair, measurement
+# pair
+_SURR_COLS = 4
+
+
+def simulate_surrogate_ensemble(ep: EffectiveParams, duration: float,
+                                n_records: int,
+                                base_seed: int) -> TruthEnsemble:
+    """Classical Ornstein-Uhlenbeck surrogate with the same record law.
+
+    The hidden state is an OU process with the system drift and diffusion;
+    the record adds independent measurement noise.  First and second
+    moments (and spectra) of the currents match the true-state generator,
+    which is what makes the filtering problem classically equivalent.  Each
+    record draws its initial state, then one ``(n, 4)`` block of process
+    and measurement increments; the states evolve as the true means do, so
+    the ensemble's ``means`` are the hidden states.
+    """
+    _check_step(ep)
+    n = _n_steps(ep, duration)
+    seeds = derive_record_seeds(base_seed, n_records)
+    g_proc = math.sqrt(2.0 * ep.gamma_eff * ep.n_tot)
+    means = np.empty((n_records, n + 1, 2))
+    currents = np.empty((n_records, n, 2))
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(int(s))
+        means[i, 0] = rng.normal(0.0, math.sqrt(ep.sigma2_uncon), 2)
+        dw = rng.normal(0.0, math.sqrt(ep.dt), (n, _SURR_COLS))
+        np.multiply(dw[:, 0:2], g_proc, out=means[i, 1:])
+        np.divide(dw[:, 2:4], ep.dt, out=currents[i])
+    _evolve_true(means, currents, ep)
+    return TruthEnsemble(np.arange(n + 1) * ep.dt, means, currents, seeds,
+                         ep.dt, ep.eta)

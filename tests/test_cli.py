@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import functools
 import io
 import math
 import multiprocessing
@@ -59,6 +60,38 @@ def run_all(cfg_path, out):
     for cmd in ("simulate", "estimate", "smooth", "analyze"):
         code = main([cmd, "--config", str(cfg_path), "--out-dir", str(out)])
         assert code == 0, cmd
+
+
+def main_on(jobs: int, argv) -> int:
+    """``main(argv)`` with its file stage's text made on ``jobs``
+    processes (only estimate has a flag for it); the stage leaves no
+    process behind, whether it succeeds or fails."""
+    name = f"stage_{argv[0]}"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, name,
+                   functools.partial(getattr(pipeline, name), jobs=jobs))
+        code = main(argv)
+    assert multiprocessing.active_children() == []
+    return code
+
+
+def main_each(argv) -> tuple[int, str]:
+    """``main(argv)`` on one worker, then on two: the exit code and stderr
+    of each, which must be the same, so a failing stage must fail with
+    the same error class and message whatever parses its files."""
+    outcomes = []
+    for jobs in (1, 2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main_on(jobs, argv)
+        outcomes.append((code, err.getvalue()))
+    assert outcomes[0] == outcomes[1], outcomes
+    return outcomes[0]
+
+
+def _no_own_columns(layout, path):
+    # module level, so that a file worker can unpickle it
+    return None
 
 
 def test_full_run_exit_zero(cfg_path, tmp_path, capsys):
@@ -227,34 +260,32 @@ def test_jobs_below_one_is_exit_one(cfg_path, tmp_path, capsys, jobs):
 
 def test_worker_pool_never_exceeds_the_chunks(cfg_path, tmp_path,
                                               monkeypatch):
-    # 3 records at --jobs 8 are 3 one-record chunks; the stand-in pool runs
-    # each task in this process, so no worker process is started
+    # 3 records at --jobs 8 are 3 one-record slices; the stand-in pool runs
+    # each task in this process, so no worker process is started, and it
+    # is shut down before the stage returns
     asked = []
 
     class InlinePool:
         def __init__(self, max_workers):
             asked.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, *args):
             done = Future()
             done.set_result(fn(*args))
             return done
 
+        def shutdown(self):
+            asked.append("shutdown")
+
     cfg_path.write_text(CONFIG.replace("n_records = 4", "n_records = 3"))
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
-    # stage_estimate imports the executor only when it starts a pool
+    # the file workers import the executor only when they start a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert main(["estimate", "--config", str(cfg_path),
                  "--out-dir", str(out), "--jobs", "8"]) == 0
-    assert asked == [3]
+    assert asked == [3, "shutdown"]
     assert sorted(p.name for p in (out / "estimates").iterdir()) == [
         f"{stem}_{i:05d}.csv" for stem in ("filtered", "retro")
         for i in range(3)]
@@ -307,7 +338,7 @@ def test_simulate_refuses_earlier_run(cfg_path, tmp_path, capsys):
     assert [p.read_bytes() for p in kept] == before
 
 
-def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
+def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path):
     out = tmp_path / "run"
     for cmd in ("simulate", "estimate"):
         assert main([cmd, "--config", str(cfg_path),
@@ -316,17 +347,16 @@ def test_malformed_trajectory_is_exit_one(cfg_path, tmp_path, capsys):
     text = victim.read_text().splitlines()
     text[2] = "0.0001,Filtered,1.5"
     victim.write_text("\n".join(text) + "\n")
-    capsys.readouterr()
-    code = main(["smooth", "--config", str(cfg_path), "--out-dir", str(out)])
+    code, err = main_each(["smooth", "--config", str(cfg_path),
+                           "--out-dir", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
     assert f"lgqsmooth: error: {victim}: " in err
 
 
 @pytest.mark.parametrize("defect", ["filtered file cut by one row",
                                     "retro file of another kind",
                                     "record_us edited after estimate"])
-def test_smooth_input_error_names_path(cfg_path, tmp_path, capsys, defect):
+def test_smooth_input_error_names_path(cfg_path, tmp_path, defect):
     out = tmp_path / "run"
     for cmd in ("simulate", "estimate"):
         assert main([cmd, "--config", str(cfg_path),
@@ -343,10 +373,10 @@ def test_smooth_input_error_names_path(cfg_path, tmp_path, capsys, defect):
         victim = out / "estimates" / "retro_00001.csv"
         victim.write_text(victim.read_text().replace(",Retrofiltered,",
                                                      ",Filtered,"))
-    capsys.readouterr()
-    code = main(["smooth", "--config", str(cfg_path), "--out-dir", str(out)])
+    code, err = main_each(["smooth", "--config", str(cfg_path),
+                           "--out-dir", str(out)])
     assert code == 1
-    assert f"lgqsmooth: error: {victim}: " in capsys.readouterr().err
+    assert f"lgqsmooth: error: {victim}: " in err
     assert not (out / "smoothed").exists()
 
 
@@ -407,7 +437,7 @@ def test_stray_file_is_exit_one(clean_run, tmp_path, capsys, cmd, rel,
                                     "first smoothed file of another kind",
                                     "smoothed directory of another kind",
                                     "first smoothed file's vw scaled by 1.5"])
-def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
+def test_analyze_input_error_names_path(cfg_path, tmp_path, defect):
     out = tmp_path / "run"
     run_all(cfg_path, out)
     smoothed = out / "smoothed" / "TrueState"
@@ -445,10 +475,10 @@ def test_analyze_input_error_names_path(cfg_path, tmp_path, capsys, defect):
             text = path.read_text()
             path.write_text(text.replace(",SmoothedTrue,", ",SmoothedLTL,"))
         victim = paths[0] if len(paths) == 1 else smoothed
-    capsys.readouterr()
-    code = main(["analyze", "--config", str(cfg_path), "--out-dir", str(out)])
+    code, err = main_each(["analyze", "--config", str(cfg_path),
+                           "--out-dir", str(out)])
     assert code == 1
-    assert f"lgqsmooth: error: {victim}: " in capsys.readouterr().err
+    assert f"lgqsmooth: error: {victim}: " in err
 
 
 @pytest.fixture(scope="module")
@@ -510,13 +540,11 @@ def test_corrupt_trajectory_is_exit_one(clean_run, rel, defect, row, number,
             lines[row] = ",".join(fields)
         victim.write_text("\n".join(lines) + "\n")
         stage = "smooth" if rel.startswith("estimates") else "analyze"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([stage, "--config", str(cfg), "--out-dir", str(out)])
-    assert code == 1, err.getvalue()
-    assert (f"lgqsmooth: error: {victim}: " in err.getvalue()
-            or f"lgqsmooth: error: {victim.parent}: " in err.getvalue()), \
-        err.getvalue()
+        code, err = main_each([stage, "--config", str(cfg),
+                               "--out-dir", str(out)])
+    assert code == 1, err
+    assert (f"lgqsmooth: error: {victim}: " in err
+            or f"lgqsmooth: error: {victim.parent}: " in err), err
 
 
 @pytest.mark.parametrize("cmd, rel, column, value", [
@@ -526,8 +554,8 @@ def test_corrupt_trajectory_is_exit_one(clean_run, rel, defect, row, number,
     ("analyze", "estimates/retro_00002.csv", 2, "nan"),
     ("analyze", "smoothed/Classical/smoothed_00000.csv", 3, "nan"),
     ("analyze", "truth/truth_00001.csv", 1, "inf")])
-def test_nonfinite_trajectory_is_exit_two(clean_run, tmp_path, capsys, cmd,
-                                          rel, column, value):
+def test_nonfinite_trajectory_is_exit_two(clean_run, tmp_path, cmd, rel,
+                                          column, value):
     # row 41 holds sample 40; there the retrofilter's effect mean is
     # defined, so every column named above must be finite
     cfg, clean = clean_run
@@ -539,10 +567,8 @@ def test_nonfinite_trajectory_is_exit_two(clean_run, tmp_path, capsys, cmd,
     fields[column] = value
     lines[41] = ",".join(fields)
     victim.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    code = main([cmd, "--config", str(cfg), "--out-dir", str(out)])
+    code, err = main_each([cmd, "--config", str(cfg), "--out-dir", str(out)])
     assert code == 2
-    err = capsys.readouterr().err
     assert err.startswith(f"lgqsmooth: numerical error: {victim}: "
                           "non-finite "), err
     assert err.endswith(" at sample 40\n"), err
@@ -671,11 +697,11 @@ def test_unwritten_table_reads_as_the_generic_reader_reads_it(
     # outputs of the generic readers alone
     cfg, clean = clean_run
     outcomes = []
-    for fast in (True, False):
+    for fast, jobs in ((True, 1), (True, 2), (False, 1), (False, 2)):
         if not fast:
             monkeypatch.setattr(recordio, "read_own_columns",
-                                lambda layout, path: None)
-        out = tmp_path / f"run-{fast}"
+                                _no_own_columns)
+        out = tmp_path / f"run-{fast}-{jobs}"
         shutil.copytree(clean, out)
         shutil.rmtree(out / "analysis")
         victim = out / rel
@@ -685,14 +711,15 @@ def test_unwritten_table_reads_as_the_generic_reader_reads_it(
                 else ("analyze",):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = main([stage, "--config", str(cfg), "--out-dir",
-                             str(out)])
+                code = main_on(jobs, [stage, "--config", str(cfg),
+                                      "--out-dir", str(out)])
             outcomes.append((stage, code, err.getvalue().replace(
                 str(out), "RUN")))
         outcomes.append({str(p.relative_to(out)): p.read_bytes()
                          for p in sorted(out.rglob("*")) if p.is_file()})
-    half = len(outcomes) // 2
-    assert outcomes[:half] == outcomes[half:]
+    quarter = len(outcomes) // 4
+    for k in range(1, 4):
+        assert outcomes[k * quarter:(k + 1) * quarter] == outcomes[:quarter]
 
 
 def test_csv_only_estimates_equal_csv_and_bin_estimates(clean_run, tmp_path):
@@ -1010,8 +1037,8 @@ print(json.dumps({"loaded": loaded, "n": out.n,
 
 
 def test_cli_import_leaves_process_pools_unloaded():
-    # a file stage runs in one process: only estimate --jobs > 1 and the
-    # report import the modules that start and talk to other processes
+    # the file stages and the report import the modules that start and
+    # talk to other processes only when they start a pool
     import subprocess
     import sys
 
@@ -1068,6 +1095,50 @@ def test_ensemble_worker_refills_a_freed_block_without_faults():
     assert doc["faults"][0] > 0
     for faults in doc["faults"][1:]:
         assert faults < 0.05 * doc["pages"], doc
+
+
+# another thread fills and frees 16 MB, then the main thread allocates
+# the same; criterion 11's file pool runs its threads in an ensemble
+# worker
+_THREAD_HEAP_SCRIPT = """
+import json, resource, threading
+from lgqsmooth import pipeline
+
+pipeline._keep_heap()
+
+
+def churn():
+    kept = [bytearray(64 << 10) for _ in range(256)]
+    del kept
+
+
+thread = threading.Thread(target=churn)
+thread.start()
+thread.join(timeout=60)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+kept = [bytearray(64 << 10) for _ in range(256)]
+print(json.dumps({"pages": 256 * (64 << 10) // resource.getpagesize(),
+                  "faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                  - before, "joined": not thread.is_alive()}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the ensemble workers' heap setting is glibc's")
+def test_ensemble_worker_reuses_what_its_threads_free():
+    # one malloc arena: what a thread frees is the main thread's heap too,
+    # so refilling it faults almost no page in (with an arena per thread
+    # it faults about 90% of them)
+    import json
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _THREAD_HEAP_SCRIPT],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["joined"]
+    assert doc["faults"] < 0.05 * doc["pages"], doc
 
 
 def test_keep_heap_returns_where_the_c_library_has_no_mallopt(monkeypatch):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
 import resource
@@ -47,11 +48,12 @@ def small_cfg():
 
 @pytest.fixture(scope="module")
 def run_dir(small_cfg, tmp_path_factory):
+    # every stage in this process, the reference for other worker counts
     base = tmp_path_factory.mktemp("run")
-    pipeline.stage_simulate(small_cfg, base)
+    pipeline.stage_simulate(small_cfg, base, jobs=1)
     pipeline.stage_estimate(small_cfg, base, jobs=1)
-    pipeline.stage_smooth(small_cfg, base)
-    pipeline.stage_analyze(small_cfg, base)
+    pipeline.stage_smooth(small_cfg, base, jobs=1)
+    pipeline.stage_analyze(small_cfg, base, jobs=1)
     return base
 
 
@@ -108,16 +110,63 @@ def test_analyze_tables(run_dir, small_cfg):
     assert len(lines) > 1
 
 
+def _tree(base: Path) -> dict:
+    return {str(p.relative_to(base)): p.read_bytes()
+            for p in sorted(base.rglob("*")) if p.is_file()}
+
+
 @pytest.mark.parametrize("jobs", [2, 3])  # 5 records in 3/2 and 2/2/1
-def test_parallel_estimate_is_bitwise_identical(small_cfg, run_dir,
-                                                tmp_path, jobs):
+def test_file_stages_are_bitwise_identical_for_any_worker_count(
+        small_cfg, run_dir, tmp_path, jobs):
+    # all four stages, each on its own pool, which it shuts down before
+    # it returns
     other = tmp_path / "par"
-    pipeline.stage_simulate(small_cfg, other)
-    pipeline.stage_estimate(small_cfg, other, jobs=jobs)
-    for name in sorted(p.name for p in (run_dir / "estimates").iterdir()):
-        a = recordio.checksum(run_dir / "estimates" / name)
-        b = recordio.checksum(other / "estimates" / name)
-        assert a == b, name
+    for stage in (pipeline.stage_simulate, pipeline.stage_estimate,
+                  pipeline.stage_smooth, pipeline.stage_analyze):
+        stage(small_cfg, other, jobs=jobs)
+        assert multiprocessing.active_children() == []
+    assert _tree(other) == _tree(run_dir)
+
+
+@pytest.mark.parametrize("jobs, n_files, processes, sizes", [
+    (1, 5, 1, [1] * 5),          # this process, one file at a time
+    (2, 1, 1, [1]),              # one file needs no pool
+    (2, 5, 2, [3, 2]),
+    (3, 5, 3, [2, 2, 1]),
+    (8, 3, 3, [1, 1, 1]),        # never more workers than files
+    (2, 200, 2, [8] * 25),
+])
+def test_file_workers_take_contiguous_slices(jobs, n_files, processes,
+                                             sizes):
+    workers = pipeline._FileWorkers(jobs, n_files, "test")
+    assert workers.processes == processes <= len(workers.slices)
+    assert [sl.stop - sl.start for sl in workers.slices] == sizes
+    assert [sl.start for sl in workers.slices] == \
+        [sum(sizes[:k]) for k in range(len(sizes))]
+
+
+def test_file_workers_give_results_in_task_order():
+    # more tasks than are kept in flight, so results and submissions
+    # interleave; the pool is gone once the workers exit
+    with pipeline._FileWorkers(2, 40, "test") as workers:
+        tasks = ((abs, [-i, i]) for i in range(20))
+        assert list(workers.starmap(pipeline._each, tasks)) == [
+            [i, i] for i in range(20)]
+    assert multiprocessing.active_children() == []
+
+
+def test_reproducibility_runs_inside_a_pool_worker(small_cfg):
+    # the report runs criterion 11 in one of its ensemble workers, which
+    # leaves through os._exit: its file stages' own pool must be shut down
+    # before the criterion returns, or the worker never finishes
+    from concurrent.futures import ProcessPoolExecutor
+
+    cfg = dataclasses.replace(small_cfg, n_records=3)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        result = pool.submit(pipeline._crit_reproducible, cfg).result(
+            timeout=120)
+    assert result.passed, result.detail
+    assert multiprocessing.active_children() == []
 
 
 def test_serial_estimate_writes_each_record_before_the_next(

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lgqsmooth import (
     EffectiveParams,
     MeasurementRecord,
-    simulate_surrogate_ensemble,
     simulate_true_and_record,
     simulate_truth_ensemble,
 )
@@ -22,6 +21,7 @@ from lgqsmooth.simulate import (
 )
 
 from conftest import REF
+from _oracles import simulate_surrogate_ensemble
 
 
 def short_ep(n_steps: int) -> EffectiveParams:

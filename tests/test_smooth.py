@@ -36,14 +36,15 @@ from lgqsmooth.smooth import (
     smoothed_variance,
     z_values,
 )
-from lgqsmooth.simulate import (
-    simulate_surrogate_ensemble,
-    simulate_true_and_record,
-    simulate_truth_ensemble,
-)
+from lgqsmooth.simulate import (simulate_true_and_record,
+                                simulate_truth_ensemble)
 
 from conftest import random_effective_params
-from _oracles import combine_arrays_broadcast, same_bits
+from _oracles import (
+    combine_arrays_broadcast,
+    same_bits,
+    simulate_surrogate_ensemble,
+)
 
 # frozen reference values at the reference parameters, 750 us record
 VS0_LTL = 13.191414778285022
