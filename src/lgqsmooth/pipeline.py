@@ -12,10 +12,11 @@ be rerun or inspected independently:
 
 Each of the four file stages keeps its numerical kernels in its own
 process and hands the text of its per-record files to worker processes
-(:class:`_FileWorkers`, two by default): contiguous slices of files to
-write, each file's bytes made by its recordio writer, and slices of files
-to parse, whose own columns (:func:`recordio.read_own_columns`) the stage
-takes in file order and checks itself.  A worker only formats or parses;
+(:class:`_FileWorkers`, two by default where workers fork, else none):
+contiguous slices of files to write, each file's bytes made by its
+recordio writer, and slices of files to parse, whose own columns
+(:func:`recordio.read_own_columns`) the stage takes in file order and
+checks itself.  A worker only formats or parses;
 every check that names a file or a sample, and the generic readers for a
 file its writer would not have made, stay in the stage's process.  So
 the artifacts, and each error's class and message, are the same for any
@@ -187,33 +188,46 @@ def _each(fn, *columns) -> list:
     return [fn(*row) for row in zip(*columns)]
 
 
+def _forks() -> bool:
+    """Whether a process pool started now would fork its workers."""
+    import multiprocessing
+
+    # the set start method, else the platform's default (the first of the
+    # list), without fixing it as get_start_method() would
+    method = multiprocessing.get_start_method(allow_none=True) \
+        or multiprocessing.get_all_start_methods()[0]
+    return method == "fork"
+
+
 class _FileWorkers:
     """The processes that format and parse a file stage's per-record text
     files, ``n_files`` to a directory, and the contiguous slices of files
     each task takes.
 
-    With one process (``jobs`` = 1, or one file) a slice is one file, and
-    :meth:`starmap` is ``itertools.starmap`` in this process, so each
-    file is written as soon as it is made and read just before it is
-    checked.  With more, ``min(jobs, n_files)`` worker processes take
-    slices of ceil(n_files / processes) files, at most _SLICE_FILES, so
-    there are never more workers than slices.  The pool is imported and
-    started at the first task and shut down on exit.  At most
-    2 processes + 1 tasks are in flight, so this process holds a few
-    slices of arguments and results, however many files there are.
-    Several stages may share one set of workers.
+    With one process (``jobs`` = 1, one file, or a start method other
+    than fork) a slice is one file, and :meth:`starmap` is
+    ``itertools.starmap`` in this process, so each file is written as
+    soon as it is made and read just before it is checked.  With more,
+    ``min(jobs, n_files)`` worker processes take slices of
+    ceil(n_files / processes) files, at most _SLICE_FILES, so there are
+    never more workers than slices.  The pool is imported and started at
+    the first task and shut down on exit.  At most 2 processes + 1 tasks
+    are in flight, so this process holds a few slices of arguments and
+    results, however many files there are.
 
-    The pool takes the default start method, as the report's does.  On
-    Linux that forks, at the first submit, before the pool's own threads
-    start: a pool of two starts in about 10 ms, where spawned workers,
-    which import numpy and this package afresh, take about 0.4 s, more
-    than a 100-record stage's whole text work.
+    Workers are used only where the start method is fork (they fork at
+    the first submit, before the pool's own threads start): a forked pool
+    of two starts in about 10 ms, where spawned workers, which import
+    numpy and this package afresh, take about 0.4 s, more than a
+    100-record stage's whole text work.
     """
 
     def __init__(self, jobs: int, n_files: int, stage: str):
         if jobs < 1:
             raise ValueError(f"{stage}: jobs must be at least 1, got {jobs}")
         self.processes = max(1, min(jobs, n_files))
+        if self.processes > 1 and not _forks():
+            self.processes = 1
         size = 1 if self.processes == 1 \
             else min(-(-n_files // self.processes), _SLICE_FILES)
         self.slices = _slices(n_files, size)
@@ -427,11 +441,7 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
 def stage_simulate(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
     """Draw the configured ensemble and write its records and truth, the
     files' text made on ``jobs`` processes (:class:`_FileWorkers`)."""
-    with _FileWorkers(jobs, cfg.n_records, "simulate") as workers:
-        _simulate(cfg, base_dir, workers)
-
-
-def _simulate(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
+    workers = _FileWorkers(jobs, cfg.n_records, "simulate")
     for sub in ("records", "truth", "estimates", "smoothed", "analysis"):
         for path in sorted((base_dir / sub).rglob("*")):
             if path.is_file():
@@ -453,7 +463,8 @@ def _simulate(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
             yield write_truth, ens.means[sl], [
                 _indexed(truth_dir, "truth", i, "csv")
                 for i in range(sl.start, sl.stop)]
-    _write(workers, tasks())
+    with workers:
+        _write(workers, tasks())
     log(f"simulate: wrote {cfg.n_records} records to {base_dir}")
 
 
@@ -474,11 +485,7 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
     """Filter and retrofilter every record in this process, and write the
     estimates, their text made on ``jobs`` processes
     (:class:`_FileWorkers`)."""
-    with _FileWorkers(jobs, cfg.n_records, "estimate") as workers:
-        _estimate(cfg, base_dir, workers)
-
-
-def _estimate(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
+    workers = _FileWorkers(jobs, cfg.n_records, "estimate")
     ep = effective_params(cfg.params)
     n = _n_steps(ep, ep.record_duration)
     paths, records = load_records(base_dir / "records", cfg.n_records)
@@ -499,7 +506,8 @@ def _estimate(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
                 yield recordio.write_trajectory_csv, [
                     run(records[i], ep) for i in index], [
                     _indexed(est_dir, stem, i, "csv") for i in index]
-    _write(workers, tasks())
+    with workers:
+        _write(workers, tasks())
     log(f"estimate: wrote {len(records)} filtered/retro pairs")
 
 
@@ -511,30 +519,26 @@ def stage_smooth(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
     """Combine each record's estimates for every configured target in this
     process; the estimates are parsed and the smoothed files' text made
     on ``jobs`` processes (:class:`_FileWorkers`)."""
-    with _FileWorkers(jobs, cfg.n_records, "smooth") as workers:
-        _smooth(cfg, base_dir, workers)
-
-
-def _smooth(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
     ep = effective_params(cfg.params)
-    (times, _), stacks, info, _ = _load_stacks(base_dir, cfg.n_records, ep,
-                                               workers=workers)
-    (m_f, v_f), (m_r, w) = stacks["Filtered"], stacks["Retrofiltered"]
-    pairs = [(Trajectory(times, m_f[i], v_f, "Filtered"),
-              Trajectory(times, m_r[i], w, "Retrofiltered", info=info[i]))
-             for i in range(cfg.n_records)]
+    with _FileWorkers(jobs, cfg.n_records, "smooth") as workers:
+        (times, _), stacks, info, _ = _load_stacks(
+            base_dir, cfg.n_records, ep, workers=workers)
+        (m_f, v_f), (m_r, w) = stacks["Filtered"], stacks["Retrofiltered"]
+        pairs = [(Trajectory(times, m_f[i], v_f, "Filtered"),
+                  Trajectory(times, m_r[i], w, "Retrofiltered", info=info[i]))
+                 for i in range(cfg.n_records)]
 
-    def tasks():
-        for kind in cfg.targets:
-            tgt = TargetSpec.of(kind, ep)
-            out_dir = base_dir / "smoothed" / kind
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for sl in workers.slices:
-                yield recordio.write_trajectory_csv, [
-                    smooth_general(f, r, tgt) for f, r in pairs[sl]], [
-                    _indexed(out_dir, "smoothed", i, "csv")
-                    for i in range(sl.start, sl.stop)]
-    _write(workers, tasks())
+        def tasks():
+            for kind in cfg.targets:
+                tgt = TargetSpec.of(kind, ep)
+                out_dir = base_dir / "smoothed" / kind
+                out_dir.mkdir(parents=True, exist_ok=True)
+                for sl in workers.slices:
+                    yield recordio.write_trajectory_csv, [
+                        smooth_general(f, r, tgt) for f, r in pairs[sl]], [
+                        _indexed(out_dir, "smoothed", i, "csv")
+                        for i in range(sl.start, sl.stop)]
+        _write(workers, tasks())
     for kind in cfg.targets:
         log(f"smooth: target {kind}: wrote {len(pairs)} trajectories")
 
@@ -547,15 +551,11 @@ def stage_analyze(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
     """Ensemble statistics, distances and autocorrelations of a run's
     trajectories, which are parsed on ``jobs`` processes
     (:class:`_FileWorkers`)."""
-    with _FileWorkers(jobs, cfg.n_records, "analyze") as workers:
-        _analyze(cfg, base_dir, workers)
-
-
-def _analyze(cfg: RunConfig, base_dir: Path, workers: _FileWorkers) -> None:
     ep = effective_params(cfg.params)
-    (times, closed), stacks, info, truth = _load_stacks(
-        base_dir, cfg.n_records, ep, cfg.targets, truth=True,
-        workers=workers)
+    with _FileWorkers(jobs, cfg.n_records, "analyze") as workers:
+        (times, closed), stacks, info, truth = _load_stacks(
+            base_dir, cfg.n_records, ep, cfg.targets, truth=True,
+            workers=workers)
     # analyze only checks the information vectors; they, the truth and the
     # Retrofiltered means are freed before the autocorrelation's transforms,
     # which set the stage's peak memory
@@ -1126,11 +1126,9 @@ def _crit_demod(omega: float) -> CriterionResult:
 
 
 def _run_all_stages(cfg: RunConfig, base_dir: Path, jobs: int) -> None:
-    """The four file stages on one set of ``jobs`` file workers, so that
-    a pool starts once."""
-    with _FileWorkers(jobs, cfg.n_records, "reproducibility") as workers:
-        for stage in (_simulate, _estimate, _smooth, _analyze):
-            stage(cfg, base_dir, workers)
+    for stage in (stage_simulate, stage_estimate, stage_smooth,
+                  stage_analyze):
+        stage(cfg, base_dir, jobs=jobs)
 
 
 def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
@@ -1161,11 +1159,8 @@ DEFAULT_ETA_NEW = 0.10
 # the mmap threshold lies above a block's largest array, the 8.4 MB
 # (256, 1025, 2) complex transform of acov_rows, so every block array
 # comes from the heap; the trim threshold lies above a block's roughly
-# 40 MB of short-lived heap, so a freed block stays with the worker; one
-# arena, so that what the threads of criterion 11's file pool free is the
-# blocks' heap too, not an arena of their own (the report's largest
-# worker peaked 0.8 MB higher with one per thread)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+# 40 MB of short-lived heap, so a freed block stays with the worker
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _WORKER_MMAP_THRESHOLD = 32 << 20
 _WORKER_TRIM_THRESHOLD = 256 << 20
 
@@ -1187,7 +1182,6 @@ def _keep_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
-    mallopt(_M_ARENA_MAX, 1)
 
 
 def _ensemble_pool():

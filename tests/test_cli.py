@@ -1097,50 +1097,6 @@ def test_ensemble_worker_refills_a_freed_block_without_faults():
         assert faults < 0.05 * doc["pages"], doc
 
 
-# another thread fills and frees 16 MB, then the main thread allocates
-# the same; criterion 11's file pool runs its threads in an ensemble
-# worker
-_THREAD_HEAP_SCRIPT = """
-import json, resource, threading
-from lgqsmooth import pipeline
-
-pipeline._keep_heap()
-
-
-def churn():
-    kept = [bytearray(64 << 10) for _ in range(256)]
-    del kept
-
-
-thread = threading.Thread(target=churn)
-thread.start()
-thread.join(timeout=60)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-kept = [bytearray(64 << 10) for _ in range(256)]
-print(json.dumps({"pages": 256 * (64 << 10) // resource.getpagesize(),
-                  "faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                  - before, "joined": not thread.is_alive()}))
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the ensemble workers' heap setting is glibc's")
-def test_ensemble_worker_reuses_what_its_threads_free():
-    # one malloc arena: what a thread frees is the main thread's heap too,
-    # so refilling it faults almost no page in (with an arena per thread
-    # it faults about 90% of them)
-    import json
-    import subprocess
-    import sys
-
-    proc = subprocess.run([sys.executable, "-c", _THREAD_HEAP_SCRIPT],
-                          capture_output=True, text=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["joined"]
-    assert doc["faults"] < 0.05 * doc["pages"], doc
-
-
 def test_keep_heap_returns_where_the_c_library_has_no_mallopt(monkeypatch):
     # a pool whose initializer raises is broken, so a C library without
     # mallopt leaves the worker's allocator as it is
@@ -1194,7 +1150,8 @@ def test_report_forks_with_no_second_python_thread(tmp_path):
 
     # a hook in the report's process, inherited by the workers it forks,
     # logs the live Python threads at each fork: the two ensemble workers
-    # and, inside one of them, criterion 11's two estimate workers
+    # and, inside one of them, the two file workers of each of criterion
+    # 11's four two-worker stages, each pool shut down before the next
     log = tmp_path / "forks.txt"
     script = f"""
 import os, threading
@@ -1212,7 +1169,7 @@ pipeline.acceptance_report(parse_config_text({CONFIG!r}))
                           text=True,
                           env={**_child_env(), "TMPDIR": str(tmp_path)})
     assert proc.returncode == 0, proc.stderr
-    assert log.read_text().split() == ["1"] * 4
+    assert log.read_text().split() == ["1"] * 10
 
 
 def test_bad_carrier_is_exit_one_before_the_ensembles(cfg_path, tmp_path,

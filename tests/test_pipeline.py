@@ -155,6 +155,35 @@ def test_file_workers_give_results_in_task_order():
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("method, methods", [
+    ("spawn", None),                          # set by the program
+    ("forkserver", None),
+    (None, ["spawn", "fork", "forkserver"]),  # macOS's default
+    (None, ["forkserver", "spawn", "fork"]),  # Linux's, Python 3.14
+])
+def test_file_stages_start_no_pool_unless_workers_fork(
+        small_cfg, run_dir, tmp_path, monkeypatch, method, methods):
+    # workers that import numpy afresh start slower than a stage's whole
+    # text work, so without fork every stage runs in its own process
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a file stage started a pool")
+
+    monkeypatch.setattr(multiprocessing, "get_start_method",
+                        lambda allow_none=False: method)
+    if methods is not None:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: methods)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert pipeline._FileWorkers(2, 5, "test").processes == 1
+    other = tmp_path / "run"
+    for stage in (pipeline.stage_simulate, pipeline.stage_estimate,
+                  pipeline.stage_smooth, pipeline.stage_analyze):
+        stage(small_cfg, other, jobs=2)
+    assert _tree(other) == _tree(run_dir)
+
+
 def test_reproducibility_runs_inside_a_pool_worker(small_cfg):
     # the report runs criterion 11 in one of its ensemble workers, which
     # leaves through os._exit: its file stages' own pool must be shut down
