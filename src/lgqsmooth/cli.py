@@ -82,7 +82,6 @@ _positive = _within(_real, lambda v: v > 0, "a positive number")
 _nonnegative = _within(_real, lambda v: v >= 0, "a nonnegative number")
 # as ensemble.base_seed in a config
 _seed = _within(_int, lambda v: v >= 0, "a nonnegative integer")
-_jobs = _within(_int, lambda v: v >= 1, "a positive integer")
 # a low-pass filter order the filter design takes
 _order = _within(_int, lambda v: _MIN_ORDER <= v <= _MAX_ORDER,
                  f"an integer from {_MIN_ORDER} to {_MAX_ORDER}")
@@ -119,9 +118,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("estimate",
                         help="run the filter and retrofilter over records")
     _add_config_args(sp)
-    sp.add_argument("--jobs", type=_jobs, default=2, metavar="N",
-                    help="worker processes that write the estimates' text "
-                         "(default 2)")
 
     sp = sub.add_parser("smooth",
                         help="combine filter and retrofilter per target")
@@ -187,19 +183,13 @@ def _dispatch(args) -> int:
     if cmd in ("simulate", "estimate", "smooth", "analyze", "report"):
         cfg = parse_config(Path(args.config))
         base = _resolve_out(args, cfg)
-        if cmd == "simulate":
-            pipeline.stage_simulate(cfg, base)
-        elif cmd == "estimate":
-            pipeline.stage_estimate(cfg, base, jobs=args.jobs)
-        elif cmd == "smooth":
-            pipeline.stage_smooth(cfg, base)
-        elif cmd == "analyze":
-            pipeline.stage_analyze(cfg, base)
-        else:
-            results = pipeline.acceptance_report(cfg)
-            print(pipeline.format_report(results))
-            if not all(r.passed for r in results):
-                return EXIT_ACCEPTANCE
+        if cmd != "report":
+            getattr(pipeline, f"stage_{cmd}")(cfg, base)
+            return EXIT_OK
+        results = pipeline.acceptance_report(cfg)
+        print(pipeline.format_report(results))
+        if not all(r.passed for r in results):
+            return EXIT_ACCEPTANCE
         return EXIT_OK
     if cmd == "inject":
         pipeline.stage_inject(Path(args.records), Path(args.out_dir),

@@ -12,7 +12,7 @@ be rerun or inspected independently:
 
 Each of the four file stages keeps its numerical kernels in its own
 process and hands the text of its per-record files to worker processes
-(:class:`_FileWorkers`, two by default where workers fork, else none):
+(:class:`_FileWorkers`, ``_WORKERS`` where workers fork, else none):
 contiguous slices of files to write, each file's bytes made by its
 recordio writer, and slices of files to parse, whose own columns
 (:func:`recordio.read_own_columns`) the stage takes in file order and
@@ -20,14 +20,16 @@ checks itself.  A worker only formats or parses;
 every check that names a file or a sample, and the generic readers for a
 file its writer would not have made, stay in the stage's process.  So
 the artifacts, and each error's class and message, are the same for any
-worker count.
+worker count, and no user setting changes it: the stages' ``jobs``
+argument is for criterion 11 and the tests.
 
 The acceptance report writes no run directory.  It generates, filters and
 smooths its two ensembles (the injection study and the main ensemble) in
 record blocks, each one call of a module-level block function that
 returns only what its criteria read.  Both ensembles go through one block
 driver, :func:`_submit_blocks`, whose docstring gives the rules that keep
-the report text the same bits in any process and for any worker count.
+the report text the same bits in any process and for any worker count,
+on a pool of ``_WORKERS`` ensemble workers.
 """
 
 from __future__ import annotations
@@ -173,6 +175,11 @@ def _slices(n: int, size: int) -> list[slice]:
     return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
+# the worker processes of a file stage and of the report's ensembles: the
+# bytes are the same for any count, and the file stages get no faster
+# past two
+_WORKERS = 2
+
 # the most files of one directory that a worker formats or parses in one
 # task, so what a task's arguments or result hold of a stage's arrays: at
 # 100 reference records, analyze peaks about 2 MB above the one-process
@@ -211,8 +218,10 @@ class _FileWorkers:
     ``min(jobs, n_files)`` worker processes take slices of
     ceil(n_files / processes) files, at most _SLICE_FILES, so there are
     never more workers than slices.  The pool is imported and started at
-    the first task and shut down on exit.  At most 2 processes + 1 tasks
-    are in flight, so this process holds a few slices of arguments and
+    the first task, and on exit, after an error too, it finishes the
+    tasks in flight and shuts down, as the report's ensemble pool does
+    (:func:`acceptance_report`).  At most 2 processes + 1 tasks are in
+    flight, so this process holds a few slices of arguments and
     results, however many files there are.
 
     Workers are used only where the start method is fork (they fork at
@@ -238,9 +247,8 @@ class _FileWorkers:
 
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
-            # after an error the few tasks in flight finish first: with
-            # cancel_futures, CPython 3.11's shutdown can wait forever
-            # once a task's arguments failed to pickle
+            # no cancel_futures: with it, CPython 3.11's shutdown can
+            # wait forever once a task's arguments failed to pickle
             self._pool.shutdown()
             self._pool = None
 
@@ -337,8 +345,7 @@ def load_records(directory: Path, n: int | None = None
 
 
 def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
-                 targets=(), truth: bool = False,
-                 workers: _FileWorkers | None = None):
+                 workers: _FileWorkers, targets=(), truth: bool = False):
     """Read a run's trajectories and check them against its configuration.
 
     Reads estimates/, smoothed/<target>/ for each of ``targets``, and,
@@ -354,8 +361,8 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
     the file and sample, except an effect mean where it is not
     :func:`effect_defined`, NaN by design.
 
-    ``workers`` (by default this process alone) parse each file's own
-    columns (:func:`recordio.read_own_columns`); this process takes them
+    ``workers`` parse each file's own columns
+    (:func:`recordio.read_own_columns`); this process takes them
     in file order and makes every check, reading any other file with its
     generic reader, so the result and any error are the same for any
     worker count.
@@ -363,8 +370,6 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
     Returns the :func:`run_grid` grid, kind -> (means (N, n+1, 2), vw),
     the retrofilter's information vectors (N, n+1, 2), and the truth means
     (None unless read)."""
-    if workers is None:
-        workers = _FileWorkers(1, n_records, "read")
     times, closed = grid = run_grid(ep)
     defined = effect_defined(closed["Retrofiltered"], ep)
     dirs = [(base_dir / "estimates", "filtered", "Filtered"),
@@ -438,7 +443,8 @@ def _load_stacks(base_dir: Path, n_records: int, ep: EffectiveParams,
 # simulate
 # ---------------------------------------------------------------------------
 
-def stage_simulate(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
+def stage_simulate(cfg: RunConfig, base_dir: Path,
+                   jobs: int = _WORKERS) -> None:
     """Draw the configured ensemble and write its records and truth, the
     files' text made on ``jobs`` processes (:class:`_FileWorkers`)."""
     workers = _FileWorkers(jobs, cfg.n_records, "simulate")
@@ -481,7 +487,8 @@ def _estimate_stack(ep: EffectiveParams, currents: np.ndarray):
     return times, v_f, w, m_f, z
 
 
-def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
+def stage_estimate(cfg: RunConfig, base_dir: Path,
+                   jobs: int = _WORKERS) -> None:
     """Filter and retrofilter every record in this process, and write the
     estimates, their text made on ``jobs`` processes
     (:class:`_FileWorkers`)."""
@@ -515,14 +522,15 @@ def stage_estimate(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
 # smooth
 # ---------------------------------------------------------------------------
 
-def stage_smooth(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
+def stage_smooth(cfg: RunConfig, base_dir: Path,
+                 jobs: int = _WORKERS) -> None:
     """Combine each record's estimates for every configured target in this
     process; the estimates are parsed and the smoothed files' text made
     on ``jobs`` processes (:class:`_FileWorkers`)."""
     ep = effective_params(cfg.params)
     with _FileWorkers(jobs, cfg.n_records, "smooth") as workers:
         (times, _), stacks, info, _ = _load_stacks(
-            base_dir, cfg.n_records, ep, workers=workers)
+            base_dir, cfg.n_records, ep, workers)
         (m_f, v_f), (m_r, w) = stacks["Filtered"], stacks["Retrofiltered"]
         pairs = [(Trajectory(times, m_f[i], v_f, "Filtered"),
                   Trajectory(times, m_r[i], w, "Retrofiltered", info=info[i]))
@@ -547,15 +555,15 @@ def stage_smooth(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
 # analyze
 # ---------------------------------------------------------------------------
 
-def stage_analyze(cfg: RunConfig, base_dir: Path, jobs: int = 2) -> None:
+def stage_analyze(cfg: RunConfig, base_dir: Path,
+                  jobs: int = _WORKERS) -> None:
     """Ensemble statistics, distances and autocorrelations of a run's
     trajectories, which are parsed on ``jobs`` processes
     (:class:`_FileWorkers`)."""
     ep = effective_params(cfg.params)
     with _FileWorkers(jobs, cfg.n_records, "analyze") as workers:
         (times, closed), stacks, info, truth = _load_stacks(
-            base_dir, cfg.n_records, ep, cfg.targets, truth=True,
-            workers=workers)
+            base_dir, cfg.n_records, ep, workers, cfg.targets, truth=True)
     # analyze only checks the information vectors; they, the truth and the
     # Retrofiltered means are freed before the autocorrelation's transforms,
     # which set the stage's peak memory
@@ -647,15 +655,15 @@ def stage_demod(trace_path: Path, out_dir: Path, omega: float,
 # whose docstring gives the block and bit-order rules.
 # ---------------------------------------------------------------------------
 
-def _submit_blocks(map_, block, n_records: int, shapes: dict, *base_seeds):
+def _submit_blocks(map_, block, n_records: int, *base_seeds):
     """Map ``block`` over an ensemble's record blocks with ``map_`` and
     return the function that collects them: (rows, acov).
 
     ``block`` takes a block's slice of each base seed's record seeds
     (:func:`derive_record_seeds`) and returns name -> (b, *shape) rows and
     kind -> each record's velocity autocovariance (:func:`metrics.acov_rows`).
-    The collect fills name -> (n_records, *shape) arrays, allocated from
-    ``shapes`` before the first block is read, and adds the autocovariance
+    The collect fills name -> (n_records, *shape) arrays, each allocated
+    when the first block brings that name, and adds the autocovariance
     rows to one running sum per kind (:func:`metrics.add_rows`).
 
     The bits are the same in any process and for any worker count.  A
@@ -675,14 +683,17 @@ def _submit_blocks(map_, block, n_records: int, shapes: dict, *base_seeds):
     blocks = map_(block, *([column[sl] for sl in slices] for column in seeds))
 
     def collect() -> tuple[dict, dict]:
-        rows = {name: np.empty((n_records, *shape))
-                for name, shape in shapes.items()}
+        rows: dict = {}
         acov: dict = {}
         for sl in slices:
             block_rows, block_acov = next(blocks)
             # by key, so that no loop variable holds a block's array
             # while the next block runs
             for name in block_rows:
+                # not setdefault, which would allocate its default per block
+                if name not in rows:
+                    rows[name] = np.empty(
+                        (n_records, *block_rows[name].shape[1:]))
                 rows[name][sl] = block_rows[name]
             for kind in block_acov:
                 add_rows(acov.setdefault(
@@ -778,8 +789,7 @@ def _submit_study(map_, ep: EffectiveParams, eta_new: float,
     collect = _submit_blocks(
         map_, functools.partial(_study_block, ep, eta_new, steps + [n_win],
                                 v_clean, v_tar, probes),
-        n_records, dict.fromkeys(("m_ltl", "m_f", "m_s"), (len(probes), 2)),
-        base_seed, inject_seed)
+        n_records, base_seed, inject_seed)
 
     def study() -> InjectionStudy:
         kept, acov = collect()
@@ -936,11 +946,9 @@ def _submit_main(map_, ep: EffectiveParams, n_records: int,
     n = times.shape[0] - 1
     cols = np.append(_report_probes(n), n)
     lo = int(round(0.7 * n))
-    shapes = {kind: (cols.shape[0], 2) for kind in closed}
-    shapes.update({f"late {kind}": (n + 1 - lo, 2) for kind in _LATE_KINDS})
     # _main_block is looked up here, when the blocks are submitted
     block = functools.partial(_main_block, ep, cols, lo)
-    collect = _submit_blocks(map_, block, n_records, shapes, base_seed)
+    collect = _submit_blocks(map_, block, n_records, base_seed)
 
     def arrays():
         rows, _ = collect()
@@ -1138,7 +1146,7 @@ def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
                                 formats=("csv", "bin"))
     sums = []
     with tempfile.TemporaryDirectory() as td:
-        for name, jobs in (("a", 1), ("b", 2)):
+        for name, jobs in (("a", 1), ("b", _WORKERS)):
             base = Path(td) / name
             _run_all_stages(small, base, jobs)
             paths = sorted(p for p in base.rglob("*") if p.is_file())
@@ -1149,7 +1157,7 @@ def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
     return CriterionResult(
         11, "bitwise reproducibility", ok,
         f"{n_files} artifact files byte-identical across two runs "
-        f"(1 and 2 workers)")
+        f"(1 and {_WORKERS} workers)")
 
 
 # the injection study's efficiency when the config has no [noise_injection]
@@ -1185,11 +1193,11 @@ def _keep_heap() -> None:
 
 
 def _ensemble_pool():
-    """The report's pool: two ensemble workers that keep their freed heap
-    (:func:`_keep_heap`)."""
+    """The report's pool: ``_WORKERS`` ensemble workers that keep their
+    freed heap (:func:`_keep_heap`)."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=2, initializer=_keep_heap)
+    return ProcessPoolExecutor(max_workers=_WORKERS, initializer=_keep_heap)
 
 
 def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
@@ -1199,8 +1207,8 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     at the configured parameters and the reduced-efficiency injection
     study, each run in record blocks that leave only the slices their
     criteria read (:func:`_submit_blocks`, which says why the text is the
-    same bits for any worker count).  A pool of two ensemble workers
-    (:func:`_ensemble_pool`) runs criterion 11, its first task
+    same bits for any worker count).  A pool of ``_WORKERS`` ensemble
+    workers (:func:`_ensemble_pool`) runs criterion 11, its first task
     (``pool.submit``), then every block of the study and of the main
     ensemble, all submitted at once, so that neither worker idles while
     the other finishes.  Each worker keeps the heap its blocks free
@@ -1209,15 +1217,18 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
     criteria 7 and 8, which read neither ensemble, then collects the
     blocks and computes the rest.  No Python thread but the main one is
     alive at any fork: the pool forks its workers at its first submit,
-    before its own threads start, and criterion 11's 2-worker pool starts
+    before its own threads start, and criterion 11's file workers start
     inside an ensemble worker, which runs one.  OpenBLAS's worker thread,
     which ``import numpy`` starts, is alive at this process's first fork
     until OpenBLAS's own fork handler stops it.  The record count,
     the study's efficiency and the carrier, through criterion 10, are
-    checked before the pool starts.  Seeds derive from the configured base
-    seed, so the report is reproducible.  The last stderr line gives this
-    process's peak RSS, the largest child's and the child processes'
-    minor page faults.
+    checked before the pool starts.  The pool is held in one ``with``
+    block, as a file stage holds its workers: on leaving it, after an
+    error too, the tasks already queued finish and the workers are
+    joined, so the report leaves no process behind.  Seeds derive from
+    the configured base seed, so the report is reproducible.  The last
+    stderr line gives this process's peak RSS, the largest child's and
+    the child processes' minor page faults.
     """
     ep = effective_params(cfg.params)
     if cfg.n_records < 2:
@@ -1231,13 +1242,12 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
                          f"{cfg.params.eta:g}]")
     omega = cfg.params.omega if cfg.params.omega > 0 else 2.0 * math.pi * 1.04e6
     demod = _crit_demod(omega)
-    pool = _ensemble_pool()
-    try:
+    with _ensemble_pool() as pool:
         results = [_crit_filter_ss(ep), _crit_t0_ratios(ep),
                    _crit_true_target(ep)]
         log("report: running the reduced-efficiency injection study, the "
-            "main ensemble and the reproducibility runs on 2 ensemble "
-            "workers")
+            f"main ensemble and the reproducibility runs on {_WORKERS} "
+            "ensemble workers")
         reproducible = pool.submit(_crit_reproducible, cfg)
         collect_study = _submit_study(pool.map, ep, eta_new, cfg.n_records,
                                       cfg.base_seed + 1_000_003,
@@ -1265,8 +1275,6 @@ def acceptance_report(cfg: RunConfig) -> list[CriterionResult]:
 
         results += [riccati, physicality, crit_vacf, demod,
                     reproducible.result()]
-    finally:
-        pool.shutdown(cancel_futures=True)
     _log_peak_rss("reproducibility", children="largest child process")
     return results
 

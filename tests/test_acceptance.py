@@ -11,6 +11,7 @@ is seeded, so the outcome of this file is reproducible bit for bit.
 """
 
 import dataclasses
+import functools
 import math
 import sys
 
@@ -192,16 +193,17 @@ def test_criterion_11_reproducibility(tmp_path):
         "[ensemble]\nn_records = 6\nbase_seed = 7\n"
         "[outputs]\nformats = csv, bin\n")
     sums = []
-    for name, jobs in (("a", "1"), ("b", "2")):
+    for name, jobs in (("a", 1), ("b", 2)):
         base = tmp_path / name
-        assert cli_main(["simulate", "--config", str(cfg),
-                         "--out-dir", str(base)]) == 0
-        assert cli_main(["estimate", "--config", str(cfg),
-                         "--out-dir", str(base), "--jobs", jobs]) == 0
-        assert cli_main(["smooth", "--config", str(cfg),
-                         "--out-dir", str(base)]) == 0
-        assert cli_main(["analyze", "--config", str(cfg),
-                         "--out-dir", str(base)]) == 0
+        for cmd in ("simulate", "estimate", "smooth", "analyze"):
+            # each stage's text made on ``jobs`` processes, a count no
+            # flag sets
+            stage = f"stage_{cmd}"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, stage, functools.partial(
+                    getattr(pipeline, stage), jobs=jobs))
+                assert cli_main([cmd, "--config", str(cfg),
+                                 "--out-dir", str(base)]) == 0
         paths = sorted(p for p in base.rglob("*") if p.is_file())
         sums.append({str(p.relative_to(base)): recordio.checksum(p)
                      for p in paths})

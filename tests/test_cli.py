@@ -64,8 +64,8 @@ def run_all(cfg_path, out):
 
 def main_on(jobs: int, argv) -> int:
     """``main(argv)`` with its file stage's text made on ``jobs``
-    processes (only estimate has a flag for it); the stage leaves no
-    process behind, whether it succeeds or fails."""
+    processes, a count no flag sets; the stage leaves no process behind,
+    whether it succeeds or fails."""
     name = f"stage_{argv[0]}"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, name,
@@ -164,10 +164,18 @@ def test_nonfinite_config_number_is_exit_one(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_usage_error_is_exit_one(cfg_path):
+def test_usage_error_is_exit_one():
     with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--config", str(cfg_path), "--jobs"])
+        main(["estimate", "--config"])
     assert exc.value.code == 1
+
+
+def test_estimate_has_no_jobs_flag(cfg_path, capsys):
+    # the worker count changes no byte, so no flag sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--config", str(cfg_path), "--jobs", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "estimate", "smooth", "analyze",
@@ -179,7 +187,7 @@ def test_subcommand_help_is_exit_zero(cmd, capsys):
     assert capsys.readouterr().out.startswith(f"usage: lgqsmooth {cmd} ")
 
 
-def _estimate_with_nan_sample(cfg_path, tmp_path, capsys, jobs: str):
+def _estimate_with_nan_sample(cfg_path, tmp_path, capsys, jobs: int):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
@@ -191,8 +199,8 @@ def _estimate_with_nan_sample(cfg_path, tmp_path, capsys, jobs: str):
     victim.write_text("\n".join(text) + "\n")
     for stale in (out / "records").glob("record_*.bin"):
         stale.unlink()
-    code = main(["estimate", "--config", str(cfg_path),
-                 "--out-dir", str(out), "--jobs", jobs])
+    code = main_on(jobs, ["estimate", "--config", str(cfg_path),
+                          "--out-dir", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert "numerical error" in err and "sample 39" in err
@@ -201,16 +209,16 @@ def _estimate_with_nan_sample(cfg_path, tmp_path, capsys, jobs: str):
 
 
 def test_nonfinite_record_is_exit_two(cfg_path, tmp_path, capsys):
-    _estimate_with_nan_sample(cfg_path, tmp_path, capsys, "1")
+    _estimate_with_nan_sample(cfg_path, tmp_path, capsys, 1)
 
 
 def test_nonfinite_record_in_worker_pool_is_exit_two(cfg_path, tmp_path,
                                                      capsys):
     # 4 records on 2 workers take the process-pool path
-    _estimate_with_nan_sample(cfg_path, tmp_path, capsys, "2")
+    _estimate_with_nan_sample(cfg_path, tmp_path, capsys, 2)
 
 
-def _estimate_with_short_record(cfg_path, tmp_path, capsys, jobs: str):
+def _estimate_with_short_record(cfg_path, tmp_path, capsys, jobs: int):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
@@ -220,8 +228,8 @@ def _estimate_with_short_record(cfg_path, tmp_path, capsys, jobs: str):
     for stale in (out / "records").glob("record_*.bin"):
         stale.unlink()
     capsys.readouterr()
-    code = main(["estimate", "--config", str(cfg_path),
-                 "--out-dir", str(out), "--jobs", jobs])
+    code = main_on(jobs, ["estimate", "--config", str(cfg_path),
+                          "--out-dir", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert f"lgqsmooth: error: {victim}: 240 samples, the config's " \
@@ -230,37 +238,34 @@ def _estimate_with_short_record(cfg_path, tmp_path, capsys, jobs: str):
 
 
 def test_short_record_is_exit_one(cfg_path, tmp_path, capsys):
-    _estimate_with_short_record(cfg_path, tmp_path, capsys, "1")
+    _estimate_with_short_record(cfg_path, tmp_path, capsys, 1)
 
 
 def test_short_record_in_worker_pool_is_exit_one(cfg_path, tmp_path,
                                                  capsys):
-    _estimate_with_short_record(cfg_path, tmp_path, capsys, "2")
+    _estimate_with_short_record(cfg_path, tmp_path, capsys, 2)
 
 
-@pytest.mark.parametrize("jobs", ["0", "-5"])
+@pytest.mark.parametrize("jobs", [0, -5])
 def test_jobs_below_one_is_exit_one(cfg_path, tmp_path, capsys, jobs):
-    # the flag is rejected while the arguments are parsed; the library
-    # keeps its own check for other callers
+    # the stages check the count they are given before they read anything
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path),
                  "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--config", str(cfg_path),
-              "--out-dir", str(out), "--jobs", jobs])
-    assert exc.value.code == 1
-    assert f"argument --jobs: not a positive integer: {jobs!r}" \
-        in capsys.readouterr().err
     with pytest.raises(ValueError, match=f"estimate: jobs must be at least "
                                          f"1, got {jobs}"):
-        pipeline.stage_estimate(parse_config(cfg_path), out, jobs=int(jobs))
+        pipeline.stage_estimate(parse_config(cfg_path), out, jobs=jobs)
+    assert main_on(jobs, ["estimate", "--config", str(cfg_path),
+                          "--out-dir", str(out)]) == 1
+    assert f"lgqsmooth: error: estimate: jobs must be at least 1, got " \
+        f"{jobs}" in capsys.readouterr().err
     assert not (out / "estimates").exists()
 
 
 def test_worker_pool_never_exceeds_the_chunks(cfg_path, tmp_path,
                                               monkeypatch):
-    # 3 records at --jobs 8 are 3 one-record slices; the stand-in pool runs
+    # 3 records on 8 workers are 3 one-record slices; the stand-in pool runs
     # each task in this process, so no worker process is started, and it
     # is shut down before the stage returns
     asked = []
@@ -283,8 +288,8 @@ def test_worker_pool_never_exceeds_the_chunks(cfg_path, tmp_path,
                  "--out-dir", str(out)]) == 0
     # the file workers import the executor only when they start a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    assert main(["estimate", "--config", str(cfg_path),
-                 "--out-dir", str(out), "--jobs", "8"]) == 0
+    assert main_on(8, ["estimate", "--config", str(cfg_path),
+                       "--out-dir", str(out)]) == 0
     assert asked == [3, "shutdown"]
     assert sorted(p.name for p in (out / "estimates").iterdir()) == [
         f"{stem}_{i:05d}.csv" for stem in ("filtered", "retro")
@@ -914,22 +919,18 @@ BAD_FLAGS = {
     "--dt-us": ("-1", "a positive number"),
     "--record-us": ("-5", "a positive number"),
     "--discard-us": ("-0.5", "a nonnegative number"),
-    "--jobs": ("0", "a positive integer"),
 }
 
 
 @pytest.mark.parametrize("flag", sorted(BAD_FLAGS))
-def test_out_of_range_flag_is_exit_one(cfg_path, tmp_path, capsys, flag):
+def test_out_of_range_flag_is_exit_one(tmp_path, capsys, flag):
     # rejected while the arguments are parsed, naming the flag and the
     # value as typed, before any input is read or output written
     value, what = BAD_FLAGS[flag]
-    if flag == "--jobs":
-        argv = ["estimate", "--config", str(cfg_path)]
-    else:
-        argv = ["demod", "--trace", str(tmp_path / "trace.bin"),
-                "--omega-hz", "1.04e6"]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out-dir", str(tmp_path / "out"), flag, value])
+        main(["demod", "--trace", str(tmp_path / "trace.bin"),
+              "--omega-hz", "1.04e6", "--out-dir", str(tmp_path / "out"),
+              flag, value])
     assert exc.value.code == 1
     assert f"argument {flag}: not {what}: {value!r}" \
         in capsys.readouterr().err
@@ -1207,6 +1208,56 @@ def test_failing_pooled_block_is_exit_two(cfg_path, tmp_path, capsys,
     assert captured.out == ""
     assert "lgqsmooth: numerical error: block failed" in captured.err
     assert multiprocessing.active_children() == []
+
+
+_SLOW_PICKLE_SCRIPT = """
+import pickle, sys, time
+from lgqsmooth import cli, pipeline
+
+class SlowToPickle:
+    # fails to pickle only after a while, as a large argument with an
+    # unpicklable part would, so the report meets the error while later
+    # blocks are still being sent to its workers
+    def __call__(self, *args):
+        raise AssertionError("never sent")
+
+    def __reduce__(self):
+        time.sleep(0.2)
+        raise pickle.PicklingError("the study block cannot be pickled")
+
+pipeline._study_block = SlowToPickle()
+sys.exit(cli.main(["report", "--config", sys.argv[1]]))
+"""
+
+
+def test_unpicklable_block_fails_the_report_and_joins_the_pool(tmp_path):
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    # 1000 records are four study blocks, so blocks are in flight when the
+    # first one's error reaches the report: its pool finishes them and
+    # joins its workers, where a shutdown that cancels them waits forever
+    # on CPython 3.11.  The child and its workers share a process group.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace("n_records = 4", "n_records = 1000"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_PICKLE_SCRIPT, str(cfg)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**_child_env(), "TMPDIR": str(tmp_path)},
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no process is left in the group
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    assert proc.returncode == 1
+    assert out == ""
+    assert "PicklingError: the study block cannot be pickled" in err
 
 
 def test_report_checks_default_injection_efficiency_first(cfg_path, tmp_path,

@@ -87,8 +87,9 @@ def test_records_match_direct_simulation(run_dir, small_cfg):
 def test_smoothed_outputs_valid(run_dir, small_cfg):
     ep = effective_params(small_cfg.params)
     # the reader checks each file's kind and its vw against the closed form
-    _, stacks, _, _ = pipeline._load_stacks(run_dir, small_cfg.n_records,
-                                            ep, ("TrueState",))
+    n = small_cfg.n_records
+    _, stacks, _, _ = pipeline._load_stacks(
+        run_dir, n, ep, pipeline._FileWorkers(1, n, "read"), ("TrueState",))
     means, v_s = stacks["SmoothedTrue"]
     assert np.isfinite(means).all()
     # smoothing never inflates the covariance and respects the target
@@ -222,7 +223,8 @@ def test_load_records_requires_files(tmp_path, ref_ep):
     with pytest.raises(FileNotFoundError):
         pipeline.load_records(tmp_path)
     with pytest.raises(FileNotFoundError):
-        pipeline._load_stacks(tmp_path, 1, ref_ep)
+        pipeline._load_stacks(tmp_path, 1, ref_ep,
+                              pipeline._FileWorkers(1, 1, "read"))
 
 
 @pytest.mark.parametrize("indices, n, fault", [
@@ -293,7 +295,8 @@ def test_file_stages_match_stacked_kernels(run_dir, small_cfg):
     ep = effective_params(small_cfg.params)
     n = small_cfg.n_records
     (times, _), stacks, info, truth = pipeline._load_stacks(
-        run_dir, n, ep, TARGET_KINDS, truth=True)
+        run_dir, n, ep, pipeline._FileWorkers(1, n, "read"), TARGET_KINDS,
+        truth=True)
     ens = simulate_truth_ensemble(ep, ep.record_duration, n,
                                   small_cfg.base_seed)
     s_times, v_f, w, m_f, z = pipeline._estimate_stack(ep, ens.currents)
@@ -336,7 +339,8 @@ def test_stacks_are_the_generic_readers_stacks(run_dir, small_cfg,
     # the run's stacks read through the own columns and through the
     # generic readers alone are the same bits
     ep = effective_params(small_cfg.params)
-    args = (run_dir, small_cfg.n_records, ep, TARGET_KINDS)
+    n = small_cfg.n_records
+    args = (run_dir, n, ep, pipeline._FileWorkers(1, n, "read"), TARGET_KINDS)
     fast = pipeline._load_stacks(*args, truth=True)
     monkeypatch.setattr(recordio, "read_own_columns",
                         lambda layout, path: None)
@@ -477,11 +481,13 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_report_ensembles_memory_is_flat_in_records(ref_ep):
-    # 256 and 1024 records: four times the blocks, and only the slices the
-    # criteria read may grow with the record count.  At 250 samples per
-    # record those are, in float64 pairs, the study's three kinds at two
-    # probes, and the main ensemble's five kinds at 20 probes and the last
-    # sample plus two kinds' squared errors over samples 175..250
+    # 512 and 1280 records, two and five blocks, so each peak is a later
+    # block's work on top of the collected arrays that the first block's
+    # result allocated; only the slices the criteria read may grow with
+    # the record count.  At 250 samples per record those are, in float64
+    # pairs, the study's three kinds at two probes, and the main
+    # ensemble's five kinds at 20 probes and the last sample plus two
+    # kinds' squared errors over samples 175..250
     ep = dataclasses.replace(ref_ep, record_duration=250e-6)
     for name, run, kept in (
             ("study",
@@ -492,8 +498,8 @@ def test_report_ensembles_memory_is_flat_in_records(ref_ep):
             ("main ensemble",
              lambda n: pipeline._submit_main(map, ep, n, 7)(),
              (5 * 21 + 2 * 76) * 16)):
-        small = _traced_peak(run, 256)
-        large = _traced_peak(run, 1024)
+        small = _traced_peak(run, 512)
+        large = _traced_peak(run, 1280)
         assert large <= small + kept * 768 + 1e6, (name, small, large)
 
 
