@@ -5,18 +5,16 @@ form), theory curves for the estimator error spread, the ensemble
 self-consistency check with its standard-error-of-variance bars, and the
 velocity autocorrelation of trajectory means.  The two ensemble statistics
 take one stack per trajectory kind: means of shape (N, n+1, 2) for N
-records on a shared grid of n+1 samples.  The autocorrelation transforms
-its records in blocks of 256 (:func:`acov_rows`) and adds each record's
-autocovariance to one running sum per kind, in record order
-(:func:`add_rows`), so its work space stays under 30 MB at 1000 samples
-however many records a kind holds.  The acceptance report runs its
-ensembles in the same 256-record blocks and feeds them through the same
-two functions and :func:`vacf_from_sums`, so it never holds a whole stack
-and gets the bits of one :func:`vacf` call on the whole ensemble.  Those
-bits hold because both batch alike: a record's autocovariance row can
-change in its last bits with the batch it is transformed in
-(:func:`acov_rows`), so every caller batches at _ACF_BLOCK boundaries
-from record 0.
+records on a shared grid of n+1 samples.  The autocorrelation computes
+each record's autocovariance row (:func:`acov_rows`), whose bits depend
+on no other record, and adds the rows to one running sum per kind, in
+record order (:func:`add_rows`).  :func:`vacf` takes a kind's rows
+_ACF_BLOCK records at a time, so it holds at most that many rows and its
+transforms' work space stays under 4 MB at 1000 samples however many
+records a kind holds.  The acceptance report runs its ensembles in
+record blocks and feeds them through the same two functions and
+:func:`vacf_from_sums`, so it never holds a whole stack and gets the bits
+of one :func:`vacf` call on the whole ensemble.
 
 The standard error of an ensemble variance uses an effective record count
 that discounts temporal correlation between consecutive records of length
@@ -39,8 +37,12 @@ from .smooth import TargetSpec, smoothed_variance, z_values
 # a curve has decorrelated once it drops below 1/e
 VACF_THRESHOLD = 1.0 / math.e
 
-# records per FFT block of the velocity autocorrelation
+# records whose autocovariance rows vacf holds at once, and records per
+# block of the report's ensembles
 _ACF_BLOCK = 256
+
+# records per transform in acov_rows: sets its work space, not its bits
+_ACOV_CHUNK = 16
 
 ESTIMATOR_KINDS = ("Filtered", "Smoothed", "Classical")
 
@@ -229,30 +231,36 @@ class VacfResult:
 
 def acov_rows(batch: np.ndarray, dt: float, max_lag: int) -> np.ndarray:
     """Each record's biased velocity autocovariance at lags 0..max_lag,
-    summed over the two components: (N, max_lag+1) for a batch of N means
-    (N, n+1, 2) sampled every dt, transformed in one FFT call, so a batch
-    holds at most _ACF_BLOCK records.
+    summed over the two components: (N, max_lag+1) for N means
+    (N, n+1, 2) sampled every dt.
 
-    A row's bits depend on its batch.  The transforms give each record
-    the same bits in any batch, but the complex product ``f * conj(f)``
-    does not: an element multiplied alone or in a small batch can round
-    otherwise than in a large one, whatever the buffers' alignment.  On
-    100 random-walk records of 751 samples, batches of 99, 16, 8 and 4 or
-    fewer records change the bits of 1, 4, 4 and all 100 rows against one
-    batch of 100.  Callers therefore batch at _ACF_BLOCK boundaries from
-    record 0.
+    A row has the same bits in any batch.  The transforms give each record
+    the same bits whatever else they transform; the power spectrum is
+    written ``np.conj(f) * f`` because numpy evaluates ``f * np.conj(f)``
+    in an order that depends on the array's size: from 256 KiB on, it
+    elides the conjugate's temporary into ``np.multiply(conj, f,
+    out=conj)``, and below that it runs ``np.multiply(f, conj)``.  The
+    two orders round the imaginary parts otherwise, and ``irfft`` reads
+    those rounding residues, so with the conjugate on the right a row
+    would change in its last bits with the size of its batch.  With it on
+    the left both evaluations take the same order.  Records are
+    transformed _ACOV_CHUNK at a time into one preallocated result, so
+    the work space is that of a few records.
     """
     n = batch.shape[1] - 1
     size = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(np.diff(batch, axis=1) / dt, size, axis=1)
-    # neither in place nor into the conjugate's buffer: both round
-    # differently (np.multiply(f, g, out=g) with g = np.conj(f) changed
-    # about 10.5M words of the product over 20 blocks of 256 records)
-    f = f * np.conj(f)
-    acov = np.fft.irfft(f, size, axis=1)[:, :max_lag + 1]
-    # each transform freed before the next array is made
-    del f
-    return acov[..., 0] + acov[..., 1]
+    rows = np.empty((batch.shape[0], max_lag + 1))
+    for lo in range(0, batch.shape[0], _ACOV_CHUNK):
+        f = np.fft.rfft(np.diff(batch[lo:lo + _ACOV_CHUNK], axis=1) / dt,
+                        size, axis=1)
+        # conjugate on the left: one operand order whether or not numpy
+        # elides the temporary, so a row's bits do not depend on its batch
+        f = np.conj(f) * f
+        acov = np.fft.irfft(f, size, axis=1)[:, :max_lag + 1]
+        del f
+        np.add(acov[..., 0], acov[..., 1], out=rows[lo:lo + _ACOV_CHUNK])
+        del acov
+    return rows
 
 
 def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
@@ -293,11 +301,10 @@ def vacf_from_sums(sums: dict, n_records: int, n: int,
 def vacf(means: dict, dt: float, max_lag: int | None = None) -> VacfResult:
     """Autocorrelation of finite-difference mean velocities per kind;
     ``means`` maps each kind to its (N, n+1, 2) stack, sampled every dt,
-    and every kind has the same N and n.  Each stack is transformed in
-    _ACF_BLOCK-record batches from record 0 (:func:`acov_rows`), the
-    batches whose rows the report computes, and summed in record order
-    (:func:`add_rows`), as the report does; other batches could change
-    the last bits."""
+    and every kind has the same N and n.  Each record's row
+    (:func:`acov_rows`) is added to its kind's sum in record order
+    (:func:`add_rows`), as the report does; _ACF_BLOCK bounds the rows
+    held at once and changes no bit."""
     if not means:
         raise ValueError("empty ensemble")
     shape = next(iter(means.values())).shape

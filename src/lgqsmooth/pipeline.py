@@ -35,8 +35,10 @@ on a pool of ``_WORKERS`` ensemble workers.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import functools
+import io
 import itertools
 import math
 import sys
@@ -668,9 +670,9 @@ def _submit_blocks(map_, block, n_records: int, *base_seeds):
 
     The bits are the same in any process and for any worker count.  A
     record's draws and means come from its own generator and row-by-row
-    recursions, whatever its block or process; its autocovariance row
-    depends on its transform batch, so blocks are _ACF_BLOCK records from
-    record 0, as :func:`metrics.vacf` batches.  Results are read, and rows
+    recursions, and its autocovariance row from its own means, whatever
+    its block or process.  Blocks are _ACF_BLOCK records, a size that sets
+    each task's memory and length, not a bit.  Results are read, and rows
     summed, in record order.  ``map_`` is the builtin ``map``, which runs
     each block in this process when its result is read, or a process
     pool's ``map``, which submits every block at once and yields the
@@ -1145,7 +1147,10 @@ def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
     small = dataclasses.replace(cfg, n_records=min(cfg.n_records, 8),
                                 formats=("csv", "bin"))
     sums = []
-    with tempfile.TemporaryDirectory() as td:
+    # the stages' own lines name temporary directories and would reach
+    # the report's stderr from a worker, interleaved with its own lines
+    with tempfile.TemporaryDirectory() as td, \
+            contextlib.redirect_stderr(io.StringIO()):
         for name, jobs in (("a", 1), ("b", _WORKERS)):
             base = Path(td) / name
             _run_all_stages(small, base, jobs)
@@ -1164,10 +1169,10 @@ def _crit_reproducible(cfg: RunConfig) -> CriterionResult:
 DEFAULT_ETA_NEW = 0.10
 
 # glibc's mallopt parameters (malloc.h) and the ensemble workers' values:
-# the mmap threshold lies above a block's largest array, the 8.4 MB
-# (256, 1025, 2) complex transform of acov_rows, so every block array
-# comes from the heap; the trim threshold lies above a block's roughly
-# 40 MB of short-lived heap, so a freed block stays with the worker
+# the mmap threshold lies above a block's largest arrays, the study's
+# 4.1 MB (256, 1001, 2) window stacks, so every block array comes from
+# the heap; the trim threshold lies above a block's 21-23 MB of
+# short-lived heap (tracemalloc), so a freed block stays with the worker
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _WORKER_MMAP_THRESHOLD = 32 << 20
 _WORKER_TRIM_THRESHOLD = 256 << 20

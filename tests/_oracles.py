@@ -37,7 +37,6 @@ from lgqsmooth.estimate import (
     retro_grid,
     retro_info,
 )
-from lgqsmooth.metrics import _ACF_BLOCK
 from lgqsmooth.model import EffectiveParams, v_filter_ss
 from lgqsmooth.simulate import (
     TruthEnsemble,
@@ -298,34 +297,23 @@ def main_arrays_whole(ep: EffectiveParams, n_records: int,
     return ens.means, times, stacks
 
 
-def velocity_acov_batched(means: np.ndarray, dt: float,
-                          max_lag: int) -> np.ndarray:
-    """Every record's velocity autocovariance, (N, max_lag+1, 2), formed
-    in the package's record batches (pocketfft may round a row by its
-    place in a batch) and held whole; its ``mean(axis=(0, 2)) / n`` is the
-    whole-array biased autocorrelation."""
+def velocity_acov_whole(means: np.ndarray, dt: float,
+                        max_lag: int) -> np.ndarray:
+    """Every record's velocity autocovariance, (N, max_lag+1, 2), all
+    records in one transform and held whole; the power spectrum is
+    ``np.conj(f) * f``, whose operand order numpy keeps at any size."""
     n = means.shape[1] - 1
     size = 1 << (2 * n - 1).bit_length()
-    acov = np.empty((means.shape[0], max_lag + 1, 2))
-    for lo in range(0, means.shape[0], _ACF_BLOCK):
-        hi = lo + _ACF_BLOCK
-        vel = np.diff(means[lo:hi], axis=1) / dt
-        f = np.fft.rfft(vel, size, axis=1)
-        acov[lo:hi] = np.fft.irfft(f * np.conj(f), size,
-                                   axis=1)[:, :max_lag + 1]
-    return acov
+    f = np.fft.rfft(np.diff(means, axis=1) / dt, size, axis=1)
+    return np.fft.irfft(np.conj(f) * f, size, axis=1)[:, :max_lag + 1].copy()
 
 
 def acf_biased_whole(means: np.ndarray, dt: float,
                      max_lag: int) -> np.ndarray:
     """Velocity autocovariance of (N, n+1, 2) means, all records in one
     transform, averaged over records and components."""
-    x = np.diff(means, axis=1) / dt
-    n = x.shape[1]
-    size = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, size, axis=1)
-    acov = np.fft.irfft(f * np.conj(f), size, axis=1)[:, :max_lag + 1]
-    return acov.mean(axis=(0, 2)) / n
+    n = means.shape[1] - 1
+    return velocity_acov_whole(means, dt, max_lag).mean(axis=(0, 2)) / n
 
 
 # Wiener-increment columns of a surrogate record: process pair, measurement

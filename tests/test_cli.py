@@ -1055,10 +1055,10 @@ print(",".join(m for m in ("multiprocessing", "concurrent.futures")
     assert proc.stdout == "\n"
 
 
-# a block-shaped live set: three (256, 1001, 2) float stacks, as the
-# filter, retrofilter and smoothed means, and three (256, 1025, 2) complex
-# arrays, as acov_rows' transforms.  Each round fills it, so every page is
-# touched, and frees it
+# a live set larger than a block's 21-23 MB of short-lived heap: three
+# (256, 1001, 2) float stacks, as the filter, retrofilter and smoothed
+# means, and three 8.4 MB complex arrays, about 37 MB in all.  Each round
+# fills it, so every page is touched, and frees it
 _HEAP_ROUNDS_SCRIPT = """
 import json, resource
 import numpy as np
@@ -1171,6 +1171,24 @@ pipeline.acceptance_report(parse_config_text({CONFIG!r}))
                           env={**_child_env(), "TMPDIR": str(tmp_path)})
     assert proc.returncode == 0, proc.stderr
     assert log.read_text().split() == ["1"] * 10
+
+
+def test_report_stderr_holds_only_the_reports_lines(cfg_path, tmp_path):
+    import subprocess
+    import sys
+
+    # criterion 11 runs its eight file stages inside an ensemble worker;
+    # their own lines name temporary directories and would interleave with
+    # the report's, so none of them reaches the report's stderr.  Four
+    # records fail some criteria, so the report exits 3 or 0
+    proc = subprocess.run([sys.executable, "-m", "lgqsmooth.cli", "report",
+                           "--config", str(cfg_path)],
+                          capture_output=True, text=True,
+                          env={**_child_env(), "TMPDIR": str(tmp_path)})
+    assert proc.returncode in (0, 3), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("report: ") for line in lines), \
+        lines
 
 
 def test_bad_carrier_is_exit_one_before_the_ensembles(cfg_path, tmp_path,

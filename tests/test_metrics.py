@@ -38,7 +38,7 @@ from lgqsmooth.model import retro_precision_ss
 from lgqsmooth.smooth import combine_arrays, z_values
 from lgqsmooth.simulate import simulate_true_and_record
 
-from _oracles import acf_biased_whole, gaussian_hs_sq, velocity_acov_batched
+from _oracles import acf_biased_whole, gaussian_hs_sq, velocity_acov_whole
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +326,8 @@ def test_consistency_check_errors(ref_ep):
 # ---------------------------------------------------------------------------
 
 def _blocked_sum(means, dt, max_lag):
-    """The report's path: each 256 records transformed in one batch, their
-    rows added to one running sum in record order."""
+    """The report's path: the rows of each 256-record block added to one
+    running sum in record order."""
     total = np.zeros(max_lag + 1)
     for lo in range(0, means.shape[0], 256):
         add_rows(total, acov_rows(means[lo:lo + 256], dt, max_lag))
@@ -336,21 +336,15 @@ def _blocked_sum(means, dt, max_lag):
 
 @pytest.mark.parametrize("n_records", [8, 100, 256, 257, 1000])
 def test_acf_blocked_matches_whole_transform(n_records):
-    # up to one 256-record block the batch is the whole array, so the bits
-    # match; past it the whole-array reference multiplies the spectra in
-    # one larger batch, and numpy's complex product can round an element
-    # otherwise by its batch (the transforms themselves agree lane for
-    # lane), within the declared 1e-12 of the zero lag.  vacf batches and
+    # a row has the same bits in any batch, so the report's 256-record
+    # blocks give the bits of one transform over the whole array; vacf
     # normalizes the same sum
     rng = np.random.default_rng(n_records)
     dt = 1e-6
     means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
     got = _biased(_blocked_sum(means, dt, 999), n_records, 1000)
     expected = acf_biased_whole(means, dt, 999)
-    if n_records <= 256:
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-    else:
-        assert np.max(np.abs(got - expected)) <= 1e-12 * expected[0]
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     norm = got / got[0]
     norm[0] = 1.0
     values = vacf({None: means}, dt).values[None]
@@ -366,7 +360,7 @@ def test_acf_running_sum_matches_whole_mean(n_records):
     rng = np.random.default_rng(n_records)
     dt = 1e-6
     means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
-    acov = velocity_acov_batched(means, dt, 999)
+    acov = velocity_acov_whole(means, dt, 999)
     expected = acov.mean(axis=(0, 2)) / 1000
     total = _blocked_sum(means, dt, 999)
     got = _biased(total, n_records, 1000)
@@ -376,6 +370,50 @@ def test_acf_running_sum_matches_whole_mean(n_records):
     assert np.array_equal(res.values["Filtered"], whole.values["Filtered"])
     assert np.array_equal(total.view(np.uint64),
                           acov.sum(axis=(0, 2)).view(np.uint64))
+
+
+@pytest.mark.parametrize("n_samples", [101, 751])
+@pytest.mark.parametrize("n_records", [3, 9, 257])
+def test_acov_rows_do_not_depend_on_their_batch(n_records, n_samples):
+    # each record's row has the bits of the record transformed alone, in
+    # a batch small enough that numpy multiplies without eliding the
+    # conjugate's temporary, and large enough that it elides it; so any
+    # split of a stack into blocks gives vacf's bits
+    rng = np.random.default_rng(n_records * n_samples)
+    dt = 1e-6
+    means = np.cumsum(rng.normal(size=(n_records, n_samples, 2)), axis=1)
+    max_lag = n_samples - 2
+    rows = acov_rows(means, dt, max_lag)
+    for i in range(n_records):
+        alone = acov_rows(means[i:i + 1], dt, max_lag)[0]
+        assert np.array_equal(rows[i].view(np.uint64),
+                              alone.view(np.uint64)), i
+    whole = vacf({"Filtered": means}, dt).values["Filtered"]
+    for block in (1, 2, 7, 100, n_records):
+        total = np.zeros(max_lag + 1)
+        for lo in range(0, n_records, block):
+            add_rows(total, acov_rows(means[lo:lo + block], dt, max_lag))
+        got = vacf_from_sums({"Filtered": total}, n_records,
+                             n_samples - 1, dt).values["Filtered"]
+        assert np.array_equal(got.view(np.uint64), whole.view(np.uint64)), \
+            block
+
+
+def test_acov_rows_work_space_is_a_few_records():
+    # one call on a report block holds its result and the transforms of
+    # a few records at a time, not of the whole block (18.8 MB in one
+    # transform)
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    means = np.cumsum(rng.normal(size=(256, 1001, 2)), axis=1)
+    tracemalloc.start()
+    try:
+        rows = acov_rows(means, 1e-6, 999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes + (4 << 20), peak
 
 
 def test_vacf_white_velocity():

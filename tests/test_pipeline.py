@@ -29,7 +29,7 @@ from _oracles import (
     injection_study_whole,
     main_arrays_whole,
     same_bits,
-    velocity_acov_batched,
+    velocity_acov_whole,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -437,7 +437,7 @@ def test_injection_study_matches_whole_array_oracle(ref_ep, window,
     n_win = whole["v_f"].shape[0] - 1
     for kind, name in (("Filtered", "m_f"), ("SmoothedLTL", "m_s"),
                        ("ClassicalSmoothed", "m_cs")):
-        acov = velocity_acov_batched(whole[name], ep.dt, n_win - 1)
+        acov = velocity_acov_whole(whole[name], ep.dt, n_win - 1)
         assert same_bits(study.acov[kind], acov.sum(axis=(0, 2))), kind
 
 
