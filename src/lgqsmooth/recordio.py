@@ -1,22 +1,22 @@
 """File formats for records, trajectories, raw traces and analysis tables.
 
 All text output uses %.17g so float64 values round-trip exactly and two
-writes of the same data are byte-identical.  Text tables are formatted in
-bulk, one ``%`` over all rows of a table block, and the bytes equal those
-of formatting each value with ``format(float(x), ".17g")``.  A text
-reader requires its writer's exact header and column count, a binary
-reader a body of exactly its header's n samples, and every error, the
-read object's constructor's included, is a ``ValueError`` naming the
-file: a ``NumericalError`` for a non-finite record or trace sample.
-Binary formats are little-endian float64 throughout.
+writes of the same data are byte-identical.  One writer prints every text
+table, one ``%`` over all rows of a block, with the bytes of formatting
+each value with ``format(float(x), ".17g")``.  One tokenizer reads every
+text table: the writer's exact header and field count, LF or CRLF line
+ends, and no blank or ``#`` line; ``float()`` reads every number.  A
+binary reader requires a body of exactly its header's n samples.  Every
+error, the read object's constructor's included, is a ``ValueError``
+naming the file: a ``NumericalError`` for a non-finite record or trace
+sample.  Binary formats are little-endian float64 throughout.
 
 Records, trajectories and truth dumps share most of their text between
 the files of a run: the time grid, the kind, the closed-form vw and the
 NaN info columns.  Their writers print those columns once per
-:class:`Layout` and each file's own values into it with one ``%``, and
-:func:`read_own_columns` parses only the own columns of a file that is
-byte for byte what its writer makes at a layout, and leaves any other
-file to the generic readers and their checks.
+:class:`Layout` and each file's own values into it, and
+:func:`read_own_columns` compares a file's shared fields as text and
+gives the generic reader's own columns, or leaves the file to it.
 """
 
 from __future__ import annotations
@@ -36,48 +36,90 @@ from .simulate import MeasurementRecord
 SCHEMA_VERSION = 1
 _RECORD_MAGIC = b"LGQ1"
 
+_RECORD_HEADER = "t_s,i1,i2"
+_TRAJECTORY_HEADER = "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2"
+_MEANS_HEADER = "t_s,x1,x2"
+_RAW_HEADER = "t_s,value"
+
 
 def _open_w(path):
     return open(path, "w", newline="\n")
 
 
 def _write_table(path, header: str, blocks) -> None:
-    """Write a header line, then each block's rows with a single ``%``.
+    """Write a header line, then each block's text with a single ``%``.
 
-    A block is a row template and its columns: equal-length 1-d arrays,
-    one per placeholder.  Values are taken as float64, so ``%.17g`` gives
-    the bytes of ``format(float(x), ".17g")`` and ``%d`` those of
-    ``int(x)``.
-    """
+    A block is a template of all its rows and its columns, 1-d or 2-d
+    arrays of one length whose values fill it row by row.  Values are
+    taken as float64, so ``%.17g`` gives the bytes of
+    ``format(float(x), ".17g")`` and ``%d`` those of ``int(x)``."""
     with _open_w(path) as fh:
         fh.write(header + "\n")
-        for row, columns in blocks:
+        for template, columns in blocks:
             flat = np.column_stack(columns).astype(float, copy=False).ravel()
-            fh.write((row * len(columns[0])) % tuple(flat.tolist()))
+            fh.write(template % tuple(flat.tolist()))
 
 
-def _table(path, header: str, usecols=None) -> tuple[np.ndarray, list]:
-    """The numbers of a text table whose first line must be ``header``,
-    parsed with ``np.loadtxt`` (only ``usecols`` if given), and its data
-    lines.  Every row holds the header's column count."""
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    lines = text.splitlines()
-    first, rows = (lines[0] if lines else ""), lines[1:]
+def _fields(body: str) -> tuple[list[str], int]:
+    """The fields of rows that each end in "\\n", the line end a field of
+    its own, so r rows of w columns are r * (w + 1) fields, and r."""
+    spread = body.replace("\n", ",\n,")
+    fields = spread.split(",")
+    fields.pop()  # the "" after the final line end
+    # each line end gained two commas; str.count would scan the text again
+    return fields, (len(spread) - len(body)) // 2
+
+
+# what float() reads in or around a number but no writer prints; any
+# other control character fails float() or the kind check
+_UNPRINTED = ("_", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_table(path, header: str, cols) -> tuple[list[str], np.ndarray]:
+    """The :func:`_fields` of a text table's data rows, and its columns
+    ``cols`` read by float(), (rows, len(cols)): an ASCII file of
+    ``header``, then at least one row of its field count, and no
+    ``_UNPRINTED``.  An error names the file, and a number's its line and
+    column."""
+    data = Path(path).read_bytes()
+    if not data.isascii():
+        raise ValueError(f"{path}: not ASCII text")
+    text = data.decode("ascii")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    first, _, body = text.partition("\n")
     if first != header:
-        raise ValueError(f"{path}: expected header {header!r}, found {first!r}")
-    if not any(rows):
+        raise ValueError(f"{path}: expected header {header!r}, "
+                         f"found {first!r}")
+    if not body:
         raise ValueError(f"{path}: no data rows")
+    if not body.endswith("\n"):
+        body += "\n"
+    for char in _UNPRINTED:
+        if char in body:
+            raise ValueError(f"{path}: {char!r} in a data row")
+    (cells, rows), width = _fields(body), header.count(",") + 2
+    if len(cells) != rows * width \
+            or cells[width - 1::width].count("\n") != rows:
+        line = next(k for k, row in enumerate(body.split("\n"), 2)
+                    if row.count(",") != width - 2)
+        raise ValueError(f"{path}: line {line}: expected {header} fields")
+    numbers: list = []
+    for col in cols:
+        numbers += cells[col::width]
     try:
-        data = np.loadtxt(rows, delimiter=",", usecols=usecols, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    # after loadtxt's own checks, the comma count fixes every row's width
-    if text.count(",") != header.count(",") * (1 + data.shape[0]):
-        raise ValueError(f"{path}: expected {header} rows")
-    return data, rows
+        values = np.fromiter(map(float, numbers), float, len(numbers))
+    except ValueError:
+        for k, text in enumerate(numbers):
+            try:
+                float(text)
+            except ValueError:
+                name = header.split(",")[cols[k // rows]]
+                raise ValueError(f"{path}: line {k % rows + 2}, column "
+                                 f"{name}: {text!r} is not a number") \
+                    from None
+        raise
+    return cells, values.reshape(len(cols), -1).T
 
 
 def _step(path, t: np.ndarray) -> float:
@@ -124,12 +166,6 @@ def _named(path, fn, *args, **kwargs):
 # tables whose shared columns are printed once
 # ---------------------------------------------------------------------------
 
-def _fields(body: str) -> list[str]:
-    """A table body's fields, each line end a field of its own, so a row
-    of w columns is w + 1 fields and a final line end leaves ""."""
-    return body.replace("\n", ",\n,").split(",")
-
-
 @dataclass(frozen=True)
 class Layout:
     """One shape of text table as its writer prints it, but for each
@@ -137,15 +173,13 @@ class Layout:
 
     ``template`` is the data rows with the shared columns already printed
     and ``%.17g`` in each own field, so a file is ``header``, a line end
-    and ``template % own``.  ``width`` is the fields of a row split by
-    :func:`_fields`, its line end counted, and ``own`` the indices of the
-    own columns.  A layout pickles as the arguments of its cached
-    constructor, so a worker process that reads many files of one layout
-    builds it, and its ``shared`` fields, once."""
+    and ``template % own``; ``own`` is the indices of the own columns.  A
+    layout pickles as the arguments of its cached constructor, so a
+    worker process that reads many files of one layout builds it, and its
+    ``shared`` fields, once."""
 
     header: str
     template: str
-    width: int
     own: tuple
     made_from: tuple = field(default=(), compare=False, repr=False)
 
@@ -153,13 +187,14 @@ class Layout:
         return _layout, self.made_from
 
     @functools.cached_property
-    def shared(self) -> tuple[int, tuple]:
-        """The template's field count under :func:`_fields`, and each
-        shared column's index and fields, the line ends' column and
-        column 0's final "" included; made when a file is first read."""
-        fields = _fields(self.template)
-        return len(fields), tuple(
-            (col, fields[col::self.width]) for col in range(self.width)
+    def shared(self) -> tuple[int, int, tuple]:
+        """A row's and the template's field count under :func:`_fields`,
+        and each shared column's index and fields; made when a file is
+        first read."""
+        fields, _ = _fields(self.template)
+        width = self.header.count(",") + 2
+        return width, len(fields), tuple(
+            (col, fields[col::width]) for col in range(width - 1)
             if col not in self.own)
 
 
@@ -172,9 +207,8 @@ def _layout(header: str, row: str, n: int, *columns: bytes) -> Layout:
     the sign of a zero, which print differently, are two layouts."""
     shared = np.column_stack([np.frombuffer(c) for c in columns]).ravel()
     template = (row * n) % tuple(shared.tolist())
-    cells = row[:-1].split(",")
-    return Layout(header, template, len(cells) + 1,
-                  tuple(i for i, cell in enumerate(cells)
+    return Layout(header, template,
+                  tuple(i for i, cell in enumerate(row[:-1].split(","))
                         if cell == "%%.17g"), (header, row, n, *columns))
 
 
@@ -195,58 +229,25 @@ def trajectory_layout(times: np.ndarray, kind: str, vw: np.ndarray,
 
 def means_layout(times: np.ndarray) -> Layout:
     """The layout of a truth dump (:func:`write_means_csv`) on ``times``."""
-    return _layout("t_s,x1,x2", "%.17g,%%.17g,%%.17g\n", len(times),
+    return _layout(_MEANS_HEADER, "%.17g,%%.17g,%%.17g\n", len(times),
                    _bytes(times))
 
 
-def _write_rows(path, layout: Layout, own) -> None:
-    """Write a file of ``layout`` whose own columns are the columns of
-    ``own``, 1-d or 2-d arrays of one length, in order."""
-    flat = np.column_stack(own).astype(float, copy=False).ravel()
-    with _open_w(path) as fh:
-        fh.write(layout.header + "\n")
-        fh.write(layout.template % tuple(flat.tolist()))
-
-
-# what float() reads in a field but np.loadtxt or str.splitlines reads
-# otherwise: digit-group underscores and every white space but "\n"
-_FOREIGN = ("_", " ", "\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f")
-
-
 def read_own_columns(layout: Layout, path) -> np.ndarray | None:
-    """The own columns, (rows, len(layout.own)), of a file that is exactly
-    what its writer makes at ``layout``: the same header, and every
-    shared field and line end as the layout prints it.  Returns None for
-    any other file, valid or not, so that the caller reads it with its
-    generic reader, which checks it and names what is wrong.
-
-    The own fields are parsed with float(), which gives the bits of
-    np.loadtxt on an ASCII field with neither underscores nor white
-    space; a file holding any of those is another file.  A file that
-    cannot be read or decoded is another file too, so this never raises
-    for what a file holds, and the generic reader reports it."""
+    """The own columns, (rows, len(layout.own)), that the generic reader
+    gives a file whose shared fields are, as text, what its writer prints
+    at ``layout``.  Returns None for any other file, valid or not, or one
+    that cannot be read, so that the caller reads it with its generic
+    reader, which checks it and names what is wrong."""
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError):
+        cells, own = _read_table(path, layout.header, layout.own)
+    except (OSError, ValueError):
         return None
-    header, _, body = text.partition("\n")
-    if header != layout.header or not body.isascii() \
-            or any(c in body for c in _FOREIGN):
+    width, size, shared = layout.shared
+    if len(cells) != size or any(cells[col::width] != text
+                                 for col, text in shared):
         return None
-    fields = _fields(body)
-    width = layout.width
-    size, shared = layout.shared
-    if len(fields) != size or any(fields[col::width] != text
-                                  for col, text in shared):
-        return None
-    own: list = []
-    for col in layout.own:
-        own += fields[col::width]
-    try:
-        values = np.fromiter(map(float, own), float, len(own))
-    except ValueError:
-        return None
-    return values.reshape(len(layout.own), -1).T
+    return own
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +256,13 @@ def read_own_columns(layout: Layout, path) -> np.ndarray | None:
 
 def write_record_csv(rec: MeasurementRecord, path) -> None:
     """Columns t_s,i1,i2; efficiency and seed metadata are not stored."""
-    _write_rows(path, _layout("t_s,i1,i2", "%.17g,%%.17g,%%.17g\n", rec.n,
-                              _bytes(np.arange(rec.n) * rec.dt)),
-                (rec.currents,))
+    layout = _layout(_RECORD_HEADER, "%.17g,%%.17g,%%.17g\n", rec.n,
+                     _bytes(np.arange(rec.n) * rec.dt))
+    _write_table(path, layout.header, [(layout.template, (rec.currents,))])
 
 
 def read_record_csv(path) -> MeasurementRecord:
-    data, _ = _table(path, "t_s,i1,i2")
+    _, data = _read_table(path, _RECORD_HEADER, (0, 1, 2))
     # a copy, so the record does not keep the parsed time column alive
     return _named(path, MeasurementRecord, dt=_step(path, data[:, 0]),
                   currents=np.ascontiguousarray(data[:, 1:]))
@@ -290,9 +291,6 @@ def read_record_bin(path) -> MeasurementRecord:
 # trajectories
 # ---------------------------------------------------------------------------
 
-_TRAJECTORY_HEADER = "t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2"
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Columns t_s,kind,mean_x1,mean_x2,vw,info_x1,info_x2.
 
@@ -302,14 +300,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """
     info = traj.info is not None
     own = (traj.mean, traj.info) if info else (traj.mean,)
-    _write_rows(path, trajectory_layout(traj.times, traj.kind, traj.vw, info),
-                own)
+    layout = trajectory_layout(traj.times, traj.kind, traj.vw, info)
+    _write_table(path, layout.header, [(layout.template, own)])
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    # every row has at least seven fields once this parse succeeds
-    data, rows = _table(path, _TRAJECTORY_HEADER, usecols=(0, 2, 3, 4, 5, 6))
-    kinds = {row.split(",", 2)[1] for row in rows if row}
+    cells, data = _read_table(path, _TRAJECTORY_HEADER, (0, 2, 3, 4, 5, 6))
+    kinds = set(cells[1::8])  # seven columns and the line end
     if len(kinds) != 1:
         raise ValueError(f"{path}: expected exactly one trajectory kind")
     kind = kinds.pop()
@@ -322,11 +319,12 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def write_means_csv(times: np.ndarray, means: np.ndarray, path) -> None:
     """Plain mean trajectories (ground truth dumps): t_s,x1,x2."""
-    _write_rows(path, means_layout(times), (means,))
+    layout = means_layout(times)
+    _write_table(path, layout.header, [(layout.template, (means,))])
 
 
 def read_means_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data, _ = _table(path, "t_s,x1,x2")
+    _, data = _read_table(path, _MEANS_HEADER, (0, 1, 2))
     return data[:, 0], data[:, 1:]
 
 
@@ -335,12 +333,12 @@ def read_means_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def write_raw_csv(raw: RawTrace, path) -> None:
-    _write_table(path, "t_s,value", [
-        ("%.17g,%.17g\n", (np.arange(raw.n) / raw.fs, raw.samples))])
+    _write_table(path, _RAW_HEADER, [
+        ("%.17g,%.17g\n" * raw.n, (np.arange(raw.n) / raw.fs, raw.samples))])
 
 
 def read_raw_csv(path) -> RawTrace:
-    data, _ = _table(path, "t_s,value")
+    _, data = _read_table(path, _RAW_HEADER, (0, 1))
     return _named(path, RawTrace, fs=1.0 / _step(path, data[:, 0]),
                   samples=data[:, 1])
 
@@ -364,7 +362,7 @@ def read_raw_bin(path) -> RawTrace:
 def write_consistency_csv(stats: EnsembleStats, path) -> None:
     """Per-time rows t_s,kind,var_ens,theory,sev,outside."""
     _write_table(path, "t_s,kind,var_ens,theory,sev,outside", [
-        ("%.17g," + kind + ",%.17g,%.17g,%.17g,%d\n",
+        (f"%.17g,{kind},%.17g,%.17g,%.17g,%d\n" * len(stats.times),
          (stats.times, stats.var_ens[kind], stats.theory[kind],
           stats.sev[kind], stats.outside[kind]))
         for kind in sorted(stats.var_ens)])
@@ -396,13 +394,14 @@ def write_stats_json(stats: EnsembleStats, path) -> None:
 def write_hs_csv(times: np.ndarray, rows: dict, path) -> None:
     """rows: kind -> (empirical, theory) arrays on the common time grid."""
     _write_table(path, "t_s,kind,hs_empirical,hs_theory", [
-        ("%.17g," + kind + ",%.17g,%.17g\n", (times, *rows[kind]))
+        (f"%.17g,{kind},%.17g,%.17g\n" * len(times), (times, *rows[kind]))
         for kind in sorted(rows)])
 
 
 def write_vacf_csv(res: VacfResult, path) -> None:
     _write_table(path, "lag_s,kind,value", [
-        ("%.17g," + kind + ",%.17g\n", (res.lags, res.values[kind]))
+        (f"%.17g,{kind},%.17g\n" * len(res.lags),
+         (res.lags, res.values[kind]))
         for kind in sorted(res.values)])
 
 

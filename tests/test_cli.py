@@ -511,16 +511,53 @@ def _not_a_number(text: str) -> bool:
     return False
 
 
-@settings(max_examples=40, deadline=None)
+# row defects no writer makes: a comment line, an inline comment, a blank
+# line, a bare "\r" or "\v" inside a row and an "_" inside a number
+_ROW_DEFECTS = ["comment", "tail", "blank", "control", "underscore"]
+
+
+def _row_defect(lines: list, defect: str, row: int, at: int, word: str):
+    """Make ``defect`` in a table's lines, lines[0] the header, at data
+    row ``row``; ``at`` picks the place within the row."""
+    line = lines[row]
+    if defect == "comment":
+        lines.insert(row, "#" + word)
+    elif defect == "tail":
+        lines[row] = line + " #" + word
+    elif defect == "blank":
+        lines.insert(row + 1, "")  # after the last row too
+    elif defect == "control":
+        # never after the row's last character, where "\r" would make a
+        # CRLF line end
+        k = at // 2 % len(line)
+        lines[row] = line[:k] + "\r\v"[at % 2] + line[k:]
+    else:
+        digits = [k for k in range(1, len(line))
+                  if line[k - 1].isdigit() and line[k].isdigit()]
+        assume(digits)
+        k = digits[at % len(digits)]
+        lines[row] = line[:k] + "_" + line[k:]
+
+
+@settings(max_examples=80, deadline=None)
 @given(rel=st.sampled_from(_TRAJ_FILES),
-       defect=st.sampled_from(["truncate", "time", "kind", "vw", "text"]),
+       defect=st.sampled_from(["truncate", "time", "kind", "vw", "text"]
+                              + _ROW_DEFECTS),
        row=st.integers(1, 251),
        number=st.floats(),
        kind=st.sampled_from(KINDS + ("", "filtered")),
        column=st.sampled_from([0, 2, 3, 4, 5, 6]),
-       word=st.text("abcdefinxyz.-+ ", max_size=6).filter(_not_a_number))
+       word=st.text("abcdefinxyz.-+ ", max_size=6).filter(_not_a_number),
+       at=st.integers(0, 2 ** 16))
+# a comma-free comment line, which the generic reader once crashed on
+@example(rel="estimates/filtered_00001.csv", defect="comment", row=3,
+         number=0.0, kind="Filtered", column=0, word=" note", at=0)
+@example(rel="estimates/retro_00002.csv", defect="control", row=7,
+         number=0.0, kind="Filtered", column=0, word="x", at=0)
+@example(rel="smoothed/Classical/smoothed_00003.csv", defect="blank",
+         row=251, number=0.0, kind="Filtered", column=0, word="x", at=0)
 def test_corrupt_trajectory_is_exit_one(clean_run, rel, defect, row, number,
-                                        kind, column, word):
+                                        kind, column, word, at):
     # estimates/ are checked by smooth, smoothed/ by analyze; each file
     # has a header and 251 rows
     cfg, clean = clean_run
@@ -531,6 +568,8 @@ def test_corrupt_trajectory_is_exit_one(clean_run, rel, defect, row, number,
         lines = victim.read_text().splitlines()
         if defect == "truncate":
             lines = lines[:row]  # the header and 0 to 250 rows
+        elif defect in _ROW_DEFECTS:
+            _row_defect(lines, defect, row, at, word)
         else:
             fields = lines[row].split(",")
             if defect == "text":
@@ -588,11 +627,12 @@ def test_nonfinite_trajectory_is_exit_two(clean_run, tmp_path, cmd, rel,
 _BIN_HEADER = 36  # magic, then dt, n, eta and seed
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(rel=st.sampled_from(
            [f"records/record_{i:05d}.bin" for i in range(4)]
            + [f"truth/truth_{i:05d}.csv" for i in range(4)]),
-       defect=st.sampled_from(["header", "body", "dt", "text"]),
+       defect=st.sampled_from(["header", "body", "dt", "text"]
+                              + _ROW_DEFECTS),
        cut=st.integers(0, 2 ** 16),
        row=st.integers(1, 251),
        number=st.floats(),
@@ -601,6 +641,14 @@ _BIN_HEADER = 36  # magic, then dt, n, eta and seed
          number=0.0, word="x")
 @example(rel="records/record_00001.bin", defect="dt", cut=0, row=1,
          number=2e-6, word="x")
+@example(rel="truth/truth_00002.csv", defect="comment", cut=0, row=5,
+         number=0.0, word=" note")
+@example(rel="truth/truth_00000.csv", defect="tail", cut=0, row=251,
+         number=0.0, word=" x")
+@example(rel="truth/truth_00001.csv", defect="control", cut=1, row=9,
+         number=0.0, word="x")
+@example(rel="truth/truth_00003.csv", defect="underscore", cut=2, row=40,
+         number=0.0, word="x")
 def test_corrupt_record_or_truth_is_exit_one(clean_run, rel, defect, cut, row,
                                              number, word):
     # records/ are read by estimate (the .bin files, as both formats
@@ -626,7 +674,9 @@ def test_corrupt_record_or_truth_is_exit_one(clean_run, rel, defect, cut, row,
             victim.write_bytes(bytes(data))
         else:
             lines = victim.read_text().splitlines()
-            if defect == "header":
+            if defect in _ROW_DEFECTS:
+                _row_defect(lines, defect, row, cut, word)
+            elif defect == "header":
                 lines[0] = lines[0][:cut % len(lines[0])]
             elif defect == "body":
                 lines = lines[:row]  # the header and 0 to 250 rows
@@ -640,11 +690,10 @@ def test_corrupt_record_or_truth_is_exit_one(clean_run, rel, defect, cut, row,
                 lines[row] = ",".join(fields)
             victim.write_text("\n".join(lines) + "\n")
         stage = "estimate" if rel.startswith("records") else "analyze"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([stage, "--config", str(cfg), "--out-dir", str(out)])
-    assert code == 1, err.getvalue()
-    assert f"lgqsmooth: error: {victim}: " in err.getvalue(), err.getvalue()
+        code, err = main_each([stage, "--config", str(cfg),
+                               "--out-dir", str(out)])
+    assert code == 1, err
+    assert f"lgqsmooth: error: {victim}: " in err, err
 
 
 def _set_field(row: int, column: int, value: str):

@@ -334,6 +334,10 @@ def _blocked_sum(means, dt, max_lag):
     return total
 
 
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.mark.parametrize("n_records", [8, 100, 256, 257, 1000])
 def test_acf_blocked_matches_whole_transform(n_records):
     # a row has the same bits in any batch, so the report's 256-record
@@ -343,12 +347,11 @@ def test_acf_blocked_matches_whole_transform(n_records):
     dt = 1e-6
     means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
     got = _biased(_blocked_sum(means, dt, 999), n_records, 1000)
-    expected = acf_biased_whole(means, dt, 999)
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert _same_bits(got, acf_biased_whole(means, dt, 999))
     norm = got / got[0]
     norm[0] = 1.0
     values = vacf({None: means}, dt).values[None]
-    assert np.array_equal(values.view(np.uint64), norm.view(np.uint64))
+    assert _same_bits(values, norm)
 
 
 @pytest.mark.parametrize("n_records", [8, 256, 257, 1000])
@@ -361,15 +364,13 @@ def test_acf_running_sum_matches_whole_mean(n_records):
     dt = 1e-6
     means = np.cumsum(rng.normal(size=(n_records, 1001, 2)), axis=1)
     acov = velocity_acov_whole(means, dt, 999)
-    expected = acov.mean(axis=(0, 2)) / 1000
     total = _blocked_sum(means, dt, 999)
     got = _biased(total, n_records, 1000)
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert _same_bits(got, acov.mean(axis=(0, 2)) / 1000)
     res = vacf_from_sums({"Filtered": total}, n_records, 1000, dt)
     whole = vacf({"Filtered": means}, dt)
-    assert np.array_equal(res.values["Filtered"], whole.values["Filtered"])
-    assert np.array_equal(total.view(np.uint64),
-                          acov.sum(axis=(0, 2)).view(np.uint64))
+    assert _same_bits(res.values["Filtered"], whole.values["Filtered"])
+    assert _same_bits(total, acov.sum(axis=(0, 2)))
 
 
 @pytest.mark.parametrize("n_samples", [101, 751])

@@ -1,11 +1,16 @@
 """File format round trips."""
 
+import io
 import json
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lgqsmooth import recordio
 from lgqsmooth.estimate import Trajectory, run_filter, run_retrofilter
@@ -371,14 +376,16 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("defect", ["short row", "long row", "non-numeric",
-                                    "empty"])
+                                    "empty", "comment", "blank"])
 @pytest.mark.parametrize("reader", sorted(MALFORMED))
 def test_malformed_csv_error_names_file(reader, defect, tmp_path):
     read, header, good, short = MALFORMED[reader]
     rows = {"short row": good + [short],
             "long row": [good[0], good[1] + ",1"],
             "non-numeric": [good[0], good[1].replace("1", "x", 1)],
-            "empty": []}[defect]
+            "empty": [],
+            "comment": [good[0], "# note", good[1]],
+            "blank": [good[0], "", good[1]]}[defect]
     path = tmp_path / f"{reader}.csv"
     path.write_text("\n".join([header] + rows) + "\n")
     with pytest.raises(ValueError) as exc:
@@ -422,3 +429,49 @@ def test_trajectory_time_grid_error_names_file(tmp_path):
     with pytest.raises(ValueError, match="strictly increasing") as exc:
         recordio.read_trajectory_csv(path)
     assert str(exc.value).startswith(f"{path}: ")
+
+
+_SPELLINGS = {"%.17g": lambda x: "%.17g" % x, "repr": repr,
+              "%.6e": lambda x: "%.6e" % x,
+              "padded": lambda x: " \t %r  " % x}
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.tuples(
+           st.floats(width=64), st.sampled_from(sorted(_SPELLINGS))),
+           min_size=2, max_size=12))
+@example(values=[(x, spelling) for x in (0.0, -0.0, 5e-324, -5e-324,
+                                          2.2250738585072014e-308,
+                                          1.7976931348623157e308,
+                                          -1.7976931348623157e308,
+                                          np.inf, -np.inf, np.nan)
+                 for spelling in sorted(_SPELLINGS)])
+def test_numbers_read_as_loadtxt_read_them(values):
+    # any float64, as the writer spells it or another way, reads as
+    # np.loadtxt, the readers' parser up to numpy 2, read it, bit for bit
+    rows = [f"{k},{_SPELLINGS[s](x)},{k}" for k, (x, s) in enumerate(values)]
+    text = "t_s,x1,x2\n" + "\n".join(rows) + "\n"
+    oracle = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    with tempfile.TemporaryDirectory() as td:
+        path = Path(td) / "m.csv"
+        path.write_text(text)
+        _, means = recordio.read_means_csv(path)
+    assert means[:, 0].tobytes() == oracle[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("field, error", [
+    ("1_5", "'_' in a data row"), ("\uff11", "not ASCII text"),
+    ("", "line 3, column x1: '' is not a number")])
+def test_fields_loadtxt_rejected_are_errors(field, error, tmp_path):
+    # a digit-group underscore and a fullwidth digit, which float() alone
+    # reads, and an empty field are errors naming the file, and a number
+    # its line and column
+    text = f"t_s,x1,x2\n0,1,2\n1,{field},2\n"
+    with pytest.raises(ValueError):
+        np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1,
+                   comments=None)
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as exc:
+        recordio.read_means_csv(path)
+    assert str(exc.value) == f"{path}: {error}"
